@@ -31,6 +31,7 @@ from .scheme_lp import (
     build_o2,
     extract_scheme,
     scheme_problems,
+    with_memory,
 )
 from .simulator import verify
 
@@ -50,17 +51,36 @@ def _load(path: str):
     return inst
 
 
-def _solve_scheme(inst, mode: str) -> SchemeSolution:
+def _build(inst, mode: str):
     if mode == "intra":
-        lp, index = build_intra_restricted(inst)
-    elif inst.is_budget:
-        lp, index = build_o1(inst)
-    else:
-        lp, index = build_o2(inst)
-    solution = solve_lp(lp)
-    if not solution.is_optimal:
-        raise SolverError(f"solve ended with status {solution.status.value}")
-    return extract_scheme(solution, index)
+        return build_intra_restricted(inst)
+    if inst.is_budget:
+        return build_o1(inst)
+    return build_o2(inst)
+
+
+def _solve_chain(subs, mode: str = "joint") -> list[SchemeSolution]:
+    """Solve one program at each instance's memory, in order.
+
+    The instances differ only in their budget or cache sizes, so the
+    program is built once and each solve starts from the previous optimal
+    basis, which leaves only a few dual pivots per point.
+    """
+    lp, index = _build(subs[0], mode)
+    schemes = []
+    start = None
+    for sub in subs:
+        solution = solve_lp(with_memory(lp, sub), start=start)
+        if not solution.is_optimal:
+            raise SolverError(f"solve ended with status {solution.status.value}")
+        start = solution.basis
+        schemes.append(extract_scheme(solution, index))
+    return schemes
+
+
+def _solve_scheme(inst, mode: str) -> SchemeSolution:
+    (scheme,) = _solve_chain([inst], mode)
+    return scheme
 
 
 def _open_out(path):
@@ -92,7 +112,12 @@ def _emit(rows: list[dict], header: list[str], args) -> None:
 
 
 def _parallel(fn, inputs, jobs: int):
-    """Map in order; worker threads only pay off past one job."""
+    """Map in order; worker threads only pay off past one job.
+
+    Only per-point work independent of the other points goes through here;
+    the warm-started LP chain runs in the calling thread, so output never
+    depends on ``jobs``.
+    """
     if jobs <= 1:
         return [fn(x) for x in inputs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -124,23 +149,23 @@ def cmd_sweep(args) -> int:
     grid = {total * i / (points - 1) for i in range(points)}
     # corners keep the curve exact where it has kinks
     grid.update(m for m, _ in corner_points(rates))
-    grid = sorted(grid)
+    subs = [dataclasses.replace(inst, constraint=Budget(m_tot=m)) for m in sorted(grid)]
+    schemes = _solve_chain(subs)
 
-    def one(m_tot: float) -> dict:
-        sub = dataclasses.replace(inst, constraint=Budget(m_tot=m_tot))
-        scheme = _solve_scheme(sub, "joint")
+    def one(i: int) -> dict:
+        m_tot = subs[i].constraint.m_tot
         alloc = threshold_allocation(m_tot, rates)
         row = {
             "m_tot": m_tot,
-            "lp_load": scheme.load(),
+            "lp_load": schemes[i].load(),
             "theorem1_load": theorem1_load(m_tot, rates),
-            "cutset": cutset_budget(sub).value,
+            "cutset": cutset_budget(subs[i]).value,
         }
         for k in range(1, inst.K + 1):
             row[f"m_{k}"] = alloc.per_user[k - 1]
         return row
 
-    rows = _parallel(one, grid, args.jobs)
+    rows = _parallel(one, range(len(subs)), args.jobs)
     header = ["m_tot", "lp_load", "theorem1_load", "cutset"]
     header += [f"m_{k}" for k in range(1, inst.K + 1)]
     _emit(rows, header, args)
@@ -157,15 +182,18 @@ def cmd_compare(args) -> int:
     shape = [g ** (K - k) for k in range(1, K + 1)]
     s_max = min(rates.r[k - 1] / shape[k - 1] for k in range(1, K + 1))
     points = max(2, args.points)
-
-    def one(i: int) -> dict:
+    subs = []
+    for i in range(points):
         s = s_max * i / (points - 1)
         m = tuple(s * shape[k - 1] for k in range(1, K + 1))
-        sub = dataclasses.replace(inst, constraint=FixedMemories(m=m))
-        joint = _solve_scheme(sub, "joint").load()
+        subs.append(dataclasses.replace(inst, constraint=FixedMemories(m=m)))
+    schemes = _solve_chain(subs)
+
+    def one(i: int) -> dict:
+        sub = subs[i]
         return {
-            "m_tot": sum(m),
-            "joint_o2": joint,
+            "m_tot": sum(sub.constraint.m),
+            "joint_o2": schemes[i].load(),
             "pca": baseline_load("pca", sub),
             "oca": baseline_load("oca", sub),
             "cutset_fixed": cutset_fixed(sub).value,

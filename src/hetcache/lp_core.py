@@ -28,6 +28,25 @@ Design notes, fixed deliberately so results are reproducible run to run:
   A pivot smaller than the acceptance threshold with no alternative is
   reported as a numerical breakdown naming the offending column.
 
+Warm starts.  Every optimal solution carries its final :class:`Basis`.
+Passed back as ``start`` for a program of the same layout (same rows,
+columns and artificial rows) whose right-hand side moved, as in a budget
+sweep, that basis is still dual feasible: the costs and the matrix did
+not change, only which basic values violate their boxes.  The solver
+installs it, refactors, and runs a bounded-variable dual simplex
+(Koberstein 2005; Huangfu & Hall 2018): the leaving row is the largest
+bound violation, the entering column comes from a ratio test over that
+row of B^-1 A, with the same near-tie rule as the primal ratio test, and
+the inverse takes the same rank-one update.  A primal phase 2 then
+cleans up any reduced cost the refactorization nudged, and the result
+passes the same feasibility audit as a cold solve.  A start that does
+not fit falls back to the full cold solve: another layout, a singular
+basis, dual infeasibility beyond the optimality tolerance, more than
+10 * (rows + cols) dual pivots, a pivot below the acceptance threshold,
+or a dual ray.  The cold solve therefore decides every infeasible,
+unbounded or failed outcome, so a start never changes a status and never
+raises where a cold solve would not.
+
 Infeasible and unbounded are statuses, not exceptions; SolverError is
 reserved for numerical trouble and iteration limits.
 """
@@ -36,7 +55,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,12 +78,29 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
+class Basis(NamedTuple):
+    """Where an optimal solve ended, reusable as the start of another.
+
+    ``cols`` names the basic column of each row and ``at_upper`` flags the
+    nonbasic columns resting on their upper bound.  Both index the
+    tableau's column layout: structural variables, one slack per
+    inequality row, then one artificial per row listed in ``layout``,
+    which is (structural count, equality rows, inequality rows,
+    artificial rows).
+    """
+
+    cols: np.ndarray
+    at_upper: np.ndarray
+    layout: tuple
+
+
 @dataclass
 class LpSolution:
     status: LpStatus
     x: np.ndarray
     objective: float
     iterations: int = 0
+    basis: Basis | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -129,19 +165,20 @@ class LinearProgram:
 
     def check_point(self, x: np.ndarray, tol: float = FEAS_TOL) -> list[str]:
         """All constraint violations of ``x`` beyond ``tol``, for audits."""
+        # each test is written so that NaN, which compares false, fails it
         problems = []
         for j in range(self.n_vars):
-            if x[j] < self.lo[j] - tol or x[j] > self.hi[j] + tol:
+            if not self.lo[j] - tol <= x[j] <= self.hi[j] + tol:
                 problems.append(
                     f"{self.name_of(j)}={x[j]} outside [{self.lo[j]}, {self.hi[j]}]"
                 )
         for i, (coefs, rhs) in enumerate(self.eq_rows):
             lhs = sum(v * x[j] for j, v in coefs.items())
-            if abs(lhs - rhs) > tol * (1.0 + abs(rhs)):
+            if not abs(lhs - rhs) <= tol * (1.0 + abs(rhs)):
                 problems.append(f"eq row {i}: {lhs} != {rhs}")
         for i, (coefs, rhs) in enumerate(self.ub_rows):
             lhs = sum(v * x[j] for j, v in coefs.items())
-            if lhs > rhs + tol * (1.0 + abs(rhs)):
+            if not lhs <= rhs + tol * (1.0 + abs(rhs)):
                 problems.append(f"ub row {i}: {lhs} > {rhs}")
         return problems
 
@@ -216,13 +253,13 @@ class _Tableau:
                 basis[i] = ncols + k
         self.first_art = ncols
         self.ncols = self.A.shape[1]
+        self.layout = (n, m_eq, m_ub, tuple(art_cols))
         self.basis = basis
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[basis] = True
         self.at_upper = np.zeros(self.ncols, dtype=bool)
         self.binv = None
         self.xb = None
-        self.refactor()
 
     def nonbasic_values(self) -> np.ndarray:
         vals = np.where(self.at_upper, self.hi, self.lo)
@@ -243,6 +280,42 @@ class _Tableau:
         x[self.basis] = self.xb
         return x
 
+    def pin_artificials(self):
+        """Fix every artificial at zero once phase 1 no longer needs it."""
+        self.lo[self.first_art:] = 0.0
+        self.hi[self.first_art:] = 0.0
+        self.at_upper[self.first_art:] = False
+
+    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        y = cost[self.basis] @ self.binv if self.m else np.zeros(0)
+        return cost - y @ self.A if self.m else cost.copy()
+
+    def pivot(self, r: int, j: int, col: np.ndarray):
+        """Make column j basic in row r; ``col`` is B^-1 A[:, j].
+
+        The caller has already moved the basic values and recorded which
+        bound the leaving variable rests on.
+        """
+        leaving = self.basis[r]
+        self.in_basis[leaving] = False
+        self.in_basis[j] = True
+        self.basis[r] = j
+        self.at_upper[j] = False
+
+        # Rank-one update of the inverse: row r scaled, others swept.
+        piv_row = self.binv[r, :] / col[r]
+        self.binv -= np.outer(col, piv_row)
+        self.binv[r, :] = piv_row
+
+    def limit(self, max_iterations: int | None) -> int:
+        """Per-phase iteration limit, by default scaled to the tableau."""
+        if max_iterations is None:
+            return 50 * (self.m + self.ncols) + 2000
+        return max_iterations
+
+    def final_basis(self) -> Basis:
+        return Basis(self.basis.copy(), self.at_upper.copy(), self.layout)
+
 
 def _run_phase(t: _Tableau, cost: np.ndarray, iter_start: int, max_iterations: int,
                lp: LinearProgram) -> tuple[str, int]:
@@ -261,9 +334,7 @@ def _run_phase(t: _Tableau, cost: np.ndarray, iter_start: int, max_iterations: i
         iterations += 1
         phase_iter += 1
 
-        cb = cost[t.basis]
-        y = cb @ t.binv if m else np.zeros(0)
-        red = cost - y @ t.A if m else cost.copy()
+        red = t.reduced_costs(cost)
 
         can_rise = (~t.in_basis) & (~fixed) & (~t.at_upper) & (red < -OPT_TOL)
         can_fall = (~t.in_basis) & (~fixed) & t.at_upper & (red > OPT_TOL)
@@ -316,37 +387,170 @@ def _run_phase(t: _Tableau, cost: np.ndarray, iter_start: int, max_iterations: i
             )
 
         step = ratios[r]
-        leaving = t.basis[r]
         t.xb -= step * w
         enter_val = (t.lo[j] + step) if sigma > 0 else (t.hi[j] - step)
         t.xb[r] = enter_val
-        t.at_upper[leaving] = w[r] < 0  # hit upper bound if it was falling
-        t.in_basis[leaving] = False
-        t.in_basis[j] = True
-        t.basis[r] = j
-        t.at_upper[j] = False
-
-        # Rank-one update of the inverse: row r scaled, others swept.
-        wj = t.binv @ t.A[:, j]
-        piv_row = t.binv[r, :] / wj[r]
-        t.binv -= np.outer(wj, piv_row)
-        t.binv[r, :] = piv_row
+        t.at_upper[t.basis[r]] = w[r] < 0  # hit upper bound if it was falling
+        t.pivot(r, j, sigma * w)
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+class _StartRejected(Exception):
+    """A warm start did not fit; carries the pivots spent finding out."""
+
+    def __init__(self, reason: str, iterations: int = 0):
+        super().__init__(reason)
+        self.iterations = iterations
+
+
+def _run_dual(t: _Tableau, cost: np.ndarray, budget: int) -> int:
+    """Bounded dual simplex from a dual feasible basis to a primal feasible
+    one.  Returns its pivot count; raises _StartRejected if it cannot go on.
+    """
+    m = t.m
+    fixed = t.lo == t.hi
+    iterations = 0
+    while True:
+        if iterations and iterations % REFACTOR_EVERY == 0:
+            try:
+                t.refactor()
+            except SolverError as exc:
+                raise _StartRejected(str(exc), iterations) from None
+        lo_b = t.lo[t.basis]
+        hi_b = t.hi[t.basis]
+        below = lo_b - t.xb
+        above = t.xb - hi_b
+        violation = np.maximum(below, above)
+        r = int(np.argmax(violation)) if m else 0
+        if not m or violation[r] <= FEAS_TOL:
+            return iterations
+        if iterations >= budget:
+            raise _StartRejected(f"dual phase passed {budget} pivots", iterations)
+        iterations += 1
+
+        # The leaving variable goes to the bound it violates.  Column j can
+        # push it there if moving j off its own bound moves row r the right
+        # way; the dual ratio test keeps every other reduced cost signed.
+        to_upper = bool(above[r] > below[r])
+        alpha = t.binv[r] @ t.A
+        toward = -alpha if to_upper else alpha
+        free = (~t.in_basis) & (~fixed)
+        eligible = (free & ~t.at_upper & (toward < -PIVOT_TOL)) | (
+            free & t.at_upper & (toward > PIVOT_TOL)
+        )
+        if not eligible.any():
+            raise _StartRejected("dual ray: row has no entering column", iterations)
+        red = t.reduced_costs(cost)
+        dual_slack = np.maximum(np.where(t.at_upper, -red, red), 0.0)
+        ratios = np.full(t.ncols, np.inf)
+        ratios[eligible] = dual_slack[eligible] / np.abs(alpha[eligible])
+        cand = np.nonzero(ratios <= ratios.min() + RATIO_TIE_TOL)[0]
+        j = int(cand[np.argmax(np.abs(alpha[cand]))])
+
+        col = t.binv @ t.A[:, j]
+        if abs(col[r]) <= PIVOT_TOL:
+            raise _StartRejected(f"dual pivot {col[r]:.3e} below tolerance", iterations)
+        step = (t.xb[r] - (hi_b[r] if to_upper else lo_b[r])) / col[r]
+        enter_val = (t.hi[j] if t.at_upper[j] else t.lo[j]) + step
+        t.xb -= step * col
+        t.xb[r] = enter_val
+        t.at_upper[t.basis[r]] = to_upper
+        t.pivot(r, j, col)
+
+
+def _finish(t: _Tableau, cost: np.ndarray, iterations: int, max_iterations: int,
+            lp: LinearProgram) -> LpSolution:
+    """Primal phase 2 to optimality, then the feasibility audit."""
+    n = lp.n_vars
+    status, iterations = _run_phase(t, cost, iterations, max_iterations, lp)
+    if status == "unbounded":
+        return LpSolution(LpStatus.UNBOUNDED, np.full(n, np.nan), -np.inf, iterations)
+
+    for attempt in range(3):
+        x = t.x_full()[:n]
+        if not lp.check_point(x, tol=FEAS_TOL * 10):
+            break
+        t.refactor()
+        status, iterations = _run_phase(t, cost, iterations, max_iterations, lp)
+        if status == "unbounded":
+            return LpSolution(LpStatus.UNBOUNDED, np.full(n, np.nan), -np.inf, iterations)
+    else:
+        raise SolverError(
+            "solution failed feasibility audit: " + "; ".join(lp.check_point(x)[:3])
+        )
+    return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), iterations, t.final_basis())
+
+
+def _phase2_cost(t: _Tableau, lp: LinearProgram) -> np.ndarray:
+    cost = np.zeros(t.ncols)
+    cost[:lp.n_vars] = lp.c
+    return cost
+
+
+def _solve_warm(lp: LinearProgram, start: Basis, max_iterations: int | None) -> LpSolution:
+    """Re-optimize from ``start``: dual simplex, primal clean-up, audit.
+
+    Returns only optimal, audited solutions; anything else is reported as
+    _StartRejected so the caller can solve cold instead.
+    """
+    t = _Tableau(lp)
+    cols = np.asarray(start.cols, dtype=int)
+    if (start.layout != t.layout or cols.shape != (t.m,)
+            or np.shape(start.at_upper) != (t.ncols,)):
+        raise _StartRejected("start comes from a program of another layout")
+    if t.m and (cols.min() < 0 or cols.max() >= t.ncols or len(set(cols.tolist())) < t.m):
+        raise _StartRejected("start does not name one column per row")
+    t.basis = cols.copy()
+    t.in_basis[:] = False
+    t.in_basis[t.basis] = True
+    t.pin_artificials()
+    t.at_upper = np.asarray(start.at_upper, dtype=bool) & ~t.in_basis & np.isfinite(t.hi)
+    try:
+        t.refactor()
+    except SolverError as exc:
+        raise _StartRejected(str(exc)) from None
+
+    cost = _phase2_cost(t, lp)
+    red = t.reduced_costs(cost)
+    free = (~t.in_basis) & (t.lo != t.hi)
+    if (free & ((~t.at_upper & (red < -OPT_TOL)) | (t.at_upper & (red > OPT_TOL)))).any():
+        raise _StartRejected("start is not dual feasible")
+
+    iterations = _run_dual(t, cost, 10 * (t.m + t.ncols))
+    try:
+        solution = _finish(t, cost, iterations, t.limit(max_iterations), lp)
+    except SolverError as exc:
+        raise _StartRejected(str(exc), iterations) from None
+    if not solution.is_optimal:
+        raise _StartRejected(f"clean-up ended {solution.status.value}", solution.iterations)
+    return solution
+
+
+def solve_lp(lp: LinearProgram, start: Basis | None = None,
+             max_iterations: int | None = None) -> LpSolution:
     """Solve ``lp`` to proven optimality, infeasibility, or unboundedness.
 
-    Deterministic: the same program yields the same vertex every time.
-    Raises SolverError on numerical breakdown or iteration exhaustion.
+    ``start``, the ``basis`` of an earlier optimal solution, warm-starts the
+    solve when it fits ``lp`` (see the module notes) and is otherwise
+    ignored; ``iterations`` then also counts the pivots of the abandoned
+    attempt.  Deterministic: the same program and the same start yield the
+    same vertex every time.  Raises SolverError on numerical breakdown or
+    iteration exhaustion.
     """
     problems = lp.validate()
     if problems:
         raise ValueError("malformed program: " + "; ".join(problems))
 
+    spent = 0
+    if start is not None:
+        try:
+            return _solve_warm(lp, start, max_iterations)
+        except _StartRejected as exc:
+            spent = exc.iterations
+
     t = _Tableau(lp)
+    t.refactor()
     n = lp.n_vars
-    if max_iterations is None:
-        max_iterations = 50 * (t.m + t.ncols) + 2000
+    max_iterations = t.limit(max_iterations)
 
     iterations = 0
     if t.first_art < t.ncols:
@@ -357,29 +561,12 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
             raise SolverError("feasibility phase terminated without optimum")
         art_total = float(t.x_full()[t.first_art:].sum())
         if art_total > FEAS_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, np.full(n, np.nan), np.nan, iterations)
+            return LpSolution(LpStatus.INFEASIBLE, np.full(n, np.nan), np.nan,
+                              iterations + spent)
         # Pin the artificials at zero; any still basic are degenerate and
         # will be forced out by the ratio test if they ever threaten to move.
-        t.lo[t.first_art:] = 0.0
-        t.hi[t.first_art:] = 0.0
-        t.at_upper[t.first_art:] = False
+        t.pin_artificials()
 
-    cost2 = np.zeros(t.ncols)
-    cost2[:n] = lp.c
-    status, iterations = _run_phase(t, cost2, iterations, max_iterations, lp)
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, np.full(n, np.nan), -np.inf, iterations)
-
-    for attempt in range(3):
-        x = t.x_full()[:n]
-        if not lp.check_point(x, tol=FEAS_TOL * 10):
-            break
-        t.refactor()
-        status, iterations = _run_phase(t, cost2, iterations, max_iterations, lp)
-        if status == "unbounded":
-            return LpSolution(LpStatus.UNBOUNDED, np.full(n, np.nan), -np.inf, iterations)
-    else:
-        raise SolverError(
-            "solution failed feasibility audit: " + "; ".join(lp.check_point(x)[:3])
-        )
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x), iterations)
+    solution = _finish(t, _phase2_cost(t, lp), iterations, max_iterations, lp)
+    solution.iterations += spent
+    return solution

@@ -187,6 +187,9 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
     be surfaced verbatim by the CLI.
     """
     problems: list[str] = []
+    # NaN passes every range check, since it compares false: test it first
+    if not all(math.isfinite(x) for x in inst.rates.r):
+        problems.append(f"rates {list(inst.rates.r)} must be finite")
     if inst.K < 1:
         problems.append(f"K={inst.K} must be at least 1")
     if inst.N < inst.K:
@@ -202,7 +205,9 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
             f"rates exceed log2(q)={math.log2(inst.q)}, unreachable for q={inst.q}"
         )
     if isinstance(inst.constraint, Budget):
-        if inst.constraint.m_tot < 0.0:
+        if not math.isfinite(inst.constraint.m_tot):
+            problems.append(f"budget {inst.constraint.m_tot} must be finite")
+        elif inst.constraint.m_tot < 0.0:
             problems.append(f"budget {inst.constraint.m_tot} is negative")
         elif inst.constraint.m_tot > inst.rates.sum_rates + 1e-12:
             problems.append(
@@ -214,7 +219,9 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
         if len(m) != inst.K:
             problems.append(f"memory vector has {len(m)} entries, expected K={inst.K}")
         for k, (mk, rk) in enumerate(zip(m, inst.rates.r), start=1):
-            if mk < 0.0:
+            if not math.isfinite(mk):
+                problems.append(f"m[{k}]={mk} must be finite")
+            elif mk < 0.0:
                 problems.append(f"m[{k}]={mk} is negative")
             elif mk > rk + 1e-12:
                 problems.append(f"m[{k}]={mk} exceeds r[{k}]={rk}")
@@ -287,6 +294,37 @@ class MemoryAllocation:
 # Exactly one of rates/distortions and exactly one of budget/memories.
 
 
+def _json_integer(data: dict, key: str, default: int | None, problems: list[str]):
+    value = data.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        problems.append(f"field '{key}' must be an integer, got {value!r}")
+        return None
+    return value
+
+
+def _json_number(value, what: str, problems: list[str]) -> float | None:
+    """``value`` as a float; NaN and infinities are left to validate_instance."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    problems.append(f"{what} must be a number, got {value!r}")
+    return None
+
+
+def _json_numbers(data: dict, key: str, problems: list[str]):
+    value = data[key]
+    if not isinstance(value, list):
+        problems.append(f"field '{key}' must be a list of numbers, got {value!r}")
+        return None
+    before = len(problems)
+    xs = [_json_number(x, f"{key}[{i}]", problems) for i, x in enumerate(value, 1)]
+    return None if len(problems) > before else xs
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
     problems: list[str] = []
     if not isinstance(data, dict):
@@ -308,21 +346,31 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     if problems:
         raise InstanceError(problems)
 
-    q = int(data.get("q", 2))
+    # JSON admits strings and booleans wherever a number is expected;
+    # refuse them here instead of letting int() or float() raise.
+    K = _json_integer(data, "K", None, problems)
+    N = _json_integer(data, "N", None, problems)
+    q = _json_integer(data, "q", 2, problems)
+    profile = _json_numbers(data, "rates" if has_rates else "distortions", problems)
+    if has_budget:
+        memory = _json_number(data["budget"], "field 'budget'", problems)
+    else:
+        memory = _json_numbers(data, "memories", problems)
+    if problems:
+        raise InstanceError(problems)
+
     try:
         if has_rates:
-            rates = make_rate_profile(data["rates"])
+            rates = make_rate_profile(profile)
         else:
-            rates = rates_from_distortions(data["distortions"], q)
-    except InstanceError as exc:
-        raise InstanceError(exc.problems) from exc
+            rates = rates_from_distortions(profile, q)
+    except ValueError as exc:  # InstanceError, or rho refusing a distortion or q
+        raise InstanceError(getattr(exc, "problems", [str(exc)])) from exc
     if has_budget:
-        constraint: MemoryConstraint = Budget(m_tot=float(data["budget"]))
+        constraint: MemoryConstraint = Budget(m_tot=memory)
     else:
-        constraint = FixedMemories(m=tuple(float(x) for x in data["memories"]))
-    inst = ProblemInstance(
-        K=int(data["K"]), N=int(data["N"]), rates=rates, constraint=constraint, q=q
-    )
+        constraint = FixedMemories(m=tuple(memory))
+    inst = ProblemInstance(K=K, N=N, rates=rates, constraint=constraint, q=q)
     return ensure_valid(inst)
 
 

@@ -29,7 +29,7 @@ mixing layers; it exists to measure how much the mixing buys.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .lp_core import LinearProgram, LpSolution, SolverError, SparseRow
 from .model import (
@@ -454,6 +454,27 @@ def build_intra_restricted(inst: ProblemInstance):
             eqs.append((row, float(inst.constraint.m[k - 1])))
     lp = _assemble(inst, index, eqs)
     return lp, index
+
+
+def with_memory(lp: LinearProgram, inst: ProblemInstance) -> LinearProgram:
+    """``lp`` moved to the budget or cache sizes of ``inst``.
+
+    ``lp`` must come from :func:`build_o1`, :func:`build_o2` or
+    :func:`build_intra_restricted` for an instance with the same users,
+    rates and constraint type as ``inst``.  Those builders emit the memory
+    rows last among the equalities (one budget row, or one row per user),
+    so only those right-hand sides change; every other row, the costs and
+    the bounds are shared with ``lp``, which is what lets an optimal basis
+    of ``lp`` warm-start the new program.
+    """
+    ensure_valid(inst)
+    if inst.is_budget:
+        rhs = [float(inst.constraint.m_tot)]
+    else:
+        rhs = [float(m) for m in inst.constraint.m]
+    keep = len(lp.eq_rows) - len(rhs)
+    moved = [(coefs, v) for (coefs, _old), v in zip(lp.eq_rows[keep:], rhs)]
+    return replace(lp, eq_rows=lp.eq_rows[:keep] + moved)
 
 
 def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):

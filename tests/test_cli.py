@@ -1,6 +1,7 @@
 """In-process command line tests: exit codes, formats, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -9,8 +10,9 @@ import sys
 import pytest
 
 from hetcache.cli import main
-from hetcache.scheme_lp import SchemeSolution, scheme_problems
-from hetcache.model import load_instance
+from hetcache.lp_core import solve_lp
+from hetcache.scheme_lp import SchemeSolution, build_o1, build_o2, scheme_problems
+from hetcache.model import Budget, FixedMemories, load_instance
 
 
 FIG_CORNERS = [0.0, 0.5, 0.7, 1.0, 1.5, 1.7, 2.2]
@@ -92,6 +94,27 @@ class TestExitCodes:
         )
         assert main(["solve", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"K": 3, "N": 3, "rates": [0.2, 0.3, 0.8], "memories": [0.1, NaN, 0.1]}',
+            '{"K": "three", "N": 3, "rates": [0.2, 0.3, 0.8], "budget": 1.0}',
+            '{"K": 3, "N": 3, "rates": [0.2, 0.3, 0.8], "memories": "abc"}',
+            '{"K": 3, "N": 3, "rates": [0.2, NaN, 0.8], "budget": 1.0}',
+            '{"K": 3, "N": 3, "rates": [0.2, 0.3, 0.8], "budget": NaN}',
+            '{"K": 3, "N": 3, "rates": [0.2, 0.3, 0.8], "budget": Infinity}',
+            '{"K": 3, "N": 3, "q": "x", "rates": [0.2, 0.3, 0.8], "budget": 1.0}',
+            '{"K": true, "N": 3, "rates": [0.2, 0.3, 0.8], "budget": 1.0}',
+            '{"K": 3, "N": 3, "distortions": [0.9, 0.2, 0.1], "budget": 1.0}',
+        ],
+    )
+    def test_non_numeric_or_non_finite_fields(self, doc, tmp_path, capsys):
+        path = tmp_path / "hostile.json"
+        path.write_text(doc)
+        assert main(["bounds", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_sweep_rejects_fixed_memories(self, ex1_path, capsys):
         assert main(["sweep", ex1_path]) == 2
         assert "budget instance" in capsys.readouterr().err
@@ -139,6 +162,13 @@ class TestSweep:
             assert cut <= closed + 1e-8
             total = sum(float(row[f"m_{k}"]) for k in (1, 2, 3))
             assert total == pytest.approx(float(row["m_tot"]), abs=1e-9)
+
+    def test_rows_match_cold_solves(self, fig_path, tmp_path):
+        inst = load_instance(fig_path)
+        for row in read_csv(self.run_sweep(fig_path, tmp_path)):
+            m_tot = float(row["m_tot"])
+            lp, _ = build_o1(dataclasses.replace(inst, constraint=Budget(m_tot)))
+            assert abs(float(row["lp_load"]) - solve_lp(lp).objective) <= 1e-9
 
     def test_endpoints(self, fig_path, tmp_path):
         rows = read_csv(self.run_sweep(fig_path, tmp_path))
@@ -210,6 +240,17 @@ class TestCompare:
             assert joint <= float(row["pca"]) + 1e-8
             assert joint <= float(row["oca"]) + 1e-8
             assert float(row["cutset_fixed"]) <= joint + 1e-8
+
+    def test_joint_matches_cold_solves(self, ex1_path, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-baselines", ex1_path, "--points", "5", "--out", str(out)]) == 0
+        inst = load_instance(ex1_path)
+        shape = [0.8**2, 0.8, 1.0]
+        s_max = min(r / w for r, w in zip(inst.rates.r, shape))
+        for i, row in enumerate(read_csv(out)):
+            m = tuple(s_max * i / 4 * w for w in shape)
+            lp, _ = build_o2(dataclasses.replace(inst, constraint=FixedMemories(m)))
+            assert abs(float(row["joint_o2"]) - solve_lp(lp).objective) <= 1e-9
 
     def test_sweep_spans_zero_to_full(self, ex1_path, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from hetcache.lp_core import (
+    Basis,
     LinearProgram,
     LpStatus,
     SolverError,
     format_lp,
     solve_lp,
 )
+from hetcache.model import Budget, FixedMemories, ProblemInstance, make_rate_profile
+from hetcache.scheme_lp import build_o1, build_o2, with_memory
 from oracles import brute_force_lp, random_box_lp
 
 
@@ -127,6 +130,13 @@ class TestOracleAgreement:
                 assert lp.check_point(sol.x) == []
 
 
+def test_check_point_flags_nan():
+    # the solver's feasibility audit must not wave NaN through
+    lp = lp_from_parts([1.0, 1.0], [({0: 1.0, 1: 1.0}, 1.0)], [({0: 1.0}, 0.5)], [0, 0], [1, 1])
+    assert lp.check_point(np.array([0.5, 0.5])) == []
+    assert len(lp.check_point(np.array([np.nan, 0.5]))) == 3
+
+
 class TestDeterminismAndScaling:
     def test_same_program_same_vertex(self):
         rng = np.random.default_rng(5)
@@ -172,3 +182,118 @@ def test_iteration_limit_raises():
     with pytest.raises(SolverError, match="iteration limit"):
         solve_lp(lp_from_parts([-1.0, -1.0], [({0: 1.0, 1: 1.0}, 1.0)], [], [0, 0], [1, 1]),
                  max_iterations=0)
+
+
+def random_rates(rng, K):
+    return make_rate_profile(sorted(rng.uniform(0.05, 1.0, K)))
+
+
+def chain_against_cold(programs):
+    """Warm-start each program from the previous optimum; compare with cold."""
+    start = None
+    warm_iterations = cold_iterations = 0
+    for program in programs:
+        warm = solve_lp(program, start=start)
+        cold = solve_lp(program)
+        assert warm.status is cold.status
+        if warm.is_optimal:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert program.check_point(warm.x) == []
+        start = warm.basis if warm.is_optimal else start
+        warm_iterations += warm.iterations
+        cold_iterations += cold.iterations
+    return warm_iterations, cold_iterations
+
+
+class TestWarmStart:
+    def test_no_start_is_the_cold_solve(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            lp = lp_from_parts(*random_box_lp(rng))
+            a = solve_lp(lp)
+            b = solve_lp(lp, start=None)
+            assert a.status is b.status
+            assert a.iterations == b.iterations
+            assert np.array_equal(a.x, b.x, equal_nan=True)
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_budget_chain_matches_cold(self, K):
+        rng = np.random.default_rng(100 + K)
+        rates = random_rates(rng, K)
+        inst = ProblemInstance(K=K, N=K, rates=rates, constraint=Budget(0.0))
+        lp, _ = build_o1(inst)
+        # random order, so the chain moves the budget both ways
+        budgets = list(rng.uniform(0.0, rates.sum_rates, 5)) + [rates.sum_rates, 0.0]
+        programs = [with_memory(lp, ProblemInstance(K, K, rates, Budget(m))) for m in budgets]
+        warm, cold = chain_against_cold(programs)
+        assert warm < cold
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_fixed_ratio_chain_matches_cold(self, K):
+        rng = np.random.default_rng(200 + K)
+        rates = random_rates(rng, K)
+        g = rng.uniform(0.6, 0.95)
+        shape = [g ** (K - k) for k in range(1, K + 1)]
+        s_max = min(r / w for r, w in zip(rates.r, shape))
+        insts = [
+            ProblemInstance(K, K, rates, FixedMemories(tuple(s * w for w in shape)))
+            for s in np.linspace(0.0, s_max, 4)
+        ]
+        lp, _ = build_o2(insts[0])
+        warm, cold = chain_against_cold([with_memory(lp, i) for i in insts])
+        assert warm < cold
+
+    def test_random_rhs_moves_match_cold(self):
+        # Small random programs, right-hand sides shifted after each solve:
+        # statuses must agree, infeasible ones included.
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(40):
+            c, eq, ub, lo, hi = random_box_lp(rng)
+            programs = []
+            for _ in range(4):
+                programs.append(lp_from_parts(c, eq, ub, lo, hi))
+                eq = [(row, b + float(rng.normal(0.0, 1.0))) for row, b in eq]
+                ub = [(row, b + float(rng.normal(0.0, 1.0))) for row, b in ub]
+            chain_against_cold(programs)
+            seen.update(solve_lp(p).status for p in programs)
+        assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+    def test_foreign_start_falls_back_to_cold(self):
+        rng = np.random.default_rng(4)
+        small, _ = build_o1(ProblemInstance(3, 3, random_rates(rng, 3), Budget(0.5)))
+        big, _ = build_o1(ProblemInstance(4, 4, random_rates(rng, 4), Budget(0.5)))
+        foreign = solve_lp(small).basis
+        warm = solve_lp(big, start=foreign)
+        cold = solve_lp(big)
+        assert np.array_equal(warm.x, cold.x)
+        assert warm.objective == cold.objective
+        assert warm.iterations == cold.iterations
+
+    def test_unusable_starts_fall_back_to_cold(self):
+        # a repeated column, a singular basis, and a basis that is optimal
+        # for other costs: each must give exactly the cold solve
+        rows = [({0: 1.0, 1: 1.0}, 1.0), ({0: 1.0, 1: 1.0, 2: 1.0}, 1.5)]
+        lp = lp_from_parts([1.0, 2.0, 3.0], rows, [], [0, 0, 0], [1, 1, 1])
+        cold = solve_lp(lp)
+        layout = cold.basis.layout
+        other_costs = lp_from_parts([3.0, 2.0, -1.0], rows, [], [0, 0, 0], [1, 1, 1])
+        starts = [
+            Basis(np.array([0, 0]), np.zeros(5, dtype=bool), layout),
+            Basis(np.array([0, 1]), np.zeros(5, dtype=bool), layout),
+            solve_lp(other_costs).basis,
+        ]
+        for start in starts:
+            warm = solve_lp(lp, start=start)
+            assert np.array_equal(warm.x, cold.x)
+            assert warm.iterations == cold.iterations
+
+    def test_infeasible_rhs_reported(self):
+        # a budget above the summed rates cannot be placed
+        rates = make_rate_profile([0.3, 0.5, 0.9])
+        lp, _ = build_o1(ProblemInstance(3, 3, rates, Budget(1.0)))
+        start = solve_lp(lp).basis
+        *rows, (budget_row, _) = lp.eq_rows
+        lp.eq_rows = rows + [(budget_row, rates.sum_rates + 0.5)]
+        assert solve_lp(lp, start=start).status is LpStatus.INFEASIBLE
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
