@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .baselines import baseline_load
 from .bounds import cutset_budget, cutset_fixed, cutset_k3
@@ -111,19 +110,6 @@ def _emit(rows: list[dict], header: list[str], args) -> None:
             fh.close()
 
 
-def _parallel(fn, inputs, jobs: int):
-    """Map in order; worker threads only pay off past one job.
-
-    Only per-point work independent of the other points goes through here;
-    the warm-started LP chain runs in the calling thread, so output never
-    depends on ``jobs``.
-    """
-    if jobs <= 1:
-        return [fn(x) for x in inputs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, inputs))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -165,7 +151,7 @@ def cmd_sweep(args) -> int:
             row[f"m_{k}"] = alloc.per_user[k - 1]
         return row
 
-    rows = _parallel(one, range(len(subs)), args.jobs)
+    rows = [one(i) for i in range(len(subs))]
     header = ["m_tot", "lp_load", "theorem1_load", "cutset"]
     header += [f"m_{k}" for k in range(1, inst.K + 1)]
     _emit(rows, header, args)
@@ -199,7 +185,7 @@ def cmd_compare(args) -> int:
             "cutset_fixed": cutset_fixed(sub).value,
         }
 
-    rows = _parallel(one, range(points), args.jobs)
+    rows = [one(i) for i in range(points)]
     _emit(rows, ["m_tot", "joint_o2", "pca", "oca", "cutset_fixed"], args)
     return EXIT_OK
 
@@ -281,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="trace the memory-load trade-off")
     sweep.add_argument("instance")
     sweep.add_argument("--points", type=int, default=50)
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(fn=cmd_sweep)
@@ -293,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--points", type=int, default=20)
     compare.add_argument("--ratio", type=float, default=0.8,
                          help="cache size ratio m_k / m_{k+1}")
-    compare.add_argument("--jobs", type=int, default=1)
     compare.add_argument("--out")
     compare.add_argument("--format", choices=("csv", "json"), default="csv")
     compare.set_defaults(fn=cmd_compare)

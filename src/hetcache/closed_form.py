@@ -18,9 +18,7 @@ load, a marginal return that decreases in both t_l and l.  Greedy
 allocation by best marginal return is therefore optimal, keeps the t
 vector non-increasing in l automatically, and visits every corner of the
 memory/load trade-off on its way.  This module implements that greedy,
-the resulting load and per-user memory shares, and a second, independent
-evaluation route through the uniform-population converse expression, used
-to cross-check the first.
+the resulting load, its corner points and the per-user memory shares.
 """
 
 from __future__ import annotations
@@ -38,20 +36,10 @@ class TDecomposition:
     """The per-layer caching levels t_l that spend a given budget.
 
     ``t`` is non-increasing with t_l in [0, K - l + 1] and at most one
-    fractional entry; it is the authoritative result.  ``x``, ``y``,
-    ``alpha`` name the same vector in threshold form: layers before y sit
-    at level x, layer y holds the partial level x - 1 + alpha, later
-    layers sit at x - 1 until the region where their caps K - l + 1 bind.
-    That reading is faithful whenever consecutive fill levels have
-    separated slope ranges, i.e. (x + 1)(x + 2) >= x (K + 1) for all x,
-    which holds up to K = 5; for larger populations the optimal filling
-    order interleaves levels and only ``t`` itself should be trusted.
+    fractional entry.
     """
 
     t: tuple[float, ...]
-    x: int
-    y: int
-    alpha: float
 
     def budget(self, rates: RateProfile) -> float:
         return sum(tl * fl for tl, fl in zip(self.t, rates.f))
@@ -106,20 +94,7 @@ def t_decomposition(m_tot: float, rates: RateProfile) -> TDecomposition:
         if rates.f[l - 1] <= 0.0:
             t[l - 1] = float(math.ceil(t[l] if l < K else 0.0))
 
-    effective = [l for l in range(1, K + 1) if rates.f[l - 1] > 0.0]
-    frac = [l for l in effective if abs(t[l - 1] - round(t[l - 1])) > _TOL]
-    if not effective or all(t[l - 1] <= _TOL for l in effective):
-        x, y, alpha = 1, 1, 0.0
-    elif frac:
-        y = frac[0]
-        x = int(math.floor(t[y - 1])) + 1
-        alpha = t[y - 1] - math.floor(t[y - 1])
-    else:
-        x = int(round(t[effective[0] - 1]))
-        at_level = [l for l in effective if round(t[l - 1]) == x and l <= K - x + 1]
-        y = at_level[-1] if at_level else effective[0]
-        alpha = 1.0
-    return TDecomposition(t=tuple(t), x=x, y=y, alpha=alpha)
+    return TDecomposition(t=tuple(t))
 
 
 def _g(K: int, l: int, level: int) -> float:
@@ -182,45 +157,3 @@ def threshold_allocation(m_tot: float, rates: RateProfile) -> MemoryAllocation:
         ]
         rows.append(row)
     return MemoryAllocation.from_matrix(rows)
-
-
-def _chi(users: int, t: float) -> float:
-    """Load of a ``users``-user uniform subsystem with unit file size and
-    total memory ``t``, written as the max of the supporting lines.
-
-    Line j passes through the integer points (j - 1, g(j - 1)) and
-    (j, g(j)), so the max over j equals the interpolated envelope.  Kept
-    as an explicit max so it is a genuinely different evaluation path.
-    """
-    return max(
-        (2 * users - j + 1) / (j + 1) - (users + 1) * t / (j * (j + 1))
-        for j in range(1, users + 1)
-    )
-
-
-def lemma1_load(K: int, m_tot: float) -> float:
-    """Optimal load for K users with identical unit rates at total budget
-    ``m_tot`` in [0, K]."""
-    if K < 1:
-        raise InstanceError([f"K={K} must be at least 1"])
-    if m_tot < -1e-9 or m_tot > K + 1e-9:
-        raise InstanceError([f"budget {m_tot} outside [0, {K}]"])
-    return _chi(K, min(max(m_tot, 0.0), float(K)))
-
-
-def simplified_budget_solve(m_tot: float, rates: RateProfile) -> tuple[TDecomposition, float]:
-    """Budget optimum computed through the per-layer converse expression.
-
-    Same greedy split, but each layer's contribution is evaluated as
-    chi(K - l + 1, t_l) * f_l instead of by interpolating g.  Exists as an
-    independent cross-check of :func:`theorem1_load`; the two must agree
-    to near machine precision.
-    """
-    dec = t_decomposition(m_tot, rates)
-    K = rates.K
-    load = sum(
-        _chi(K - l + 1, dec.t[l - 1]) * rates.f[l - 1]
-        for l in range(1, K + 1)
-        if rates.f[l - 1] > 0.0
-    )
-    return dec, load

@@ -235,12 +235,6 @@ def ensure_valid(inst: ProblemInstance) -> ProblemInstance:
     return inst
 
 
-def total_memory(inst: ProblemInstance) -> float:
-    if isinstance(inst.constraint, Budget):
-        return inst.constraint.m_tot
-    return sum(inst.constraint.m)
-
-
 @dataclass(frozen=True)
 class MemoryAllocation:
     """A split of each user's cache across layers.

@@ -15,29 +15,42 @@ decision variables, all indexed by user subsets:
 * ``unicast[k][l]`` and ``mem[k][l]``: plain per-user remainders and the
   per-user, per-layer cache shares.
 
-The builders below emit the constraint rows tying these together:
-placement partitions each layer and charges caches, structure rows make
-signal sizes consistent for every addressee, completion rows guarantee
-each user can finish every layer it needs, and redundancy rows stop a
-signal from carrying more of a subfile class than was placed.  Programs
-come in two flavors: a total-budget version where the optimizer also
-chooses the cache split, and a fixed-memory version where per-user
-totals are pinned.  A third, restricted variant forbids signals from
-mixing layers; it exists to measure how much the mixing buys.
+:func:`constraint_rows` is the one generator of the rows tying these
+together: placement partitions each layer and charges caches, structure
+rows make signal sizes consistent for every addressee, completion rows
+guarantee each user can finish every layer it needs, and redundancy rows
+stop a signal from carrying more of a subfile class than was placed.  The
+last three families are filled in a single pass over the piece variables:
+each ``u[l][T][S]`` lands in its served user's structure row, completion
+row, and either the shared redundancy row of its class or, for a class
+with one cacher, its own cap.  Programs come in two flavors: a
+total-budget version where the optimizer also chooses the cache split,
+and a fixed-memory version where per-user totals are pinned.  A third,
+restricted variant forbids signals from mixing layers; it exists to
+measure how much the mixing buys.
+
+A solved scheme is nothing but the joint program's variable index and a
+value for each of its columns (:class:`SchemeSolution`).  Its JSON form
+maps the variable names to the nonzero values, and checking a scheme
+means rebuilding the program it claims to solve and auditing the point
+against it (:func:`scheme_problems`), so there is no second copy of the
+constraint families to drift out of step.
 """
 
 from __future__ import annotations
 
-import re
+import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .lp_core import LinearProgram, LpSolution, SolverError, SparseRow
 from .model import (
-    Budget,
-    FixedMemories,
     InstanceError,
     MemoryAllocation,
     ProblemInstance,
+    _json_integer,
+    _json_number,
     ensure_valid,
 )
 
@@ -97,14 +110,6 @@ class UserSet:
         return "{" + ",".join(str(u) for u in self.users()) + "}"
 
 
-def served_user(T: UserSet, S: UserSet) -> int:
-    """The one member of T outside S, i.e. whom the (T, S) piece serves."""
-    diff = T.mask & ~S.mask
-    if diff == 0 or diff & (diff - 1):
-        raise ValueError(f"{T} minus {S} is not a single user")
-    return diff.bit_length()
-
-
 def _piece_sources(l: int, T: UserSet, j: int, K: int):
     """Subset classes that can hold user j's piece of signal T in layer l.
 
@@ -144,10 +149,6 @@ class VariableIndex:
     def n_vars(self) -> int:
         return len(self.names)
 
-    @property
-    def with_layer_memories(self) -> bool:
-        return bool(self.layer_mem)
-
 
 def make_variable_index(
     K: int,
@@ -162,6 +163,8 @@ def make_variable_index(
     if not per_layer_signals and layers != tuple(range(1, K + 1)):
         raise InstanceError(["layer-spanning signals need every layer present"])
 
+    # every user set is spelled once here, not once per variable name
+    label = [str(UserSet(mask)) for mask in range(1 << K)]
     names: list[str] = []
     alloc: dict = {}
     assign: dict = {}
@@ -171,9 +174,8 @@ def make_variable_index(
 
     for l in layers:
         for sub in _submasks(_span_mask(l, K)):
-            S = UserSet(sub)
-            alloc[(l, S)] = len(names)
-            names.append(f"a[{l}][{S}]")
+            alloc[(l, UserSet(sub))] = len(names)
+            names.append(f"a[{l}][{label[sub]}]")
 
     for l in layers:
         for tmask in _submasks(_span_mask(l, K)):
@@ -183,21 +185,19 @@ def make_variable_index(
             for j in T.users():
                 for S in _piece_sources(l, T, j, K):
                     assign[(l, T, S)] = len(names)
-                    names.append(f"u[{l}][{T}][{S}]")
+                    names.append(f"u[{l}][{label[tmask]}][{label[S.mask]}]")
 
     if per_layer_signals:
         for l in layers:
             for tmask in _submasks(_span_mask(l, K)):
-                T = UserSet(tmask)
-                if T.size >= 2:
-                    multicast[(l, T)] = len(names)
-                    names.append(f"v[{l}][{T}]")
+                if tmask.bit_count() >= 2:
+                    multicast[(l, UserSet(tmask))] = len(names)
+                    names.append(f"v[{l}][{label[tmask]}]")
     else:
         for tmask in _submasks(_span_mask(1, K)):
-            T = UserSet(tmask)
-            if T.size >= 2:
-                multicast[T] = len(names)
-                names.append(f"v[{T}]")
+            if tmask.bit_count() >= 2:
+                multicast[UserSet(tmask)] = len(names)
+                names.append(f"v[{label[tmask]}]")
 
     for k in range(1, K + 1):
         for l in layers:
@@ -229,126 +229,77 @@ def make_variable_index(
 # constraint rows
 
 
-def build_placement_constraints(
-    l: int,
+def constraint_rows(
     inst: ProblemInstance,
     index: VariableIndex,
     fixed_layer_memories: MemoryAllocation | None = None,
 ):
-    """Partition equality for layer l plus one cache row per user.
+    """Every row of the program except the memory equalities.
 
-    Returns (equalities, upper_bounds).  With memory variables in the
-    program a cache row reads  sum a - mem <= 0;  with a fixed split the
-    right-hand side is the supplied share.
+    Returns (equalities, upper_bounds).  Equalities: one placement
+    partition per layer, then one structure row per (signal, addressee j)
+    saying the signal size equals the pieces assigned to j across the
+    layers the signal may carry.  Upper bounds: one cache row per (layer,
+    user), reading  sum a - mem <= 0  with memory variables in the program
+    and  sum a <= share  with a fixed split; then one completion row per
+    (layer, user), cached + decoded + unicast >= f_l with the signs
+    flipped; then the redundancy caps.  The pieces serving j out of a class
+    S, summed over all signals that could carry them, cannot exceed the
+    class size: a class with two or more cachers gets one shared row per j,
+    and a class with a single cacher gets the per-piece cap u <= a instead,
+    since the shared row would already imply every per-piece cap.
     """
     K = inst.K
-    f_l = inst.rates.f[l - 1]
-    span = _span_mask(l, K)
-
-    eq_row: SparseRow = {
-        index.alloc[(l, UserSet(s))]: 1.0 for s in _submasks(span)
-    }
-    eqs = [(eq_row, f_l)]
-
+    f = inst.rates.f
+    acol = {(l, S.mask): col for (l, S), col in index.alloc.items()}
+    eqs = []
     ubs = []
-    for k in range(l, K + 1):
-        row: SparseRow = {
-            index.alloc[(l, UserSet(s))]: 1.0
-            for s in _submasks(span)
-            if s >> (k - 1) & 1
-        }
-        if fixed_layer_memories is None:
-            row[index.layer_mem[(k, l)]] = -1.0
-            ubs.append((row, 0.0))
-        else:
-            ubs.append((row, float(fixed_layer_memories.per_layer[k - 1][l - 1])))
-    return eqs, ubs
-
-
-def build_structural_constraints(inst: ProblemInstance, index: VariableIndex):
-    """Signal-size equalities: every addressee takes the same bit count.
-
-    For each signal and each addressee j, the signal size equals the total
-    of the pieces assigned to j across the layers the signal may carry.
-    """
-    K = inst.K
-    rows = []
-    if index.per_layer_signals:
-        for (l, T), vcol in index.multicast.items():
-            for j in T.users():
-                row: SparseRow = {vcol: 1.0}
-                for S in _piece_sources(l, T, j, K):
-                    row[index.assign[(l, T, S)]] = -1.0
-                rows.append((row, 0.0))
-    else:
-        for T, vcol in index.multicast.items():
-            for j in T.users():
-                row = {vcol: 1.0}
-                for l in index.layers:
-                    if l > T.min_user():
-                        continue
-                    for S in _piece_sources(l, T, j, K):
-                        row[index.assign[(l, T, S)]] = -1.0
-                rows.append((row, 0.0))
-    return rows
-
-
-def build_completion_constraints(inst: ProblemInstance, index: VariableIndex):
-    """Each user finishes each of its layers: cached + decoded + unicast.
-
-    Emitted as upper-bound rows with the signs flipped.
-    """
-    K = inst.K
-    ubs = []
+    completion = {}
+    shared = {}
     for l in index.layers:
-        f_l = inst.rates.f[l - 1]
-        span = _span_mask(l, K)
+        subs = list(_submasks(_span_mask(l, K)))
+        eqs.append(({acol[(l, s)]: 1.0 for s in subs}, f[l - 1]))
         for k in range(l, K + 1):
-            row: SparseRow = {index.unicast[(k, l)]: -1.0}
-            for s in _submasks(span):
-                if s >> (k - 1) & 1:
-                    row[index.alloc[(l, UserSet(s))]] = -1.0
-            for tmask in _submasks(span):
-                T = UserSet(tmask)
-                if T.size < 2 or k not in T:
-                    continue
-                for S in _piece_sources(l, T, k, K):
-                    row[index.assign[(l, T, S)]] = -1.0
-            ubs.append((row, -f_l))
-    return ubs
-
-
-def build_redundancy_constraints(inst: ProblemInstance, index: VariableIndex):
-    """Caps keeping every subfile class honest.
-
-    The pieces serving one user j out of a class S, summed over all the
-    signals that could carry them, cannot exceed the class size.  For a
-    class with a single cacher there is no shared row, so the per-piece
-    cap u <= a is emitted directly; for larger classes the shared row
-    already implies every per-piece cap, which are therefore dropped.
-    """
-    K = inst.K
-    ubs = []
-    for l in index.layers:
-        span = _span_mask(l, K)
-        for smask in _submasks(span):
-            S = UserSet(smask)
-            if S.size < 2 or S.size > K - l:
-                continue
-            acol = index.alloc[(l, S)]
-            for j in UserSet(span & ~smask).users():
-                jbit = 1 << (j - 1)
-                row: SparseRow = {}
-                for p in _submasks(smask):
-                    if p == 0:
-                        continue
-                    row[index.assign[(l, UserSet(p | jbit), S)]] = 1.0
-                row[acol] = -1.0
+            cached = [acol[(l, s)] for s in subs if s >> (k - 1) & 1]
+            row: SparseRow = dict.fromkeys(cached, 1.0)
+            if fixed_layer_memories is None:
+                row[index.layer_mem[(k, l)]] = -1.0
                 ubs.append((row, 0.0))
+            else:
+                ubs.append((row, float(fixed_layer_memories.per_layer[k - 1][l - 1])))
+            completion[(l, k)] = {
+                index.unicast[(k, l)]: -1.0,
+                **dict.fromkeys(cached, -1.0),
+            }
+        for smask in subs:
+            if 2 <= smask.bit_count() <= K - l:
+                for j in UserSet(subs[-1] & ~smask).users():
+                    shared[(l, smask, j)] = {}
+
+    structure = {}
+    for key, vcol in index.multicast.items():
+        T = key[1] if index.per_layer_signals else key
+        for j in T.users():
+            structure[(key, j)] = {vcol: 1.0}
+
+    caps = []
     for (l, T, S), col in index.assign.items():
-        if S.size == 1:
-            ubs.append(({col: 1.0, index.alloc[(l, S)]: -1.0}, 0.0))
-    return ubs
+        j = (T.mask & ~S.mask).bit_length()
+        signal = (l, T) if index.per_layer_signals else T
+        structure[(signal, j)][col] = -1.0
+        completion[(l, j)][col] = -1.0
+        if S.mask & (S.mask - 1):
+            shared[(l, S.mask, j)][col] = 1.0
+        else:
+            caps.append(({col: 1.0, acol[(l, S.mask)]: -1.0}, 0.0))
+    for (l, smask, _j), row in shared.items():
+        row[acol[(l, smask)]] = -1.0
+
+    eqs.extend((row, 0.0) for row in structure.values())
+    ubs.extend((row, -f[l - 1]) for (l, _k), row in completion.items())
+    ubs.extend((row, 0.0) for row in shared.values())
+    ubs.extend(caps)
+    return eqs, ubs
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +327,30 @@ def _natural_caps(inst: ProblemInstance, index: VariableIndex):
     return lo, hi
 
 
+def _memory_rows(inst: ProblemInstance, index: VariableIndex):
+    """The budget row, or one cache-size row per user."""
+    if inst.is_budget:
+        row: SparseRow = {col: 1.0 for col in index.layer_mem.values()}
+        return [(row, float(inst.constraint.m_tot))]
+    return [
+        (
+            {index.layer_mem[(k, l)]: 1.0 for l in range(1, k + 1)},
+            float(inst.constraint.m[k - 1]),
+        )
+        for k in range(1, inst.K + 1)
+    ]
+
+
 def _assemble(
     inst: ProblemInstance,
     index: VariableIndex,
-    extra_eqs,
     fixed_layer_memories: MemoryAllocation | None = None,
 ) -> LinearProgram:
-    eqs = []
-    ubs = []
-    for l in index.layers:
-        e, u = build_placement_constraints(l, inst, index, fixed_layer_memories)
-        eqs.extend(e)
-        ubs.extend(u)
-    eqs.extend(build_structural_constraints(inst, index))
-    ubs.extend(build_completion_constraints(inst, index))
-    ubs.extend(build_redundancy_constraints(inst, index))
-    eqs.extend(extra_eqs)
+    """The program over ``index``: the memory rows come last, and only
+    when the cache split is a decision rather than ``fixed_layer_memories``."""
+    eqs, ubs = constraint_rows(inst, index, fixed_layer_memories)
+    if fixed_layer_memories is None:
+        eqs.extend(_memory_rows(inst, index))
 
     c = [0.0] * index.n_vars
     for col in index.multicast.values():
@@ -416,9 +375,7 @@ def build_o1(inst: ProblemInstance):
     if not inst.is_budget:
         raise InstanceError(["total-budget program needs a budget-type instance"])
     index = make_variable_index(inst.K)
-    budget_row: SparseRow = {col: 1.0 for col in index.layer_mem.values()}
-    lp = _assemble(inst, index, [(budget_row, float(inst.constraint.m_tot))])
-    return lp, index
+    return _assemble(inst, index), index
 
 
 def build_o2(inst: ProblemInstance):
@@ -427,12 +384,7 @@ def build_o2(inst: ProblemInstance):
     if inst.is_budget:
         raise InstanceError(["fixed-memory program needs per-user cache sizes"])
     index = make_variable_index(inst.K)
-    eqs = []
-    for k in range(1, inst.K + 1):
-        row: SparseRow = {index.layer_mem[(k, l)]: 1.0 for l in range(1, k + 1)}
-        eqs.append((row, float(inst.constraint.m[k - 1])))
-    lp = _assemble(inst, index, eqs)
-    return lp, index
+    return _assemble(inst, index), index
 
 
 def build_intra_restricted(inst: ProblemInstance):
@@ -444,16 +396,7 @@ def build_intra_restricted(inst: ProblemInstance):
     """
     _check_scale(inst)
     index = make_variable_index(inst.K, per_layer_signals=True)
-    eqs = []
-    if inst.is_budget:
-        row: SparseRow = {col: 1.0 for col in index.layer_mem.values()}
-        eqs.append((row, float(inst.constraint.m_tot)))
-    else:
-        for k in range(1, inst.K + 1):
-            row = {index.layer_mem[(k, l)]: 1.0 for l in range(1, k + 1)}
-            eqs.append((row, float(inst.constraint.m[k - 1])))
-    lp = _assemble(inst, index, eqs)
-    return lp, index
+    return _assemble(inst, index), index
 
 
 def with_memory(lp: LinearProgram, inst: ProblemInstance) -> LinearProgram:
@@ -493,7 +436,7 @@ def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
         index = make_variable_index(
             inst.K, layers=(l,), per_layer_signals=True, with_layer_memories=False
         )
-        lp = _assemble(inst, index, [], fixed_layer_memories=split)
+        lp = _assemble(inst, index, fixed_layer_memories=split)
         programs.append((lp, index))
     return programs
 
@@ -502,177 +445,130 @@ def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
 # solutions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeSolution:
-    """A solved scheme, unpacked into its variable families.
+    """A solved scheme: one value per column of the joint K-user program.
 
-    ``multicast_sizes`` is always keyed by the addressed set alone; when
-    the program kept per-layer signals they are summed per set, which
-    stays consistent because the load only sees the total.  Zero-valued
-    entries may be absent; readers should treat missing keys as zero.
+    ``index`` is always the joint index of :func:`make_variable_index`,
+    whatever program produced the scheme; a per-layer signal v[l][T] is
+    folded into v[T], which stays consistent because the load only sees
+    the total.  ``variable_count`` is the column count of the producing
+    program, which is what bounds the rounding in the simulator.
     """
 
-    K: int
-    allocation: dict
-    assignments: dict
-    multicast_sizes: dict
-    unicast_sizes: dict
-    layer_memories: dict
+    index: VariableIndex
+    x: np.ndarray
     objective: float
     variable_count: int
 
+    @property
+    def K(self) -> int:
+        return self.index.K
+
     def load(self) -> float:
-        return sum(self.multicast_sizes.values()) + sum(self.unicast_sizes.values())
+        x = self.x
+        signals = sum(x[col] for col in self.index.multicast.values())
+        return float(signals + sum(x[col] for col in self.index.unicast.values()))
 
     def to_json_dict(self) -> dict:
+        """Header fields plus every nonzero variable under its program name."""
+        index = self.index
+        # scheme files list pieces by (layer, T, S), not in column order
+        assign = sorted(
+            index.assign.items(), key=lambda kv: (kv[0][0], kv[0][1].mask, kv[0][2].mask)
+        )
+        cols = [
+            *index.alloc.values(),
+            *(col for _key, col in assign),
+            *index.multicast.values(),
+            *index.unicast.values(),
+            *index.layer_mem.values(),
+        ]
         out: dict = {
-            "K": self.K,
+            "K": index.K,
             "objective": self.objective,
             "variable_count": self.variable_count,
         }
-        for (l, S), val in sorted(
-            self.allocation.items(), key=lambda kv: (kv[0][0], kv[0][1].mask)
-        ):
-            if val != 0.0:
-                out[f"a[{l}][{S}]"] = val
-        for (l, T, S), val in sorted(
-            self.assignments.items(),
-            key=lambda kv: (kv[0][0], kv[0][1].mask, kv[0][2].mask),
-        ):
-            if val != 0.0:
-                out[f"u[{l}][{T}][{S}]"] = val
-        for T, val in sorted(self.multicast_sizes.items(), key=lambda kv: kv[0].mask):
-            if val != 0.0:
-                out[f"v[{T}]"] = val
-        for (k, l), val in sorted(self.unicast_sizes.items()):
-            if val != 0.0:
-                out[f"unicast[{k}][{l}]"] = val
-        for (k, l), val in sorted(self.layer_memories.items()):
-            if val != 0.0:
-                out[f"mem[{k}][{l}]"] = val
+        x = self.x.tolist()
+        for col in cols:
+            if x[col] != 0.0:
+                out[index.names[col]] = x[col]
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SchemeSolution":
-        problems = []
-        try:
-            K = int(data["K"])
-            objective = float(data["objective"])
-            variable_count = int(data["variable_count"])
-        except (KeyError, TypeError, ValueError):
-            raise InstanceError(
-                ["scheme file needs numeric K, objective and variable_count"]
-            ) from None
-        allocation: dict = {}
-        assignments: dict = {}
-        multicast: dict = {}
-        unicast: dict = {}
-        layer_mem: dict = {}
-        for key, val in data.items():
-            if key in ("K", "objective", "variable_count"):
-                continue
-            m = _KEY_RE.match(key)
-            if m is None or not isinstance(val, (int, float)):
-                problems.append(f"unrecognized scheme entry {key!r}")
-                continue
-            family, parts = m.group(1), _bracket_parts(key)
-            try:
-                if family == "a":
-                    allocation[(int(parts[0]), _parse_set(parts[1]))] = float(val)
-                elif family == "u":
-                    assignments[
-                        (int(parts[0]), _parse_set(parts[1]), _parse_set(parts[2]))
-                    ] = float(val)
-                elif family == "v":
-                    multicast[_parse_set(parts[0])] = float(val)
-                elif family == "unicast":
-                    unicast[(int(parts[0]), int(parts[1]))] = float(val)
-                else:
-                    layer_mem[(int(parts[0]), int(parts[1]))] = float(val)
-            except (IndexError, ValueError):
-                problems.append(f"malformed scheme entry {key!r}")
+        """Read a scheme file; absent variables are zero.
+
+        Every other key must name a variable of the joint program for the
+        file's K, and every value must be a finite number.
+        """
+        if not isinstance(data, dict):
+            raise InstanceError(["scheme file must hold a JSON object"])
+        problems: list[str] = []
+        K = _json_integer(data, "K", None, problems)
+        variable_count = _json_integer(data, "variable_count", None, problems)
+        numbers = {
+            key: _json_number(val, f"scheme entry {key!r}", problems)
+            for key, val in data.items()
+            if key not in ("K", "variable_count")
+        }
+        problems += [
+            f"scheme entry {key!r} = {val} must be finite"
+            for key, val in numbers.items()
+            if val is not None and not math.isfinite(val)
+        ]
+        if "objective" not in numbers:
+            problems.append("scheme file has no objective")
         if problems:
             raise InstanceError(problems)
-        return cls(
-            K=K,
-            allocation=allocation,
-            assignments=assignments,
-            multicast_sizes=multicast,
-            unicast_sizes=unicast,
-            layer_memories=layer_mem,
-            objective=objective,
-            variable_count=variable_count,
-        )
+        objective = numbers.pop("objective")
+        index = make_variable_index(K)
+        columns = {name: col for col, name in enumerate(index.names)}
+        unknown = [key for key in numbers if key not in columns]
+        if unknown:
+            raise InstanceError(
+                [f"{key!r} is not a variable of the {K}-user program" for key in unknown]
+            )
+        x = np.zeros(index.n_vars)
+        for key, val in numbers.items():
+            x[columns[key]] = val
+        return cls(index=index, x=x, objective=objective, variable_count=variable_count)
 
 
-_KEY_RE = re.compile(r"^(a|u|v|unicast|mem)(\[[^\[\]]*\])+$")
-
-
-def _bracket_parts(key: str) -> list[str]:
-    return re.findall(r"\[([^\[\]]*)\]", key)
-
-
-def _parse_set(text: str) -> UserSet:
-    body = text.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise ValueError(text)
-    body = body[1:-1].strip()
-    if not body:
-        return UserSet(0)
-    return UserSet.of(int(p) for p in body.split(","))
-
-
-def extract_scheme(
-    solution: LpSolution,
-    index: VariableIndex,
-    layer_memories: MemoryAllocation | None = None,
-) -> SchemeSolution:
+def extract_scheme(solution: LpSolution, index: VariableIndex) -> SchemeSolution:
     """Unpack an optimal solution vector into a SchemeSolution.
 
     Values caught slightly below zero by solver tolerance are clamped;
     anything materially negative means the solve went wrong and raises.
-    For programs whose cache split was data rather than a variable, the
-    split can be passed in so the solution still records it.
+    Solutions of programs over another index are carried over to the
+    joint index by variable key, summing per-layer signals in index order.
     """
     if not solution.is_optimal:
         raise SolverError(
             f"cannot extract a scheme from a solution with status {solution.status.value}"
         )
+    x = np.asarray(solution.x, dtype=float)
+    negative = np.flatnonzero(x < -1e-6)
+    if negative.size:
+        col = int(negative[0])
+        raise SolverError(f"variable {index.names[col]} = {x[col]:.3e} in an optimum")
+    x = np.where(x > 0.0, x, 0.0)
 
-    def take(col: int) -> float:
-        val = float(solution.x[col])
-        if val < -1e-6:
-            raise SolverError(f"variable {index.names[col]} = {val:.3e} in an optimum")
-        return val if val > 0.0 else 0.0
-
-    allocation = {key: take(col) for key, col in index.alloc.items()}
-    assignments = {key: take(col) for key, col in index.assign.items()}
-    multicast: dict = {}
+    joint = index
     if index.per_layer_signals:
-        for (l, T), col in index.multicast.items():
-            multicast[T] = multicast.get(T, 0.0) + take(col)
-    else:
-        for T, col in index.multicast.items():
-            multicast[T] = take(col)
-    unicast = {key: take(col) for key, col in index.unicast.items()}
-    if index.with_layer_memories:
-        mems = {key: take(col) for key, col in index.layer_mem.items()}
-    elif layer_memories is not None:
-        mems = {
-            (k, l): float(layer_memories.per_layer[k - 1][l - 1])
-            for l in index.layers
-            for k in range(l, index.K + 1)
-        }
-    else:
-        mems = {}
+        joint = make_variable_index(index.K)
+        folded = np.zeros(joint.n_vars)
+        for family in ("alloc", "assign", "unicast", "layer_mem"):
+            target = getattr(joint, family)
+            for key, col in getattr(index, family).items():
+                folded[target[key]] = x[col]
+        for (_l, T), col in index.multicast.items():
+            folded[joint.multicast[T]] += x[col]
+        x = folded
 
     scheme = SchemeSolution(
-        K=index.K,
-        allocation=allocation,
-        assignments=assignments,
-        multicast_sizes=multicast,
-        unicast_sizes=unicast,
-        layer_memories=mems,
+        index=joint,
+        x=x,
         objective=float(solution.objective),
         variable_count=index.n_vars,
     )
@@ -686,103 +582,18 @@ def extract_scheme(
 def scheme_problems(
     scheme: SchemeSolution, inst: ProblemInstance, tol: float = 1e-7
 ) -> list[str]:
-    """Re-check every constraint family on an extracted scheme.
+    """Every row and variable box of ``inst``'s joint program that ``scheme`` breaks.
 
-    Missing keys count as zero, so this works on schemes round-tripped
-    through JSON with zero entries dropped.  Returns human-readable
+    The program is rebuilt over the scheme's own index and the point is
+    audited by :meth:`LinearProgram.check_point`, which widens each row's
+    tolerance by 1 + |rhs|; dividing ``tol`` by the widest such factor
+    keeps every test within the absolute ``tol``.  Returns human-readable
     problem strings, empty when the scheme is consistent.
     """
-    K = inst.K
-    r = inst.rates
-    a = scheme.allocation
-    u = scheme.assignments
-    problems = []
-
-    for fam in (a, u, scheme.multicast_sizes, scheme.unicast_sizes):
-        for key, val in fam.items():
-            if val < -tol:
-                problems.append(f"negative variable at {key}")
-
-    for l in range(1, K + 1):
-        span = _span_mask(l, K)
-        total = sum(a.get((l, UserSet(s)), 0.0) for s in _submasks(span))
-        if abs(total - r.f[l - 1]) > tol:
-            problems.append(f"layer {l} placement sums to {total}, not {r.f[l - 1]}")
-        for k in range(l, K + 1):
-            cached = sum(
-                a.get((l, UserSet(s)), 0.0)
-                for s in _submasks(span)
-                if s >> (k - 1) & 1
-            )
-            mem = scheme.layer_memories.get((k, l), 0.0)
-            if cached > mem + tol:
-                problems.append(f"user {k} overfills its layer {l} share")
-
-    signal_sets = set(scheme.multicast_sizes)
-    signal_sets.update(T for (_l, T, _S) in u)
-    for T in sorted(signal_sets, key=lambda T: T.mask):
-        v = scheme.multicast_sizes.get(T, 0.0)
-        for j in T.users():
-            got = sum(
-                u.get((l, T, S), 0.0)
-                for l in range(1, T.min_user() + 1)
-                for S in _piece_sources(l, T, j, K)
-            )
-            if abs(got - v) > tol:
-                problems.append(
-                    f"signal {T} carries {got} for user {j} but is sized {v}"
-                )
-
-    for l in range(1, K + 1):
-        span = _span_mask(l, K)
-        for k in range(l, K + 1):
-            have = scheme.unicast_sizes.get((k, l), 0.0)
-            have += sum(
-                a.get((l, UserSet(s)), 0.0)
-                for s in _submasks(span)
-                if s >> (k - 1) & 1
-            )
-            for tmask in _submasks(span):
-                T = UserSet(tmask)
-                if T.size < 2 or k not in T:
-                    continue
-                have += sum(
-                    u.get((l, T, S), 0.0) for S in _piece_sources(l, T, k, K)
-                )
-            if have < r.f[l - 1] - tol:
-                problems.append(f"user {k} cannot complete layer {l}: {have}")
-
-    for l in range(1, K + 1):
-        span = _span_mask(l, K)
-        for smask in _submasks(span):
-            if smask == 0:
-                continue
-            S = UserSet(smask)
-            cap = a.get((l, S), 0.0)
-            for j in UserSet(span & ~smask).users():
-                jbit = 1 << (j - 1)
-                used = sum(
-                    u.get((l, UserSet(p | jbit), S), 0.0)
-                    for p in _submasks(smask)
-                    if p
-                )
-                if used > cap + tol:
-                    problems.append(
-                        f"class ({l}, {S}) oversubscribed for user {j}: {used} > {cap}"
-                    )
-
-    if scheme.layer_memories:
-        totals = [
-            sum(scheme.layer_memories.get((k, l), 0.0) for l in range(1, k + 1))
-            for k in range(1, K + 1)
-        ]
-        if isinstance(inst.constraint, FixedMemories):
-            for k, (got, want) in enumerate(zip(totals, inst.constraint.m), start=1):
-                if abs(got - want) > tol:
-                    problems.append(f"user {k} memory total {got} differs from {want}")
-        elif isinstance(inst.constraint, Budget):
-            if abs(sum(totals) - inst.constraint.m_tot) > tol:
-                problems.append(
-                    f"memory budget {sum(totals)} differs from {inst.constraint.m_tot}"
-                )
-    return problems
+    if scheme.K != inst.K:
+        raise InstanceError([f"scheme is for {scheme.K} users, instance for {inst.K}"])
+    _check_scale(inst)
+    lp = _assemble(inst, scheme.index)
+    widest = max(abs(rhs) for _row, rhs in lp.eq_rows + lp.ub_rows)
+    # plain floats sum faster than numpy scalars in the row loop
+    return lp.check_point(scheme.x.tolist(), tol / (1.0 + widest))

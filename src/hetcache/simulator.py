@@ -126,10 +126,12 @@ def quantize(
         raise InstanceError([f"file size {F} must be a positive integer"])
     F = int(F)
     K = scheme.K
+    index = scheme.index
+    x = scheme.x.tolist()
     if layer_lengths is None:
         widths = [0.0] * K
-        for (l, _S), val in scheme.allocation.items():
-            widths[l - 1] += val
+        for (l, _S), col in index.alloc.items():
+            widths[l - 1] += x[col]
         layer_lengths = tuple(int(round(w * F)) for w in widths)
 
     alloc: dict = {}
@@ -142,7 +144,7 @@ def quantize(
         for smask in _submasks(span):
             if smask == 0:
                 continue
-            want = int(round(scheme.allocation.get((l, UserSet(smask)), 0.0) * F))
+            want = int(round(x[index.alloc[(l, UserSet(smask))]] * F))
             take = min(want, L - consumed)
             sizes[smask] = take
             consumed += take
@@ -171,7 +173,7 @@ def quantize(
                     if pmask == 0:
                         continue
                     tmask = pmask | (1 << (j - 1))
-                    u_val = scheme.assignments.get((l, UserSet(tmask), S), 0.0)
+                    u_val = x[index.assign[(l, UserSet(tmask), S)]]
                     take = min(int(round(u_val * F)), budget - start)
                     if take > 0:
                         per_user = signal_pieces.setdefault(tmask, {})
@@ -201,9 +203,7 @@ def quantize(
 
     targets = []
     for k in range(1, K + 1):
-        total = sum(
-            val * F for (l, S), val in scheme.allocation.items() if k in S
-        )
+        total = sum(x[col] * F for (l, S), col in index.alloc.items() if k in S)
         targets.append(total)
 
     return QuantizedScheme(
@@ -447,46 +447,6 @@ def decode(k: int, cache: CacheContents, log: TransmissionLog, demand):
         if gaps:
             problems.append(f"layer {l} is missing {gaps} bits")
     return out, problems
-
-
-def audit_delivery(cache: CacheContents, log: TransmissionLog, demand) -> list[str]:
-    """Check that no user is handed a bit twice.
-
-    Every bit of a demanded file must reach its user through exactly one
-    channel: the cache, one signal piece, or one unicast range.  Returns
-    a description of each collision found.
-    """
-    demand = _check_demand(demand, cache.library.K, cache.library.N)
-    problems = []
-    for k in range(1, cache.library.K + 1):
-        kbit = 1 << (k - 1)
-        intervals: dict = {}
-
-        def claim(l, start, stop, channel, k=k, intervals=intervals):
-            if start >= stop:
-                return
-            for other_start, other_stop, other_channel in intervals.setdefault(l, []):
-                if start < other_stop and other_start < stop:
-                    problems.append(
-                        f"user {k} layer {l}: {channel} [{start},{stop}) overlaps "
-                        f"{other_channel} [{other_start},{other_stop})"
-                    )
-            intervals[l].append((start, stop, channel))
-
-        for l, _smask, start, stop in cache.ranges[k - 1]:
-            claim(l, start, stop, "cache")
-        for sig in log.signals:
-            if sig.addressees & kbit:
-                for p in sig.pieces:
-                    if p.user == k:
-                        claim(
-                            p.layer, p.start, p.stop, f"signal {UserSet(sig.addressees)}"
-                        )
-        for uni in log.unicasts:
-            if uni.user == k:
-                for _file, l, start, stop in uni.ranges:
-                    claim(l, start, stop, "unicast")
-    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Slow reference implementations used only to check the fast ones.
+"""Slow or independent reference implementations used only to check the package.
 
 Everything here trades efficiency for obviousness: answers are obtained by
-exhaustive enumeration so they cannot share a bug with the code under test.
+exhaustive enumeration or by a second evaluation route, so they cannot
+share a bug with the code under test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from hetcache.closed_form import t_decomposition
+from hetcache.model import InstanceError
+from hetcache.scheme_lp import UserSet
 
 FEAS = 1e-7
 
@@ -120,3 +126,114 @@ def envelope_load(corners, m_tot):
             t = (m_tot - xs[i - 1]) / (xs[i] - xs[i - 1])
             return (1.0 - t) * ys[i - 1] + t * ys[i]
     return ys[-1]
+
+
+def served_user(T: UserSet, S: UserSet) -> int:
+    """The one member of T outside S, i.e. whom the (T, S) piece serves."""
+    diff = T.mask & ~S.mask
+    if diff == 0 or diff & (diff - 1):
+        raise ValueError(f"{T} minus {S} is not a single user")
+    return diff.bit_length()
+
+
+def threshold_form(t, rates, tol=1e-12):
+    """(x, y, alpha): the greedy levels ``t`` read in threshold form.
+
+    Layers before y sit at level x, layer y holds the partial level
+    x - 1 + alpha, later layers sit at x - 1 until the region where their
+    caps K - l + 1 bind.  That reading is faithful whenever consecutive
+    fill levels have separated slope ranges, i.e. (x + 1)(x + 2) >= x (K + 1)
+    for all x, which holds up to K = 5; for larger populations the optimal
+    filling order interleaves levels and only ``t`` itself should be trusted.
+    """
+    K = rates.K
+    effective = [l for l in range(1, K + 1) if rates.f[l - 1] > 0.0]
+    frac = [l for l in effective if abs(t[l - 1] - round(t[l - 1])) > tol]
+    if not effective or all(t[l - 1] <= tol for l in effective):
+        return 1, 1, 0.0
+    if frac:
+        y = frac[0]
+        return int(math.floor(t[y - 1])) + 1, y, t[y - 1] - math.floor(t[y - 1])
+    x = int(round(t[effective[0] - 1]))
+    at_level = [l for l in effective if round(t[l - 1]) == x and l <= K - x + 1]
+    return x, at_level[-1] if at_level else effective[0], 1.0
+
+
+def _chi(users: int, t: float) -> float:
+    """Load of a ``users``-user uniform subsystem with unit file size and
+    total memory ``t``, written as the max of the supporting lines.
+
+    Line j passes through the integer points (j - 1, g(j - 1)) and
+    (j, g(j)), so the max over j equals the interpolated envelope.  Kept
+    as an explicit max so it is a genuinely different evaluation path.
+    """
+    return max(
+        (2 * users - j + 1) / (j + 1) - (users + 1) * t / (j * (j + 1))
+        for j in range(1, users + 1)
+    )
+
+
+def lemma1_load(K: int, m_tot: float) -> float:
+    """Optimal load for K users with identical unit rates at total budget
+    ``m_tot`` in [0, K]."""
+    if K < 1:
+        raise InstanceError([f"K={K} must be at least 1"])
+    if m_tot < -1e-9 or m_tot > K + 1e-9:
+        raise InstanceError([f"budget {m_tot} outside [0, {K}]"])
+    return _chi(K, min(max(m_tot, 0.0), float(K)))
+
+
+def simplified_budget_solve(m_tot, rates):
+    """Budget optimum computed through the per-layer converse expression.
+
+    Same greedy split, but each layer's contribution is evaluated as
+    chi(K - l + 1, t_l) * f_l instead of by interpolating g, as an
+    independent cross-check of ``theorem1_load``.  Returns (split, load).
+    """
+    dec = t_decomposition(m_tot, rates)
+    K = rates.K
+    load = sum(
+        _chi(K - l + 1, dec.t[l - 1]) * rates.f[l - 1]
+        for l in range(1, K + 1)
+        if rates.f[l - 1] > 0.0
+    )
+    return dec, load
+
+
+def audit_delivery(cache, log) -> list:
+    """Check that no user is handed a bit twice.
+
+    Every bit of a demanded file must reach its user through exactly one
+    channel: the cache, one signal piece, or one unicast range.  Returns
+    a description of each collision found.
+    """
+    problems = []
+    for k in range(1, cache.library.K + 1):
+        kbit = 1 << (k - 1)
+        intervals: dict = {}
+
+        def claim(l, start, stop, channel, k=k, intervals=intervals):
+            if start >= stop:
+                return
+            for other_start, other_stop, other_channel in intervals.setdefault(l, []):
+                if start < other_stop and other_start < stop:
+                    problems.append(
+                        f"user {k} layer {l}: {channel} [{start},{stop}) overlaps "
+                        f"{other_channel} [{other_start},{other_stop})"
+                    )
+            intervals[l].append((start, stop, channel))
+
+        for l, _smask, start, stop in cache.ranges[k - 1]:
+            claim(l, start, stop, "cache")
+        for sig in log.signals:
+            if sig.addressees & kbit:
+                for p in sig.pieces:
+                    if p.user == k:
+                        claim(
+                            p.layer, p.start, p.stop, f"signal {UserSet(sig.addressees)}"
+                        )
+        for uni in log.unicasts:
+            if uni.user == k:
+                for _file, l, start, stop in uni.ranges:
+                    claim(l, start, stop, "unicast")
+    return problems

@@ -12,12 +12,7 @@ import numpy as np
 
 from hetcache.baselines import baseline_load
 from hetcache.bounds import cutset_budget, cutset_k3
-from hetcache.closed_form import (
-    corner_points,
-    simplified_budget_solve,
-    theorem1_load,
-    threshold_allocation,
-)
+from hetcache.closed_form import corner_points, theorem1_load, threshold_allocation
 from hetcache.lp_core import solve_lp
 from hetcache.model import make_rate_profile
 from hetcache.scheme_lp import (
@@ -29,7 +24,7 @@ from hetcache.scheme_lp import (
 from hetcache.simulator import verify
 
 from conftest import budget_instance
-from oracles import brute_force_lp, random_box_lp
+from oracles import brute_force_lp, random_box_lp, simplified_budget_solve
 from test_lp_core import lp_from_parts
 from test_scheme_lp import fixed_instance
 

@@ -130,6 +130,57 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestHostileScheme:
+    """verify --scheme on a four-user budget instance with one entry edited."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        inst = tmp_path / "inst4.json"
+        inst.write_text(
+            json.dumps({"K": 4, "N": 4, "rates": [0.2, 0.4, 0.7, 1.0], "budget": 1.1})
+        )
+        scheme = tmp_path / "scheme4.json"
+        assert main(["solve", str(inst), "--out", str(scheme)]) == 0
+        return str(inst), scheme
+
+    @pytest.mark.parametrize(
+        "key, value, code",
+        [
+            ("a[1][{1}]", float("nan"), 2),
+            ("a[1][{1}]", float("inf"), 2),
+            ("a[1][{1}]", True, 2),
+            ("a[1][{1}]", "0.1", 2),
+            ("a[1][{1}]", [0.1], 2),
+            ("a[9][{1}]", 0.1, 2),  # no layer 9 for four users
+            ("a[1][{1,70}]", 0.1, 2),  # no user 70
+            ("w[1]", 0.1, 2),
+            ("variable_count", "many", 2),
+            ("K", 11, 2),
+            ("a[1][{}]", 5.0, 4),  # breaks the partition and the box
+            ("mem[4][4]", -0.1, 4),  # negative cache share
+            ("v[{1,2,3,4}]", 0.05, 4),  # no pieces ride in it
+        ],
+    )
+    def test_exit_code(self, paths, key, value, code, capsys):
+        inst, scheme = paths
+        data = json.loads(scheme.read_text())
+        data[key] = value
+        scheme.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", inst, "--scheme", str(scheme)]) == code
+        out = capsys.readouterr()
+        if code == 2:
+            assert out.err.startswith("error:") and "Traceback" not in out.err
+            assert out.out == ""
+        else:
+            assert out.out.startswith("FAIL: scheme is inconsistent")
+
+    def test_unedited_scheme_passes(self, paths, capsys):
+        inst, scheme = paths
+        assert main(["verify", inst, "--scheme", str(scheme)]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+
+
 class TestSweep:
     def run_sweep(self, fig_path, tmp_path, *extra):
         out = tmp_path / "sweep.csv"
@@ -191,11 +242,6 @@ class TestSweep:
         assert first.splitlines()[0].startswith("m_tot,")
         # '.' decimals regardless of locale
         assert all("." in cell for cell in first.splitlines()[1].split(","))
-
-    def test_jobs_do_not_change_output(self, fig_path, tmp_path):
-        serial = self.run_sweep(fig_path, tmp_path).read_text()
-        parallel = self.run_sweep(fig_path, tmp_path, "--jobs", "3").read_text()
-        assert serial == parallel
 
     def test_json_format(self, fig_path, tmp_path):
         out = tmp_path / "sweep.json"

@@ -6,14 +6,12 @@ import pytest
 from hetcache.closed_form import (
     TDecomposition,
     corner_points,
-    lemma1_load,
-    simplified_budget_solve,
     t_decomposition,
     theorem1_load,
     threshold_allocation,
 )
 from hetcache.model import InstanceError, make_rate_profile
-from oracles import envelope_load
+from oracles import envelope_load, lemma1_load, simplified_budget_solve, threshold_form
 
 FIG_CORNERS = [
     (0.0, 2.2),
@@ -40,14 +38,15 @@ class TestGreedySplit:
     def test_worked_example(self, figure_profile):
         dec = t_decomposition(1.25, figure_profile)
         assert dec.t == (1.5, 1.0, 1.0)
-        assert (dec.x, dec.y) == (2, 1)
-        assert dec.alpha == pytest.approx(0.5)
+        x, y, alpha = threshold_form(dec.t, figure_profile)
+        assert (x, y) == (2, 1)
+        assert alpha == pytest.approx(0.5)
         assert dec.budget(figure_profile) == pytest.approx(1.25)
 
     def test_zero_budget(self, figure_profile):
         dec = t_decomposition(0.0, figure_profile)
         assert dec.t == (0.0, 0.0, 0.0)
-        assert (dec.x, dec.y, dec.alpha) == (1, 1, 0.0)
+        assert threshold_form(dec.t, figure_profile) == (1, 1, 0.0)
 
     def test_full_budget(self, figure_profile):
         dec = t_decomposition(2.2, figure_profile)
@@ -89,7 +88,7 @@ class TestGreedySplit:
             K, f = p.K, p.f
             m = float(rng.uniform(1e-6, p.sum_rates - 1e-6))
             dec = t_decomposition(m, p)
-            x, y = dec.x, dec.y
+            x, y, alpha = threshold_form(dec.t, p)
             tail = sum((K - i) * f[i] for i in range(K - x + 1, K))
             lower_x = (x - 1) * sum(f[: K - x + 1]) + tail
             upper_x = x * sum(f[: K - x]) + sum((K - i) * f[i] for i in range(K - x, K))
@@ -98,7 +97,7 @@ class TestGreedySplit:
             lower_y = x * sum(f[: y - 1]) + (x - 1) * sum(f[y - 1 : K - x + 1]) + tail
             upper_y = x * sum(f[:y]) + (x - 1) * sum(f[y : K - x + 1]) + tail
             assert lower_y - 1e-9 < m <= upper_y + 1e-9
-            assert m == pytest.approx(lower_y + dec.alpha * f[y - 1], abs=1e-9)
+            assert m == pytest.approx(lower_y + alpha * f[y - 1], abs=1e-9)
 
 
 class TestCornerPoints:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,21 +17,18 @@ from hetcache.model import MemoryAllocation
 from hetcache.scheme_lp import (
     SchemeSolution,
     UserSet,
-    build_completion_constraints,
     build_intra_layer,
     build_intra_restricted,
     build_o1,
     build_o2,
-    build_placement_constraints,
-    build_redundancy_constraints,
-    build_structural_constraints,
+    constraint_rows,
     extract_scheme,
     make_variable_index,
     scheme_problems,
-    served_user,
 )
 
 from conftest import budget_instance
+from oracles import served_user
 
 
 def fixed_instance(rates, m, N=None, q=2):
@@ -142,44 +140,56 @@ def row_names(row, names):
 
 
 class TestConstraintRows:
-    """Spot checks against the hand-derived three-user system."""
+    """Spot checks of the generator against the hand-derived three-user system."""
 
     @pytest.fixture
     def setup(self, example_one):
         idx = make_variable_index(3)
-        return example_one, idx
+        eqs, ubs = constraint_rows(example_one, idx)
+
+        def named(rows):
+            return [(row_names(r, idx.names), rhs) for r, rhs in rows]
+
+        return named(eqs), named(ubs)
+
+    def test_family_sizes(self, setup):
+        eqs, ubs = setup
+        # three layer partitions, then one structure row per (signal, addressee)
+        assert len(eqs) == 3 + 9
+        assert all(not any(n.startswith("v[") for n in r) for r, _ in eqs[:3])
+        assert all(any(n.startswith("v[") for n in r) for r, _ in eqs[3:])
+        # cache and completion rows, one per (layer, user) pair each
+        cache = [r for r, _ in ubs if any(n.startswith("mem[") for n in r)]
+        completion = [r for r, _ in ubs if any(n.startswith("unicast[") for n in r)]
+        assert len(cache) == 6 and len(completion) == 6
+        # 3 shared redundancy rows and 8 single-cacher caps for 17 pieces
+        assert len(ubs) == 6 + 6 + 3 + 8
 
     def test_placement_rows(self, setup):
-        inst, idx = setup
-        eqs, ubs = build_placement_constraints(2, inst, idx)
-        assert len(eqs) == 1 and len(ubs) == 2
-        row, rhs = eqs[0]
+        eqs, ubs = setup
+        (row, rhs), = [(r, rhs) for r, rhs in eqs if "a[2][{}]" in r]
         assert rhs == pytest.approx(0.1)  # f_2 = r_2 - r_1
-        assert row_names(row, idx.names) == {
+        assert row == {
             "a[2][{}]": 1.0,
             "a[2][{2}]": 1.0,
             "a[2][{3}]": 1.0,
             "a[2][{2,3}]": 1.0,
         }
-        mem_row, mem_rhs = ubs[0]
-        assert mem_rhs == 0.0
-        assert row_names(mem_row, idx.names) == {
-            "a[2][{2}]": 1.0,
-            "a[2][{2,3}]": 1.0,
-            "mem[2][2]": -1.0,
-        }
+        layer2_cache = [
+            (r, rhs) for r, rhs in ubs if "mem[2][2]" in r or "mem[3][2]" in r
+        ]
+        assert len(layer2_cache) == 2
+        assert (
+            {"a[2][{2}]": 1.0, "a[2][{2,3}]": 1.0, "mem[2][2]": -1.0},
+            0.0,
+        ) in layer2_cache
 
     def test_structural_row_full_set(self, setup):
-        inst, idx = setup
-        rows = build_structural_constraints(inst, idx)
-        assert len(rows) == 9  # sum of |T| over the four signal sets
+        eqs, _ = setup
         # the all-users signal can only carry layer 1 and each addressee
         # has exactly one feasible source class
-        full = [
-            row_names(r, idx.names)
-            for r, rhs in rows
-            if rhs == 0.0 and "v[{1,2,3}]" in row_names(r, idx.names)
-        ]
+        full = [r for r, rhs in eqs if rhs == 0.0 and "v[{1,2,3}]" in r]
+        assert len(full) == 3
         assert {
             "v[{1,2,3}]": 1.0,
             "u[1][{1,2,3}][{2,3}]": -1.0,
@@ -190,9 +200,8 @@ class TestConstraintRows:
         } in full
 
     def test_structural_row_mixed_layers(self, setup):
-        inst, idx = setup
-        rows = build_structural_constraints(inst, idx)
-        named = [row_names(r, idx.names) for r, _ in rows]
+        eqs, _ = setup
+        named = [r for r, _ in eqs]
         # signal to {2,3}, addressee 3 may be served from layer 1 or 2
         assert {
             "v[{2,3}]": 1.0,
@@ -202,11 +211,11 @@ class TestConstraintRows:
         } in named
 
     def test_completion_row(self, setup):
-        inst, idx = setup
-        ubs = build_completion_constraints(inst, idx)
+        _, ubs = setup
         named = {
-            tuple(sorted(row_names(r, idx.names))): (row_names(r, idx.names), rhs)
+            tuple(sorted(r)): (r, rhs)
             for r, rhs in ubs
+            if any(n.startswith("unicast[") for n in r)
         }
         # final layer, final user: only its own cache and a unicast help
         key = ("a[3][{3}]", "unicast[3][3]")
@@ -216,9 +225,10 @@ class TestConstraintRows:
         assert all(coef == -1.0 for coef in row.values())
 
     def test_redundancy_rows(self, setup):
-        inst, idx = setup
-        ubs = build_redundancy_constraints(inst, idx)
-        named = [row_names(r, idx.names) for r, rhs in ubs]
+        _, ubs = setup
+        named = [r for r, rhs in ubs if 1.0 in r.values() and rhs == 0.0 and not any(
+            n.startswith("mem[") for n in r
+        )]
         assert {
             "u[1][{1,3}][{1,2}]": 1.0,
             "u[1][{2,3}][{1,2}]": 1.0,
@@ -230,6 +240,25 @@ class TestConstraintRows:
         # shared rows exist only in layer 1 for three users
         shared = [r for r in named if len(r) > 2]
         assert len(shared) == 3
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["joint", "restricted", "layer"])
+    def test_every_piece_lands_in_three_rows(self, K, kind):
+        # one structure row, one completion row, one redundancy row or cap
+        inst = fixed_instance([0.2 * k for k in range(1, K + 1)], [0.0] * K)
+        if kind == "joint":
+            programs = [build_o2(inst)]
+        elif kind == "restricted":
+            programs = [build_intra_restricted(inst)]
+        else:
+            split = MemoryAllocation.from_matrix([[0.0] * K for _ in range(K)])
+            programs = build_intra_layer(inst, split)
+        for lp, idx in programs:
+            for col in idx.assign.values():
+                eq = [c[col] for c, _ in lp.eq_rows if col in c]
+                ub = sorted(c[col] for c, _ in lp.ub_rows if col in c)
+                assert eq == [-1.0]
+                assert ub == [-1.0, 1.0]
 
 
 class TestFixedMemoryProgram:
@@ -365,8 +394,9 @@ class TestIntraRestriction:
         lp, idx = build_intra_restricted(example_one)
         sol = solve_lp(lp)
         scheme = extract_scheme(sol, idx)
+        mem = scheme.index.layer_mem
         rows = [
-            [scheme.layer_memories.get((k, l), 0.0) for l in range(1, 4)]
+            [scheme.x[mem[(k, l)]] if l <= k else 0.0 for l in range(1, 4)]
             for k in range(1, 4)
         ]
         split = MemoryAllocation.from_matrix(rows)
@@ -392,8 +422,22 @@ class TestExtraction:
         # placement totals per layer are forced regardless of which
         # optimal vertex the solver lands on
         for l, width in zip((1, 2, 3), example_one.rates.f):
-            got = sum(v for (ll, _S), v in scheme.allocation.items() if ll == l)
+            got = sum(scheme.x[c] for (ll, _S), c in scheme.index.alloc.items() if ll == l)
             assert got == pytest.approx(width, abs=1e-9)
+
+    def test_per_layer_signals_fold_into_joint_index(self, example_one):
+        lp, idx = build_intra_restricted(example_one)
+        sol = solve_lp(lp)
+        scheme = extract_scheme(sol, idx)
+        joint = make_variable_index(3)
+        assert scheme.index.names == joint.names
+        assert scheme.variable_count == idx.n_vars != joint.n_vars
+        for T, col in joint.multicast.items():
+            want = sum(sol.x[c] for (_l, TT), c in idx.multicast.items() if TT == T)
+            assert scheme.x[col] == pytest.approx(want, abs=1e-12)
+        for key, col in idx.assign.items():
+            assert scheme.x[joint.assign[key]] == pytest.approx(max(sol.x[col], 0.0))
+        assert scheme.load() == pytest.approx(13.0 / 60.0, abs=1e-9)
 
     def test_clamps_solver_dust(self):
         idx = make_variable_index(2)
@@ -402,7 +446,7 @@ class TestExtraction:
         x[first_alloc] = -1e-8
         sol = LpSolution(status=LpStatus.OPTIMAL, x=x, objective=0.0)
         scheme = extract_scheme(sol, idx)
-        assert all(v >= 0.0 for v in scheme.allocation.values())
+        assert np.all(scheme.x >= 0.0)
 
     def test_rejects_material_negative(self):
         idx = make_variable_index(2)
@@ -428,13 +472,12 @@ class TestSerialization:
         data = json.loads(json.dumps(scheme.to_json_dict()))
         back = SchemeSolution.from_json_dict(data)
         assert back.K == 3
-        assert back.objective == pytest.approx(scheme.objective)
+        assert back.objective == scheme.objective
         assert back.variable_count == scheme.variable_count
-        for key, val in scheme.allocation.items():
-            assert back.allocation.get(key, 0.0) == pytest.approx(val, abs=1e-12)
-        for key, val in scheme.multicast_sizes.items():
-            assert back.multicast_sizes.get(key, 0.0) == pytest.approx(val, abs=1e-12)
-        assert back.load() == pytest.approx(scheme.load(), abs=1e-9)
+        assert back.index.names == scheme.index.names
+        # float reprs survive JSON, so the vector comes back bit for bit
+        assert np.array_equal(back.x, scheme.x)
+        assert back.load() == scheme.load()
 
     def test_zero_entries_dropped(self, example_one):
         lp, idx = build_o2(example_one)
@@ -443,6 +486,21 @@ class TestSerialization:
         payload = {k: v for k, v in data.items() if "[" in k}
         assert all(v != 0.0 for v in payload.values())
         assert len(payload) < scheme.variable_count
+
+    def test_keys_are_names_in_file_order(self):
+        idx = make_variable_index(4)
+        scheme = SchemeSolution(
+            index=idx, x=np.ones(idx.n_vars), objective=0.0, variable_count=idx.n_vars
+        )
+        keys = [k for k in scheme.to_json_dict() if "[" in k]
+        assert sorted(keys) == sorted(idx.names)
+        # pieces are listed by (layer, T, S), not in column order
+        pieces = [k for k in keys if k.startswith("u[")]
+        by_key = sorted(
+            idx.assign, key=lambda key: (key[0], key[1].mask, key[2].mask)
+        )
+        assert pieces == [f"u[{l}][{T}][{S}]" for l, T, S in by_key]
+        assert pieces != [n for n in idx.names if n.startswith("u[")]
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(InstanceError):
@@ -454,6 +512,28 @@ class TestSerialization:
         with pytest.raises(InstanceError):
             SchemeSolution.from_json_dict({"objective": 0.0})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("a[9][{1}]", 0.1),  # no layer 9 for three users
+            ("a[1][{70}]", 0.1),  # no user 70
+            ("a[1][{1, 2}]", 0.1),  # names are spelled exactly
+            ("v[1][{1,2}]", 0.1),  # per-layer signals fold into v[T]
+            ("a[1][{1}]", float("nan")),
+            ("a[1][{1}]", float("inf")),
+            ("a[1][{1}]", True),
+            ("a[1][{1}]", "0.1"),
+            ("a[1][{1}]", None),
+            ("K", "3"),
+            ("K", True),
+            ("objective", float("nan")),
+        ],
+    )
+    def test_rejects_hostile_entries(self, key, value):
+        data = {"K": 3, "objective": 0.0, "variable_count": 47, key: value}
+        with pytest.raises(InstanceError):
+            SchemeSolution.from_json_dict(data)
+
     def test_empty_set_key_parses(self):
         data = {
             "K": 2,
@@ -462,7 +542,8 @@ class TestSerialization:
             "a[1][{}]": 0.25,
         }
         back = SchemeSolution.from_json_dict(data)
-        assert back.allocation[(1, UserSet(0))] == 0.25
+        assert back.x[back.index.alloc[(1, UserSet(0))]] == 0.25
+        assert np.count_nonzero(back.x) == 1
 
 
 class TestSchemeAudit:
@@ -477,48 +558,61 @@ class TestSchemeAudit:
     def test_signal_size_equalities_hold_exactly(self, example_one):
         lp, idx = build_o2(example_one)
         scheme = extract_scheme(solve_lp(lp), idx)
-        for T, v in scheme.multicast_sizes.items():
+        x = scheme.x
+        for T, vcol in scheme.index.multicast.items():
             for j in T.users():
                 got = sum(
-                    val
-                    for (l, TT, S), val in scheme.assignments.items()
+                    x[col]
+                    for (l, TT, S), col in scheme.index.assign.items()
                     if TT == T and j == served_user(TT, S)
                 )
-                assert got == pytest.approx(v, abs=1e-9)
+                assert got == pytest.approx(x[vcol], abs=1e-9)
 
     def test_detects_oversized_signal(self, example_one):
         lp, idx = build_o2(example_one)
         scheme = extract_scheme(solve_lp(lp), idx)
-        bad = dict(scheme.multicast_sizes)
-        bumped = next(iter(bad))
-        bad[bumped] = bad[bumped] + 0.05
-        broken = SchemeSolution(
-            K=scheme.K,
-            allocation=scheme.allocation,
-            assignments=scheme.assignments,
-            multicast_sizes=bad,
-            unicast_sizes=scheme.unicast_sizes,
-            layer_memories=scheme.layer_memories,
-            objective=scheme.objective + 0.05,
-            variable_count=scheme.variable_count,
-        )
-        assert any(
-            "carries" in p for p in scheme_problems(broken, example_one)
-        )
+        bumped = next(iter(idx.multicast.values()))
+        x = scheme.x.copy()
+        x[bumped] += 0.05
+        broken = dataclasses.replace(scheme, x=x, objective=scheme.objective + 0.05)
+        problems = scheme_problems(broken, example_one)
+        # exactly the signal's structure rows, one per addressee, are broken
+        rows = {f"eq row {i}" for i, (c, _) in enumerate(lp.eq_rows) if bumped in c}
+        assert len(rows) == 2
+        assert {p.split(":")[0] for p in problems} == rows
 
     def test_detects_missing_placement(self, example_one):
         lp, idx = build_o2(example_one)
         scheme = extract_scheme(solve_lp(lp), idx)
-        biggest = max(scheme.allocation, key=scheme.allocation.get)
-        trimmed = {k: v for k, v in scheme.allocation.items() if k != biggest}
-        broken = SchemeSolution(
-            K=scheme.K,
-            allocation=trimmed,
-            assignments=scheme.assignments,
-            multicast_sizes=scheme.multicast_sizes,
-            unicast_sizes=scheme.unicast_sizes,
-            layer_memories=scheme.layer_memories,
-            objective=scheme.objective,
-            variable_count=scheme.variable_count,
-        )
+        x = scheme.x.copy()
+        x[max(idx.alloc.values(), key=lambda col: x[col])] = 0.0
+        broken = dataclasses.replace(scheme, x=x)
         assert scheme_problems(broken, example_one) != []
+
+    def test_enforces_variable_boxes(self, example_one):
+        # an oversized unicast breaks no row, only its box u <= f_l
+        lp, idx = build_o2(example_one)
+        scheme = extract_scheme(solve_lp(lp), idx)
+        x = scheme.x.copy()
+        x[idx.unicast[(1, 1)]] = 0.3
+        problems = scheme_problems(dataclasses.replace(scheme, x=x), example_one)
+        assert len(problems) == 1 and problems[0].startswith("unicast[1][1]=0.3")
+
+    def test_no_looser_than_absolute_tolerance(self, figure_profile):
+        # a 1.2e-7 gap in the layer-3 partition (rhs 0.3) must be reported
+        # even though 1e-7 * (1 + |rhs|) would let it pass
+        inst = budget_instance([0.5, 0.7, 1.0], 1.0)
+        lp, idx = build_o1(inst)
+        scheme = extract_scheme(solve_lp(lp), idx)
+        assert scheme_problems(scheme, inst) == []
+        x = scheme.x.copy()
+        x[idx.alloc[(3, UserSet(0))]] += 1.2e-7
+        problems = scheme_problems(dataclasses.replace(scheme, x=x), inst)
+        assert len(problems) == 1 and problems[0].startswith("eq row 2:")
+
+    def test_rejects_other_user_count(self, example_one):
+        scheme = SchemeSolution.from_json_dict(
+            {"K": 2, "objective": 0.0, "variable_count": 3}
+        )
+        with pytest.raises(InstanceError, match="users"):
+            scheme_problems(scheme, example_one)
