@@ -64,7 +64,7 @@ def _check_vector(m, rates: RateProfile) -> None:
         problems.append(f"memory vector has {len(m)} entries for {rates.K} users")
     else:
         for k, (mk, rk) in enumerate(zip(m, rates.r), start=1):
-            if mk < 0.0 or mk > rk + 1e-9:
+            if not 0.0 <= mk <= rk + 1e-9:  # NaN fails this test
                 problems.append(f"memory m[{k}]={mk} outside [0, {rk}]")
     if problems:
         raise InstanceError(problems)

@@ -74,10 +74,11 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
             raise InstanceError(["no memory vector given and none on the instance"])
         m = inst.constraint.m
     m = tuple(float(v) for v in m)
+    # each range test is written so that NaN, which compares false, fails it
     problems = [
         f"memory m[{k}]={mk} outside [0, {rk}]"
         for k, (mk, rk) in enumerate(zip(m, inst.rates.r), start=1)
-        if mk < -1e-12 or mk > rk + 1e-9
+        if not -1e-12 <= mk <= rk + 1e-9
     ]
     if len(m) != inst.K:
         problems.append(f"memory vector has {len(m)} entries for {inst.K} users")
@@ -111,7 +112,7 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None) -> BoundRep
         m_tot = inst.constraint.m_tot
     m_tot = float(m_tot)
     total = inst.rates.sum_rates
-    if m_tot < -1e-9 or m_tot > total + 1e-9:
+    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
         raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
 
     K, N = inst.K, inst.N
@@ -162,7 +163,7 @@ def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:
     r1, r2, r3 = inst.rates.r
     N = inst.N
     total = r1 + r2 + r3
-    if m_tot < -1e-9 or m_tot > total + 1e-9:
+    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
         raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
     half = N // 2
     branches = (

@@ -72,7 +72,7 @@ def t_decomposition(m_tot: float, rates: RateProfile) -> TDecomposition:
     """Spend ``m_tot`` greedily across layers; the unique best-first split."""
     K = rates.K
     total = rates.sum_rates
-    if m_tot < -1e-9 or m_tot > total + 1e-9:
+    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
         raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
     remaining = min(max(m_tot, 0.0), total)
 

@@ -500,7 +500,9 @@ class SchemeSolution:
         """Read a scheme file; absent variables are zero.
 
         Every other key must name a variable of the joint program for the
-        file's K, and every value must be a finite number.
+        file's K, and every value must be a finite number.  ``variable_count``
+        sets the simulator's rounding bound, so it must be the column count
+        of the joint or of the intra-restricted program for that K.
         """
         if not isinstance(data, dict):
             raise InstanceError(["scheme file must hold a JSON object"])
@@ -523,6 +525,16 @@ class SchemeSolution:
             raise InstanceError(problems)
         objective = numbers.pop("objective")
         index = make_variable_index(K)
+        # the two programs differ only in their signals: 2^K - K - 1 joint
+        # ones against 2^j - j - 1 for each layer seen by j users
+        restricted = index.n_vars - ((1 << K) - K - 1) + sum(
+            (1 << j) - j - 1 for j in range(1, K + 1)
+        )
+        if variable_count not in (index.n_vars, restricted):
+            raise InstanceError(
+                [f"variable_count {variable_count} is neither {index.n_vars} (joint) "
+                 f"nor {restricted} (intra-restricted) for {K} users"]
+            )
         columns = {name: col for col, name in enumerate(index.names)}
         unknown = [key for key in numbers if key not in columns]
         if unknown:

@@ -1,0 +1,159 @@
+"""Golden record of the CLI's output, for proving that a change keeps it.
+
+Runs a fixed command set in-process at one BLAS thread and writes one JSON
+that maps each command line to its exit code, stdout, stderr and the
+files it wrote:
+
+    PYTHONPATH=src python tests/golden_cli.py --out golden.json
+
+The set covers K = 2..5 with two budget and two fixed-memory instances
+per K, seeded, 208 commands: ``solve --out`` (joint and intra),
+``verify --scheme`` of both schemes (F = 1e4 with ``--out``, and 1e6),
+``verify`` without a scheme in both modes (F = 5000, ``--out``),
+``bounds``, ``compare-baselines`` and, for budgets, ``sweep``, each of the
+last three in CSV and JSON.  Paths are recorded relative to the working
+directory, so records made from two checkouts line up.
+
+    python tests/golden_cli.py --compare before.json after.json --tol 1e-9
+
+lists every command whose exit code differs, whose text differs outside
+its numbers, or whose numbers differ by more than the tolerance, and
+exits 1 if there is any.  The file has no ``test_`` prefix, so pytest
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads: one thread, one vertex
+
+import argparse
+import contextlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
+
+
+def instances(K: int) -> list[tuple[str, dict]]:
+    rng = np.random.default_rng(1000 + K)
+    out = []
+    for i in range(4):
+        rates = sorted(float(r) for r in rng.uniform(0.05, 1.0, K))
+        doc = {"K": K, "N": K, "rates": rates}
+        if i < 2:
+            doc["budget"] = float(rng.uniform(0.0, sum(rates)))
+            out.append((f"k{K}_budget{i}", doc))
+        else:
+            doc["memories"] = [float(rng.uniform(0.0, r)) for r in rates]
+            out.append((f"k{K}_fixed{i - 2}", doc))
+    return out
+
+
+def commands(name: str, doc: dict) -> list[list[str]]:
+    inst = f"{name}.json"
+    cmds = []
+    for mode in ("joint", "intra"):
+        cmds.append(["solve", inst, "--mode", mode, "--out", f"{name}_{mode}.scheme.json"])
+    for mode in ("joint", "intra"):
+        scheme = f"{name}_{mode}.scheme.json"
+        cmds.append(["verify", inst, "--scheme", scheme, "--file-size", "10000",
+                     "--out", f"{name}_{mode}.check.json"])
+        cmds.append(["verify", inst, "--scheme", scheme, "--file-size", "1000000"])
+    for mode in ("joint", "intra"):
+        cmds.append(["verify", inst, "--mode", mode, "--file-size", "5000",
+                     "--out", f"{name}_{mode}.verify.json"])
+    for fmt in ("csv", "json"):
+        cmds.append(["bounds", inst, "--format", fmt])
+        cmds.append(["compare-baselines", inst, "--points", "6", "--format", fmt])
+        if "budget" in doc:
+            cmds.append(["sweep", inst, "--points", "9", "--format", fmt])
+    return cmds
+
+
+def record() -> dict:
+    from hetcache.cli import main  # --compare runs without the package
+
+    results = {}
+    for K in (2, 3, 4, 5):
+        for name, doc in instances(K):
+            Path(f"{name}.json").write_text(json.dumps(doc))
+            for argv in commands(name, doc):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                written = argv[argv.index("--out") + 1] if "--out" in argv else None
+                results[" ".join(argv)] = {
+                    "exit": code,
+                    "stdout": out.getvalue(),
+                    "stderr": err.getvalue(),
+                    "files": {written: Path(written).read_text()} if written else {},
+                }
+    return results
+
+
+def differences(a: dict, b: dict, tol: float) -> list[str]:
+    """How the record of one command differs from another beyond ``tol``."""
+    found = []
+    if a["exit"] != b["exit"]:
+        found.append(f"exit {a['exit']} != {b['exit']}")
+    texts = [("stdout", a["stdout"], b["stdout"]), ("stderr", a["stderr"], b["stderr"])]
+    texts += [(name, text, b["files"].get(name, "")) for name, text in a["files"].items()]
+    for where, x, y in texts:
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y):
+            found.append(f"{where}: text differs")
+            continue
+        pairs = zip(map(float, NUMBER.findall(x)), map(float, NUMBER.findall(y)))
+        worst = max((abs(p - q) for p, q in pairs if p != q and not (p != p and q != q)),
+                    default=0.0)
+        if not worst <= tol:
+            found.append(f"{where}: numbers differ by up to {worst:.3g}")
+    return found
+
+
+def compare(path_a: str, path_b: str, tol: float) -> int:
+    a = json.loads(Path(path_a).read_text())
+    b = json.loads(Path(path_b).read_text())
+    bad = 0
+    for argv in sorted(set(a) | set(b)):
+        if argv not in a or argv not in b:
+            found = [f"only in {path_a if argv in a else path_b}"]
+        else:
+            found = differences(a[argv], b[argv], tol)
+        if found:
+            bad += 1
+            print(f"{argv}: {'; '.join(found)}")
+    print(f"{bad} of {len(set(a) | set(b))} commands differ beyond {tol:g}")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="write the record of every command here")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two records instead of running")
+    parser.add_argument("--tol", type=float, default=0.0,
+                        help="largest number difference that --compare ignores")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.tol)
+    if not args.out:
+        parser.error("give --out or --compare")
+    out = Path(args.out).resolve()
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        results = record()
+    out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"{len(results)} commands recorded in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from hetcache.baselines import baseline_load, oca_split, pca_split
 from hetcache.bounds import BoundReport, cutset_budget, cutset_fixed, cutset_k3
-from hetcache.closed_form import theorem1_load
+from hetcache.closed_form import theorem1_load, threshold_allocation
 from hetcache.model import InstanceError, make_rate_profile
 from hetcache.scheme_lp import UserSet
 
@@ -165,3 +166,27 @@ class TestGuards:
         assert isinstance(rep, BoundReport)
         assert rep.value >= 0.0
         assert rep.value == pytest.approx(max(rep.raw_value, 0.0))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst: cutset_fixed(inst, m=(NAN, 0.2, 0.3)),
+        lambda inst: cutset_budget(inst, m_tot=NAN),
+        lambda inst: cutset_k3(inst, m_tot=NAN),
+        lambda inst: baseline_load("pca", inst, m=(NAN, 0.2, 0.3)),
+        lambda inst: pca_split((NAN, 0.2, 0.3), inst.rates),
+        lambda inst: oca_split((0.1, NAN, 0.3), inst.rates),
+        lambda inst: theorem1_load(NAN, inst.rates),
+        lambda inst: threshold_allocation(NAN, inst.rates),
+    ],
+    ids=["cutset_fixed", "cutset_budget", "cutset_k3", "baseline_load", "pca_split",
+         "oca_split", "theorem1_load", "threshold_allocation"],
+)
+def test_nan_fails_range_checks(call):
+    # NaN compares false, so a range check written as "x < lo or x > hi" lets it through
+    with pytest.raises(InstanceError):
+        call(budget_instance(FIG, 1.0))

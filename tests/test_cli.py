@@ -155,6 +155,8 @@ class TestHostileScheme:
             ("a[1][{1,70}]", 0.1, 2),  # no user 70
             ("w[1]", 0.1, 2),
             ("variable_count", "many", 2),
+            ("variable_count", 100000000, 2),  # would widen the rounding bound to 1e4
+            ("variable_count", 0, 2),
             ("K", 11, 2),
             ("a[1][{}]", 5.0, 4),  # breaks the partition and the box
             ("mem[4][4]", -0.1, 4),  # negative cache share

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hetcache import lp_core
 from hetcache.lp_core import (
     Basis,
     LinearProgram,
@@ -79,8 +80,8 @@ class TestSmallPrograms:
         assert sol.objective == pytest.approx(-1.5)
 
     def test_beale_degeneracy(self):
-        # The classic cycling example for largest-coefficient pricing; the
-        # Bland fallback must still reach the optimum -1/20.
+        # The classic cycling example for largest-coefficient pricing must
+        # still reach the optimum -1/20.
         c = [-0.75, 150.0, -0.02, 6.0]
         ub = [
             ({0: 0.25, 1: -60.0, 2: -0.04, 3: 9.0}, 0.0),
@@ -128,6 +129,13 @@ class TestOracleAgreement:
             sol = solve_lp(lp)
             if sol.is_optimal:
                 assert lp.check_point(sol.x) == []
+
+
+def test_smallest_index_rule_from_the_first_pivot(monkeypatch):
+    # the rule that guarantees termination must solve correctly on its own
+    monkeypatch.setattr(lp_core, "SMALLEST_INDEX_AFTER", 0)
+    TestOracleAgreement().test_random_suite()
+    TestSmallPrograms().test_beale_degeneracy()
 
 
 def test_check_point_flags_nan():
@@ -271,22 +279,31 @@ class TestWarmStart:
         assert warm.iterations == cold.iterations
 
     def test_unusable_starts_fall_back_to_cold(self):
-        # a repeated column, a singular basis, and a basis that is optimal
-        # for other costs: each must give exactly the cold solve
+        # a repeated column and a singular basis must give exactly the
+        # all-logical solve; a basis that is optimal for other costs is a
+        # usable start, priced into dual feasibility by its bounds
         rows = [({0: 1.0, 1: 1.0}, 1.0), ({0: 1.0, 1: 1.0, 2: 1.0}, 1.5)]
         lp = lp_from_parts([1.0, 2.0, 3.0], rows, [], [0, 0, 0], [1, 1, 1])
         cold = solve_lp(lp)
         layout = cold.basis.layout
-        other_costs = lp_from_parts([3.0, 2.0, -1.0], rows, [], [0, 0, 0], [1, 1, 1])
-        starts = [
+        for start in (
             Basis(np.array([0, 0]), np.zeros(5, dtype=bool), layout),
             Basis(np.array([0, 1]), np.zeros(5, dtype=bool), layout),
-            solve_lp(other_costs).basis,
-        ]
-        for start in starts:
+        ):
             warm = solve_lp(lp, start=start)
             assert np.array_equal(warm.x, cold.x)
             assert warm.iterations == cold.iterations
+        other_costs = lp_from_parts([3.0, 2.0, -1.0], rows, [], [0, 0, 0], [1, 1, 1])
+        warm = solve_lp(lp, start=solve_lp(other_costs).basis)
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert lp.check_point(warm.x) == []
+        # with x0 basic, the slack of x0 <= 0.5 prices below zero and
+        # cannot move to its infinite upper bound
+        lp = lp_from_parts([1.0], [], [({0: 1.0}, 0.5)], [0], [1])
+        cold = solve_lp(lp)
+        warm = solve_lp(lp, start=Basis(np.array([0]), np.zeros(2, dtype=bool), (1, 0, 1)))
+        assert np.array_equal(warm.basis.cols, cold.basis.cols)
+        assert np.array_equal(warm.x, cold.x)
 
     def test_infeasible_rhs_reported(self):
         # a budget above the summed rates cannot be placed

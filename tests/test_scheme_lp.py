@@ -502,6 +502,20 @@ class TestSerialization:
         assert pieces == [f"u[{l}][{T}][{S}]" for l, T, S in by_key]
         assert pieces != [n for n in idx.names if n.startswith("u[")]
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    def test_variable_count_is_a_program_size(self, K):
+        # the rounding bound scales with it: only the joint and the
+        # intra-restricted column counts are accepted
+        sizes = {make_variable_index(K).n_vars,
+                 make_variable_index(K, per_layer_signals=True).n_vars}
+        for count in sorted(sizes | {0, min(sizes) - 1, max(sizes) + 1, 10**8}):
+            data = {"K": K, "objective": 0.0, "variable_count": count}
+            if count in sizes:
+                assert SchemeSolution.from_json_dict(data).variable_count == count
+            else:
+                with pytest.raises(InstanceError, match="variable_count"):
+                    SchemeSolution.from_json_dict(data)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(InstanceError):
             SchemeSolution.from_json_dict(
@@ -538,7 +552,7 @@ class TestSerialization:
         data = {
             "K": 2,
             "objective": 0.0,
-            "variable_count": 3,
+            "variable_count": 15,
             "a[1][{}]": 0.25,
         }
         back = SchemeSolution.from_json_dict(data)
@@ -580,6 +594,8 @@ class TestSchemeAudit:
         rows = {f"eq row {i}" for i, (c, _) in enumerate(lp.eq_rows) if bumped in c}
         assert len(rows) == 2
         assert {p.split(":")[0] for p in problems} == rows
+        # each row is also named by its terms, the bumped signal first
+        assert all(f"+1*{idx.names[bumped]}" in p for p in problems)
 
     def test_detects_missing_placement(self, example_one):
         lp, idx = build_o2(example_one)
@@ -612,7 +628,7 @@ class TestSchemeAudit:
 
     def test_rejects_other_user_count(self, example_one):
         scheme = SchemeSolution.from_json_dict(
-            {"K": 2, "objective": 0.0, "variable_count": 3}
+            {"K": 2, "objective": 0.0, "variable_count": 15}
         )
         with pytest.raises(InstanceError, match="users"):
             scheme_problems(scheme, example_one)
