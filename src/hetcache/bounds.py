@@ -3,10 +3,18 @@
 Cut the network between the server and a user subset U: whatever those
 users must end up with (their target rates) has to flow either through
 their caches or over the shared link, and a single transmission round can
-be reused by at most floor(N / |U|) disjoint demand batches.  Maximizing
-over U gives a load lower bound for fixed cache sizes; for a total
-budget the adversary additionally gets to pick the least favorable split
-of the budget, which is a small linear program in the m_k.
+be reused by at most floor(N / |U|) disjoint demand batches.  So for
+|U| = s every user contributes y_k = r_k - c_s m_k with
+c_s = N / floor(N / s), and the cut is the sum of those terms over U.
+
+Maximizing over U gives a load lower bound for fixed cache sizes.  No
+subset has to be enumerated: for each size s the best cut takes the s
+largest terms, so K sorts find it.  For a total budget the adversary
+additionally gets to pick the least favorable split of the budget, which
+is a linear program in the m_k.  The sum of the s largest entries of a
+vector y is min over t of s t + sum_k max(0, y_k - t) (Ogryczak & Tamir
+2003), so each size costs one threshold column, K excess columns and
+K + 1 rows, and the program has about K^2 rows instead of 2^K.
 
 These bounds hold for every caching scheme, coded placement included,
 so they sit below the achievable curves computed elsewhere in the
@@ -15,15 +23,19 @@ package and certify how much of the gap is real.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .lp_core import LinearProgram, SolverError, solve_lp
 from .model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
 from .scheme_lp import UserSet
 
-# exact subset enumeration only; past this the bound would have to sample,
-# and a sampled lower bound is not a bound
-MAX_ENUM_USERS = 20
+# the budget program has about K^2 rows and columns and the solver keeps it
+# in a dense tableau; nothing measured needs more users than this
+MAX_BOUND_USERS = 20
+# cuts, and the terms they add up, closer than this count as equal
+TIE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -41,11 +53,11 @@ class BoundReport:
     binding_set: UserSet | tuple[float, ...]
 
 
-def _check_enum_size(K: int) -> None:
-    if K > MAX_ENUM_USERS:
+def _check_program_size(K: int) -> None:
+    if K > MAX_BOUND_USERS:
         raise InstanceError(
-            [f"cut-set enumeration over {K} users exceeds the exact limit "
-             f"{MAX_ENUM_USERS}"]
+            [f"cut-set bound over {K} users exceeds the program-size limit of "
+             f"{MAX_BOUND_USERS} users"]
         )
 
 
@@ -64,11 +76,15 @@ def _cut_value(inst: ProblemInstance, mask: int, m) -> float:
 def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
     """Best cut over all nonempty user subsets, cache sizes given.
 
-    With no ``m`` the instance's own fixed memories are used.  Ties go to
-    the smallest bitmask so the witness is deterministic.
+    With no ``m`` the instance's own fixed memories are used.  For each
+    size the best cut takes the largest terms, terms equal up to TIE_TOL
+    going to the lower user number, which gives the smallest bitmask of
+    that size.  The sizes are then compared in bitmask order, a later one
+    winning only by more than TIE_TOL, so ties go to the smallest bitmask
+    and the witness is deterministic.
     """
     ensure_valid(inst)
-    _check_enum_size(inst.K)
+    _check_program_size(inst.K)
     if m is None:
         if not isinstance(inst.constraint, FixedMemories):
             raise InstanceError(["no memory vector given and none on the instance"])
@@ -85,11 +101,23 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
     if problems:
         raise InstanceError(problems)
 
+    K, r = inst.K, inst.rates.r
+    masks = []
+    for size in range(1, K + 1):
+        coef = inst.N / (inst.N // size)
+        terms = [r[k] - coef * m[k] for k in range(K)]
+        threshold = sorted(terms, reverse=True)[size - 1]
+        # every term above the size-th largest, then the lowest users among
+        # those equal to it up to rounding
+        above = [k for k in range(K) if terms[k] > threshold + TIE_TOL]
+        tied = [k for k in range(K) if abs(terms[k] - threshold) <= TIE_TOL]
+        masks.append(sum(1 << k for k in above + tied[: size - len(above)]))
+
     best_mask = 0
     best = -float("inf")
-    for mask in range(1, 1 << inst.K):
+    for mask in sorted(masks):
         val = _cut_value(inst, mask, m)
-        if val > best + 1e-15:
+        if val > best + TIE_TOL:
             best = val
             best_mask = mask
     return BoundReport(
@@ -100,12 +128,19 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
 def cutset_budget(inst: ProblemInstance, m_tot: float | None = None) -> BoundReport:
     """Budget version: minimize the best cut over admissible splits.
 
-    Epigraph formulation: one variable per user plus the bound value z,
-    one row per nonempty subset pushing z above that cut, the budget row,
-    and per-user boxes [0, r_k].
+    Epigraph formulation over the columns m_1..m_K and the bound value z.
+    A size s row pushes z above the sum of the s largest terms
+    y_k = r_k - c_s m_k through a threshold t_s and excesses e_{s,k} >= 0:
+
+        s t_s + sum_k e_{s,k} - z <= 0,    y_k - t_s - e_{s,k} <= 0.
+
+    A size with at most K subsets (1, K - 1 and K) needs no threshold and
+    gets one row sum_U y_k - z <= 0 per subset U instead.  The budget row
+    and the boxes m_k in [0, r_k] complete the program: K^2 - 1 rows and
+    K^2 - K - 2 columns for K >= 3, against 2^K rows for one row per subset.
     """
     ensure_valid(inst)
-    _check_enum_size(inst.K)
+    _check_program_size(inst.K)
     if m_tot is None:
         if not isinstance(inst.constraint, Budget):
             raise InstanceError(["no budget given and none on the instance"])
@@ -117,26 +152,44 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None) -> BoundRep
 
     K, N = inst.K, inst.N
     r = inst.rates.r
+    r_max = max(r)
     zcol = K
-    c = [0.0] * K + [1.0]
-    lo = [0.0] * K + [-N * total - 1.0]
+    # the size-1 cuts r_k - m_k are nonnegative and no cut exceeds the total
+    lo = [0.0] * (K + 1)
     hi = list(r) + [total + 1.0]
-    names = tuple(f"m[{k}]" for k in range(1, K + 1)) + ("z",)
+    names = [f"m[{k}]" for k in range(1, K + 1)] + ["z"]
 
     ubs = []
-    for mask in range(1, 1 << K):
-        size = mask.bit_count()
+    for size in range(1, K + 1):
         coef = N / (N // size)
-        row = {zcol: -1.0}
-        rhs = 0.0
-        for k in range(K):
-            if mask >> k & 1:
-                row[k] = -coef
-                rhs -= r[k]
-        ubs.append((row, rhs))  # sum_U r - coef*sum_U m - z <= 0, negated
+        if math.comb(K, size) <= K:
+            for users in itertools.combinations(range(K), size):
+                row = {k: -coef for k in users}
+                row[zcol] = -1.0
+                ubs.append((row, -sum(r[k] for k in users)))
+        else:
+            # y_k ranges over [r_k (1 - c_s), r_k]; the optimal threshold is
+            # the s-th largest y_k, and each excess max(0, y_k - t_s), so
+            # these boxes hold an optimum
+            t_lo = (1.0 - coef) * r_max
+            tcol = len(names)
+            lo.append(t_lo)
+            hi.append(r_max)
+            names.append(f"t[{size}]")
+            top = {tcol: float(size), zcol: -1.0}
+            for k in range(K):
+                ecol = len(names)
+                lo.append(0.0)
+                hi.append(r[k] - t_lo)
+                names.append(f"e[{size}][{k + 1}]")
+                top[ecol] = 1.0
+                ubs.append(({k: -coef, tcol: -1.0, ecol: -1.0}, -r[k]))
+            ubs.append((top, 0.0))
 
+    c = [0.0] * len(names)
+    c[zcol] = 1.0
     eq = [({k: 1.0 for k in range(K)}, m_tot)]
-    lp = LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi, names=names)
+    lp = LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi, names=tuple(names))
     sol = solve_lp(lp)
     if not sol.is_optimal:
         raise SolverError(f"cut-set program ended {sol.status.value}")

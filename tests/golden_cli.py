@@ -11,8 +11,11 @@ per K, seeded, 208 commands: ``solve --out`` (joint and intra),
 ``verify --scheme`` of both schemes (F = 1e4 with ``--out``, and 1e6),
 ``verify`` without a scheme in both modes (F = 5000, ``--out``),
 ``bounds``, ``compare-baselines`` and, for budgets, ``sweep``, each of the
-last three in CSV and JSON.  Paths are recorded relative to the working
-directory, so records made from two checkouts line up.
+last three in CSV and JSON.  Beyond the reach of the scheme program it
+runs only ``bounds`` (CSV and JSON), on two budget instances per K = 6..9
+and two fixed-memory instances per K = 6..14: 52 more commands, 260 in
+all.  Paths are recorded relative to the working directory, so records
+made from two checkouts line up.
 
     python tests/golden_cli.py --compare before.json after.json --tol 1e-9
 
@@ -44,6 +47,7 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b"
 
 
 def instances(K: int) -> list[tuple[str, dict]]:
+    """Two budget then two fixed-memory instances with K users."""
     rng = np.random.default_rng(1000 + K)
     out = []
     for i in range(4):
@@ -79,24 +83,38 @@ def commands(name: str, doc: dict) -> list[list[str]]:
     return cmds
 
 
+def bound_commands(name: str) -> list[list[str]]:
+    return [["bounds", f"{name}.json", "--format", fmt] for fmt in ("csv", "json")]
+
+
+def cases():
+    """(instance name, document, commands) for every recorded instance."""
+    for K in (2, 3, 4, 5):
+        for name, doc in instances(K):
+            yield name, doc, commands(name, doc)
+    for K in range(6, 15):
+        for name, doc in instances(K):
+            if K <= 9 or "memories" in doc:
+                yield name, doc, bound_commands(name)
+
+
 def record() -> dict:
     from hetcache.cli import main  # --compare runs without the package
 
     results = {}
-    for K in (2, 3, 4, 5):
-        for name, doc in instances(K):
-            Path(f"{name}.json").write_text(json.dumps(doc))
-            for argv in commands(name, doc):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                written = argv[argv.index("--out") + 1] if "--out" in argv else None
-                results[" ".join(argv)] = {
-                    "exit": code,
-                    "stdout": out.getvalue(),
-                    "stderr": err.getvalue(),
-                    "files": {written: Path(written).read_text()} if written else {},
-                }
+    for name, doc, argvs in cases():
+        Path(f"{name}.json").write_text(json.dumps(doc))
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            written = argv[argv.index("--out") + 1] if "--out" in argv else None
+            results[" ".join(argv)] = {
+                "exit": code,
+                "stdout": out.getvalue(),
+                "stderr": err.getvalue(),
+                "files": {written: Path(written).read_text()} if written else {},
+            }
     return results
 
 

@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
+from hetcache.bounds import BoundReport
 from hetcache.closed_form import t_decomposition
-from hetcache.model import InstanceError
+from hetcache.lp_core import LinearProgram, SolverError, solve_lp
+from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
 from hetcache.scheme_lp import UserSet
 
 FEAS = 1e-7
@@ -237,3 +239,98 @@ def audit_delivery(cache, log) -> list:
                 for _file, l, start, stop in uni.ranges:
                     claim(l, start, stop, "unicast")
     return problems
+
+
+def _cut_value(inst: ProblemInstance, mask: int, m) -> float:
+    r = inst.rates.r
+    size = mask.bit_count()
+    rate_sum = 0.0
+    mem_sum = 0.0
+    for k in range(inst.K):
+        if mask >> k & 1:
+            rate_sum += r[k]
+            mem_sum += m[k]
+    return rate_sum - inst.N * mem_sum / (inst.N // size)
+
+
+def cutset_fixed_enum(inst: ProblemInstance, m=None) -> BoundReport:
+    """Best cut over all nonempty user subsets, cache sizes given.
+
+    With no ``m`` the instance's own fixed memories are used.  Ties go to
+    the smallest bitmask so the witness is deterministic.  Visits all
+    2^K - 1 subsets.
+    """
+    ensure_valid(inst)
+    if m is None:
+        if not isinstance(inst.constraint, FixedMemories):
+            raise InstanceError(["no memory vector given and none on the instance"])
+        m = inst.constraint.m
+    m = tuple(float(v) for v in m)
+    # each range test is written so that NaN, which compares false, fails it
+    problems = [
+        f"memory m[{k}]={mk} outside [0, {rk}]"
+        for k, (mk, rk) in enumerate(zip(m, inst.rates.r), start=1)
+        if not -1e-12 <= mk <= rk + 1e-9
+    ]
+    if len(m) != inst.K:
+        problems.append(f"memory vector has {len(m)} entries for {inst.K} users")
+    if problems:
+        raise InstanceError(problems)
+
+    best_mask = 0
+    best = -float("inf")
+    for mask in range(1, 1 << inst.K):
+        val = _cut_value(inst, mask, m)
+        if val > best + 1e-15:
+            best = val
+            best_mask = mask
+    return BoundReport(
+        value=max(best, 0.0), raw_value=best, binding_set=UserSet(best_mask)
+    )
+
+
+def cutset_budget_enum(inst: ProblemInstance, m_tot: float | None = None) -> BoundReport:
+    """Budget version: minimize the best cut over admissible splits.
+
+    Epigraph formulation: one variable per user plus the bound value z,
+    one row per nonempty subset pushing z above that cut, the budget row,
+    and per-user boxes [0, r_k].  The program has 2^K rows.
+    """
+    ensure_valid(inst)
+    if m_tot is None:
+        if not isinstance(inst.constraint, Budget):
+            raise InstanceError(["no budget given and none on the instance"])
+        m_tot = inst.constraint.m_tot
+    m_tot = float(m_tot)
+    total = inst.rates.sum_rates
+    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
+        raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
+
+    K, N = inst.K, inst.N
+    r = inst.rates.r
+    zcol = K
+    c = [0.0] * K + [1.0]
+    lo = [0.0] * K + [-N * total - 1.0]
+    hi = list(r) + [total + 1.0]
+    names = tuple(f"m[{k}]" for k in range(1, K + 1)) + ("z",)
+
+    ubs = []
+    for mask in range(1, 1 << K):
+        size = mask.bit_count()
+        coef = N / (N // size)
+        row = {zcol: -1.0}
+        rhs = 0.0
+        for k in range(K):
+            if mask >> k & 1:
+                row[k] = -coef
+                rhs -= r[k]
+        ubs.append((row, rhs))  # sum_U r - coef*sum_U m - z <= 0, negated
+
+    eq = [({k: 1.0 for k in range(K)}, m_tot)]
+    lp = LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi, names=names)
+    sol = solve_lp(lp)
+    if not sol.is_optimal:
+        raise SolverError(f"cut-set program ended {sol.status.value}")
+    raw = float(sol.objective)
+    memories = tuple(float(sol.x[k]) for k in range(K))
+    return BoundReport(value=max(raw, 0.0), raw_value=raw, binding_set=memories)

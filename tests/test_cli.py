@@ -334,6 +334,17 @@ class TestBounds:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["binding_users"] == "{3}"
 
+    @pytest.mark.parametrize("K, field", [(8, "budget"), (12, "memories")])
+    def test_no_program_size_warning(self, K, field, tmp_path, capsys):
+        # the 3^K warning is about the scheme program, which bounds never builds
+        rates = [0.05 * k for k in range(1, K + 1)]
+        doc = {"K": K, "N": K, "rates": rates}
+        doc[field] = 0.3 * sum(rates) if field == "budget" else [0.3 * r for r in rates]
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bounds", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestVerify:
     def test_pass_with_report(self, ex1_path, tmp_path, capsys):
