@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .lp_core import LinearProgram, SolverError, solve_lp
+from .lp_core import Basis, LinearProgram, SolverError, solve_lp
 from .model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
 from .scheme_lp import UserSet
 
-# the budget program has about K^2 rows and columns and the solver keeps it
-# in a dense tableau; nothing measured needs more users than this
+# the budget program has about K^2 rows and columns and the solver keeps a
+# dense inverse of its basis; nothing measured needs more users than this
 MAX_BOUND_USERS = 20
 # cuts, and the terms they add up, closer than this count as equal
 TIE_TOL = 1e-15
@@ -45,12 +45,14 @@ class BoundReport:
     ``value`` is clamped to zero since load cannot be negative;
     ``raw_value`` keeps the unclamped number for diagnostics.  The
     attaining witness is the maximizing user subset for fixed caches or
-    the minimizing memory split for a budget.
+    the minimizing memory split for a budget.  ``basis`` is the optimal
+    basis of the budget program, to start the bound at another budget from.
     """
 
     value: float
     raw_value: float
     binding_set: UserSet | tuple[float, ...]
+    basis: Basis | None = field(default=None, compare=False, repr=False)
 
 
 def _check_program_size(K: int) -> None:
@@ -125,7 +127,8 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
     )
 
 
-def cutset_budget(inst: ProblemInstance, m_tot: float | None = None) -> BoundReport:
+def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
+                  start: Basis | None = None) -> BoundReport:
     """Budget version: minimize the best cut over admissible splits.
 
     Epigraph formulation over the columns m_1..m_K and the bound value z.
@@ -138,6 +141,9 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None) -> BoundRep
     gets one row sum_U y_k - z <= 0 per subset U instead.  The budget row
     and the boxes m_k in [0, r_k] complete the program: K^2 - 1 rows and
     K^2 - K - 2 columns for K >= 3, against 2^K rows for one row per subset.
+
+    Only the budget row's right-hand side depends on the budget, so the
+    ``basis`` of the report at one budget is a warm ``start`` at another.
     """
     ensure_valid(inst)
     _check_program_size(inst.K)
@@ -190,12 +196,13 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None) -> BoundRep
     c[zcol] = 1.0
     eq = [({k: 1.0 for k in range(K)}, m_tot)]
     lp = LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi, names=tuple(names))
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, start=start)
     if not sol.is_optimal:
         raise SolverError(f"cut-set program ended {sol.status.value}")
     raw = float(sol.objective)
     memories = tuple(float(sol.x[k]) for k in range(K))
-    return BoundReport(value=max(raw, 0.0), raw_value=raw, binding_set=memories)
+    return BoundReport(value=max(raw, 0.0), raw_value=raw, binding_set=memories,
+                       basis=sol.basis)
 
 
 def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:

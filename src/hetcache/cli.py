@@ -138,6 +138,13 @@ def cmd_sweep(args) -> int:
     grid.update(m for m, _ in corner_points(rates))
     subs = [dataclasses.replace(inst, constraint=Budget(m_tot=m)) for m in sorted(grid)]
     schemes = _solve_chain(subs)
+    # the bound program, too, moves only its budget from point to point
+    cutsets = []
+    start = None
+    for sub in subs:
+        report = cutset_budget(sub, start=start)
+        start = report.basis
+        cutsets.append(report.value)
 
     def one(i: int) -> dict:
         m_tot = subs[i].constraint.m_tot
@@ -146,7 +153,7 @@ def cmd_sweep(args) -> int:
             "m_tot": m_tot,
             "lp_load": schemes[i].load(),
             "theorem1_load": theorem1_load(m_tot, rates),
-            "cutset": cutset_budget(subs[i]).value,
+            "cutset": cutsets[i],
         }
         for k in range(1, inst.K + 1):
             row[f"m_{k}"] = alloc.per_user[k - 1]

@@ -25,24 +25,37 @@ Design notes, fixed deliberately so results are reproducible run to run:
   unbounded above, cannot follow a negative reduced cost; that never
   happens in the all-logical basis, where every slack is basic.
 * The dual loop runs to primal feasibility, which is then optimality.
-  The leaving row is the largest bound violation; the entering column
-  comes from a two-pass (Harris) ratio test over that row of B^-1 A:
-  among the ratios that push no reduced cost more than 1e-9 past zero,
-  the largest pivot wins.  A violated row with no entering column is a
-  dual ray: no point meets the rows and boxes, and the status is
-  INFEASIBLE.
+  The leaving row is chosen by dual steepest edge (Forrest & Goldfarb
+  1992): among the rows whose bound violation exceeds the feasibility
+  tolerance, the one with the largest violation^2 / w_r, where
+  w_r = |e_r^T B^-1|^2.  The entering column comes from a two-pass
+  (Harris) ratio test over that row of B^-1 A: among the ratios that push
+  no reduced cost more than 1e-9 past zero, the largest pivot wins.  A
+  violated row with no entering column is a dual ray: no point meets the
+  rows and boxes, and the status is INFEASIBLE.
 * After 10 * (rows + cols) pivots the loop switches to the smallest-index
   rule (leaving row by smallest basic column, entering column by smallest
   index among those ratios), which cannot cycle, so termination is
   guaranteed.
 * There is no unbounded status: with every variable boxed the objective
   is bounded on any nonempty feasible set.
-* The basis inverse is kept explicitly and updated rank-one per pivot;
-  the reduced costs are updated from the pivot row.  Both are recomputed
-  from a fresh factorization every so often to shed accumulated error.
-  At the end the reduced costs are recomputed once more; if a column
-  moves to its other bound, or the point fails the feasibility audit, the
-  dual loop runs again, at most three times in all.
+* A is stored column-wise and sparse; the pivot row e_r^T B^-1 A, the
+  reduced costs and A x_N are sums over its nonzeros, and the entering
+  column is B^-1 times a column's few nonzeros.  The basis inverse is
+  kept as a dense m x m array and updated in place per pivot, only in the
+  rows where the entering column is nonzero; the steepest-edge weights
+  follow by the Forrest-Goldfarb recurrence, which costs one product
+  B^-1 (e_r^T B^-1)^T per pivot, and the reduced costs by the pivot row.
+  Every 100 pivots the basis is inverted afresh, which also resets the
+  weights to their exact values and recomputes the reduced costs and the
+  basic values, to shed accumulated error.  At the end the reduced costs
+  are recomputed once more; if a column moves to its other bound, or the
+  point fails the feasibility audit, the dual loop runs again, at most
+  three times in all.
+* The solver holds three m x m arrays (the inverse and two work arrays,
+  one of which also holds B while it is inverted), so a program with
+  more rows than those fit in MAX_BASIS_MIB is refused with SolverError
+  before anything is allocated.
 * Tolerances: feasibility 1e-8, optimality 1e-8, pivot acceptance 1e-11.
 
 Warm starts.  Every optimal solution carries its final :class:`Basis`.
@@ -56,12 +69,13 @@ a start never changes a status and never raises where a solve without
 one would not.
 
 Infeasible is a status, not an exception; SolverError is reserved for
-numerical trouble and iteration limits.
+numerical trouble, iteration limits and programs too large to hold.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -74,6 +88,9 @@ OPT_TOL = 1e-8
 PIVOT_TOL = 1e-11
 RATIO_TIE_TOL = 1e-9
 REFACTOR_EVERY = 100
+# largest memory for the solver's m x m arrays: admits every program of up
+# to 8 users (3595 rows, 296 MiB) and refuses 9 users (6447 rows, 951 MiB)
+MAX_BASIS_MIB = 512
 # pivots per row and column before the smallest-index rule takes over
 SMALLEST_INDEX_AFTER = 10
 
@@ -217,8 +234,15 @@ def format_lp(lp: LinearProgram) -> str:
 
 
 class _Tableau:
-    """Working state of one solve: dense matrix, bounds, basis, inverse,
-    basic values and reduced costs."""
+    """Working state of one solve: the columns of A, bounds and the bound
+    each column rests on, basis, basis inverse, dual steepest-edge
+    weights, basic values and reduced costs.
+
+    A is held column-wise and sparse: the nonzeros of column j are
+    ``nz_row[col_ptr[j]:col_ptr[j + 1]]`` and ``nz_val[...]`` in row
+    order, and ``nz_col`` names the column of each nonzero.  The basis
+    inverse is dense, m x m.
+    """
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
@@ -226,21 +250,34 @@ class _Tableau:
         m = m_eq + m_ub
         self.m = m
         self.ncols = n + m  # structural then one logical per row
-        A = np.zeros((m, self.ncols))
-        b = np.zeros(m)
-        for i, (coefs, rhs) in enumerate(lp.eq_rows + lp.ub_rows):
-            b[i] = rhs
-            for j, v in coefs.items():
-                A[i, j] += v
-        A[np.arange(m), n + np.arange(m)] = 1.0
-        self.A = A
-        self.b = b
+        rows = lp.eq_rows + lp.ub_rows
+        coefs = [row for row, _ in rows]
+        lengths = np.fromiter(map(len, coefs), dtype=np.intp, count=m)
+        nnz = int(lengths.sum())
+        cols = np.fromiter(itertools.chain.from_iterable(coefs), dtype=np.intp, count=nnz)
+        vals = np.fromiter(
+            itertools.chain.from_iterable(row.values() for row in coefs), dtype=float, count=nnz
+        )
+        self.b = np.fromiter((rhs for _, rhs in rows), dtype=float, count=m)
+        # structural nonzeros in column order, then the logical of row i,
+        # column n + i, as a unit entry in row i
+        order = cols.argsort(kind="stable")
+        logical = np.arange(m)
+        self.nz_col = np.concatenate([cols[order], n + logical])
+        self.nz_row = np.concatenate([logical.repeat(lengths)[order], logical])
+        self.nz_val = np.concatenate([vals[order], np.ones(m)])
+        self.col_ptr = np.zeros(self.ncols + 1, dtype=np.intp)
+        np.bincount(self.nz_col, minlength=self.ncols).cumsum(out=self.col_ptr[1:])
+        self.col_norm2 = np.bincount(self.nz_col, self.nz_val * self.nz_val, minlength=self.ncols)
         self.cost = np.concatenate([lp.c, np.zeros(m)])
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.zeros(m_eq), np.full(m_ub, np.inf)])
         self.movable = self.lo < self.hi
         self.layout = (n, m_eq, m_ub)
         self.iterations = 0
+        # work space of the inverse update; rows_buf also holds B for inv
+        self.rows_buf = np.empty((m, m))
+        self.outer_buf = np.empty((m, m))
 
     def start_from(self, start: Basis | None):
         """Install ``start``, or the all-logical basis, made dual feasible.
@@ -263,22 +300,52 @@ class _Tableau:
         self.basis = cols.copy()
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
-        self.at_upper = at_upper & ~self.in_basis & np.isfinite(self.hi)
+        at_upper = at_upper & ~self.in_basis & np.isfinite(self.hi)
+        # +1 where a column rests on its lower bound, every basic column
+        # included, and -1 where it rests on its upper bound
+        self.sign = np.where(at_upper, -1.0, 1.0)
+        # kept up to date by pivot(), not gathered on every pivot
+        self.lo_b = self.lo[self.basis]
+        self.hi_b = self.hi[self.basis]
+        self.nonbasic_movable = self.movable & ~self.in_basis
         self.refactor()
 
     def nonbasic_values(self) -> np.ndarray:
-        vals = np.where(self.at_upper, self.hi, self.lo)
+        vals = np.where(self.sign < 0, self.hi, self.lo)
         vals[self.in_basis] = 0.0
         return vals
 
+    def row(self, rho: np.ndarray) -> np.ndarray:
+        """rho A over every column; for rho = e_r^T B^-1 the pivot row."""
+        return np.bincount(self.nz_col, rho[self.nz_row] * self.nz_val, minlength=self.ncols)
+
+    def column(self, j: int) -> np.ndarray:
+        """B^-1 A[:, j]."""
+        nz = slice(self.col_ptr[j], self.col_ptr[j + 1])
+        return self.binv[:, self.nz_row[nz]] @ self.nz_val[nz]
+
     def refactor(self):
-        """Invert the basis afresh, then re-price and recompute the basic values."""
+        """Invert the basis afresh, reset the steepest-edge weights, then
+        re-price and recompute the basic values."""
+        m = self.m
+        position = np.full(self.ncols, -1)
+        position[self.basis] = np.arange(m)
+        at = position[self.nz_col]
+        basic = at >= 0
+        B = self.rows_buf
+        B.fill(0.0)
+        B[self.nz_row[basic], at[basic]] = self.nz_val[basic]
+        self.binv = None  # freed before LAPACK allocates the new inverse
         try:
-            self.binv = np.linalg.inv(self.A[:, self.basis]) if self.m else np.zeros((0, 0))
+            self.binv = np.linalg.inv(B) if m else np.zeros((0, 0))
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis during refactorization") from exc
+        self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
         self.price()
-        self.xb = self.binv @ (self.b - self.A @ self.nonbasic_values())
+        nonbasic = self.nonbasic_values()
+        self.xb = self.binv @ (
+            self.b - np.bincount(self.nz_row, self.nz_val * nonbasic[self.nz_col], minlength=m)
+        )
 
     def price(self) -> bool:
         """Recompute the reduced costs and move every nonbasic column to
@@ -288,16 +355,15 @@ class _Tableau:
         stale until the next refactorization.  Raises SolverError for a
         slack that would have to move to infinity.
         """
-        self.d = self.cost - (self.cost[self.basis] @ self.binv) @ self.A
+        self.d = self.cost - self.row(self.cost[self.basis] @ self.binv)
         self.d[self.basis] = 0.0
-        wrong = self.movable & ~self.in_basis & np.where(
-            self.at_upper, self.d > OPT_TOL, self.d < -OPT_TOL
-        )
+        # a negative dual slack d_j * sign_j: column j prefers its other bound
+        wrong = self.nonbasic_movable & (self.d * self.sign < -OPT_TOL)
         if not wrong.any():
             return False
         if np.isinf(self.hi[wrong]).any():
             raise SolverError("a slack prices below zero: the basis is not dual feasible")
-        self.at_upper[wrong] = ~self.at_upper[wrong]
+        self.sign[wrong] = -self.sign[wrong]
         return True
 
     def x_full(self) -> np.ndarray:
@@ -314,16 +380,40 @@ class _Tableau:
         leaving = self.basis[r]
         self.in_basis[leaving] = False
         self.in_basis[j] = True
+        self.nonbasic_movable[leaving] = self.movable[leaving]
+        self.nonbasic_movable[j] = False
         self.basis[r] = j
-        self.at_upper[j] = False
+        self.lo_b[r] = self.lo[j]
+        self.hi_b[r] = self.hi[j]
+        self.sign[j] = 1.0
 
-        # Rank-one update of the inverse: row r scaled, others swept.
-        piv_row = self.binv[r, :] / col[r]
-        self.binv -= np.outer(col, piv_row)
-        self.binv[r, :] = piv_row
+        # Dual steepest-edge weights (Forrest & Goldfarb 1992): row i of
+        # the new inverse is rho_i - ratio_i rho_r, so its squared norm
+        # follows from the old one and tau = B^-1 rho_r^T, whose entry r is
+        # the exact |rho_r|^2; taking w_r from there keeps errors from
+        # spreading through row r to every other weight.  No weight can
+        # fall below ratio_i^2 / |a_leaving|^2, since the new row i meets
+        # the leaving column in -ratio_i; that floor absorbs cancellation.
+        rho = self.binv[r]
+        tau = self.binv @ rho
+        ratio = col / col[r]
+        w_r = tau[r]
+        self.weights += ratio * (ratio * w_r - 2.0 * tau)
+        np.maximum(self.weights, ratio * ratio / self.col_norm2[leaving], out=self.weights)
+        self.weights[r] = w_r / (col[r] * col[r])
+
+        # Rank-one update of the inverse in place: row r scaled, the other
+        # rows where the entering column is nonzero swept.
+        piv_row = rho / col[r]
+        nz = col.nonzero()[0]
+        # mode="clip" lets take() write straight into ``out``; nz is in range
+        swept = self.binv.take(nz, axis=0, out=self.rows_buf[:nz.size], mode="clip")
+        swept -= np.multiply(col[nz, None], piv_row, out=self.outer_buf[:nz.size])
+        self.binv[nz] = swept
+        self.binv[r] = piv_row
 
     def final_basis(self) -> Basis:
-        return Basis(self.basis.copy(), self.at_upper.copy(), self.layout)
+        return Basis(self.basis.copy(), self.sign < 0, self.layout)
 
 
 def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
@@ -333,61 +423,60 @@ def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
     False on a dual ray, which proves the program infeasible.
     """
     m = t.m
+    if not m:
+        return True
     switch = SMALLEST_INDEX_AFTER * (m + t.ncols)
     while True:
         pivots = t.iterations - first
         if pivots and pivots % REFACTOR_EVERY == 0:
             t.refactor()
-        lo_b = t.lo[t.basis]
-        hi_b = t.hi[t.basis]
-        below = lo_b - t.xb
-        above = t.xb - hi_b
-        violation = np.maximum(below, above)
-        if not m or violation.max() <= FEAS_TOL:
+        violation = np.maximum(t.lo_b - t.xb, t.xb - t.hi_b)
+        # dual steepest edge: violation^2 / w_r on the violated rows, 0 elsewhere
+        score = np.where(violation > FEAS_TOL, violation * violation / t.weights, 0.0)
+        r = int(score.argmax())
+        if not score[r]:
             return True
         if pivots >= limit:
             raise SolverError(f"iteration limit {limit} exceeded")
         smallest_index = pivots >= switch
         if smallest_index:
-            rows = np.flatnonzero(violation > FEAS_TOL)
-            r = int(rows[np.argmin(t.basis[rows])])
-        else:
-            r = int(np.argmax(violation))
+            rows = score.nonzero()[0]
+            r = int(rows[t.basis[rows].argmin()])
         t.iterations += 1
 
         # The leaving variable goes to the bound it violates.  Column j can
         # push it there if moving j off its own bound moves row r the right
         # way; the dual ratio test keeps every other reduced cost signed.
-        to_upper = bool(above[r] > below[r])
-        alpha = t.binv[r] @ t.A
-        toward = -alpha if to_upper else alpha
-        eligible = t.movable & ~t.in_basis & np.where(
-            t.at_upper, toward > PIVOT_TOL, toward < -PIVOT_TOL
-        )
-        if not eligible.any():
+        to_upper = bool(t.xb[r] - t.hi_b[r] > t.lo_b[r] - t.xb[r])
+        alpha = t.row(t.binv[r])
+        # push_j > 0: moving column j off its bound moves row r that way
+        push = alpha * t.sign
+        if not to_upper:
+            np.negative(push, out=push)
+        eligible = ((push > PIVOT_TOL) & t.nonbasic_movable).nonzero()[0]
+        if not eligible.size:
             return False
         # Two-pass (Harris) ratio test: a step up to ``bound`` pushes no
         # reduced cost more than RATIO_TIE_TOL past zero, and among the
         # ratios within it the largest pivot is the most stable.
-        dual_slack = np.where(t.at_upper, -t.d, t.d)
-        size = np.abs(alpha[eligible])
-        ratios = np.full(t.ncols, np.inf)
-        ratios[eligible] = dual_slack[eligible] / size
-        bound = ((dual_slack[eligible] + RATIO_TIE_TOL) / size).min()
-        cand = np.flatnonzero(ratios <= bound)
-        j = int(cand[0] if smallest_index else cand[np.argmax(np.abs(alpha[cand]))])
+        dual_slack = t.d[eligible] * t.sign[eligible]
+        size = push[eligible]  # |alpha| where eligible
+        bound = ((dual_slack + RATIO_TIE_TOL) / size).min()
+        cand = (dual_slack / size <= bound).nonzero()[0]
+        pick = int(cand[0] if smallest_index else cand[size[cand].argmax()])
+        j = int(eligible[pick])
 
-        col = t.binv @ t.A[:, j]
+        col = t.column(j)
         if abs(col[r]) <= PIVOT_TOL:
             raise SolverError(f"numerical breakdown: pivot {col[r]:.3e} in column {j}")
-        step = (t.xb[r] - (hi_b[r] if to_upper else lo_b[r])) / col[r]
-        enter_val = (t.hi[j] if t.at_upper[j] else t.lo[j]) + step
+        step = (t.xb[r] - (t.hi_b[r] if to_upper else t.lo_b[r])) / col[r]
+        enter_val = (t.hi[j] if t.sign[j] < 0 else t.lo[j]) + step
         t.xb -= step * col
         t.xb[r] = enter_val
-        if dual_slack[j] > 0.0:  # a slightly wrong-signed d_j takes a zero step
+        if dual_slack[pick] > 0.0:  # a slightly wrong-signed d_j takes a zero step
             t.d -= (t.d[j] / alpha[j]) * alpha
         t.d[j] = 0.0
-        t.at_upper[t.basis[r]] = to_upper
+        t.sign[t.basis[r]] = -1.0 if to_upper else 1.0
         t.pivot(r, j, col)
 
 
@@ -421,9 +510,16 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     dropped; ``iterations`` then also counts the pivots of the abandoned
     attempt.  ``max_iterations`` caps the pivots of each attempt.
     Deterministic: the same program and the same start yield the same
-    vertex every time.  Raises SolverError on numerical breakdown or
-    iteration exhaustion.
+    vertex every time.  Raises SolverError on numerical breakdown,
+    iteration exhaustion, or a program too large for MAX_BASIS_MIB.
     """
+    m = lp.n_rows
+    need_mib = 3 * m * m * 8 / 2**20
+    if need_mib > MAX_BASIS_MIB:
+        raise SolverError(
+            f"program has {m} rows: its basis arrays need {need_mib:.0f} MiB, "
+            f"above the {MAX_BASIS_MIB} MiB limit"
+        )
     problems = lp.validate()
     if problems:
         raise ValueError("malformed program: " + "; ".join(problems))

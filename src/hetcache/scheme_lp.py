@@ -54,7 +54,8 @@ from .model import (
     ensure_valid,
 )
 
-# column counts grow like 3^K; past ten users the dense solver is hopeless
+# column counts grow like 3^K; past eight users the solver refuses the
+# program (lp_core.MAX_BASIS_MIB), and this cap bounds the index build
 MAX_USERS = 10
 
 

@@ -161,6 +161,18 @@ class TestGuards:
         with pytest.raises(InstanceError):
             cutset_k3(inst, m_tot=-0.5)
 
+    def test_warm_chain_matches_cold(self):
+        # the sweep chains the bound program over ascending budgets
+        r = [0.1, 0.25, 0.4, 0.7, 0.9]
+        start = None
+        for m_tot in np.linspace(0.0, sum(r), 9):
+            inst = budget_instance(r, float(m_tot))
+            warm = cutset_budget(inst, start=start)
+            cold = cutset_budget(inst)
+            assert warm.value == pytest.approx(cold.value, abs=1e-9)
+            assert warm.basis is not None
+            start = warm.basis
+
     def test_report_fields(self):
         rep = cutset_budget(budget_instance(FIG, 0.4))
         assert isinstance(rep, BoundReport)

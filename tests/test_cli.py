@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -114,6 +115,19 @@ class TestExitCodes:
         assert main(["bounds", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_too_large_program_refused_quickly(self, tmp_path, capsys):
+        # nine users give 6447 rows, whose basis arrays would need about a
+        # GiB: refused with exit 3 before the solver allocates anything
+        rates = [0.1 * k for k in range(1, 10)]
+        path = tmp_path / "k9.json"
+        path.write_text(json.dumps({"K": 9, "N": 9, "rates": rates, "budget": 1.0}))
+        started = time.perf_counter()
+        assert main(["solve", str(path)]) == 3
+        assert time.perf_counter() - started < 20.0
+        err = capsys.readouterr().err
+        assert "error: program has 6447 rows" in err and "MiB" in err
+        assert "Traceback" not in err
 
     def test_sweep_rejects_fixed_memories(self, ex1_path, capsys):
         assert main(["sweep", ex1_path]) == 2

@@ -138,6 +138,76 @@ def test_smallest_index_rule_from_the_first_pivot(monkeypatch):
     TestSmallPrograms().test_beale_degeneracy()
 
 
+def dense_columns(lp):
+    """The constraint matrix with the logical columns appended, dense."""
+    A = np.zeros((lp.n_rows, lp.n_vars + lp.n_rows))
+    for i, (coefs, _rhs) in enumerate(lp.eq_rows + lp.ub_rows):
+        for j, v in coefs.items():
+            A[i, j] = v
+    A[:, lp.n_vars:] = np.eye(lp.n_rows)
+    return A
+
+
+def random_pivots(t, rng, count):
+    """``count`` pivots, none refactorizing, each in a random row on its
+    largest entry of B^-1 A among the nonbasic columns, so the basis stays
+    well conditioned; a row with no such entry is drawn again."""
+    done = 0
+    for _ in range(20 * count):
+        r = int(rng.integers(t.m))
+        alpha = np.where(t.in_basis, 0.0, np.abs(t.row(t.binv[r])))
+        j = int(np.argmax(alpha))
+        if alpha[j] > 1e-3:
+            t.pivot(r, j, t.column(j))
+            done += 1
+            if done == count:
+                return
+    raise AssertionError(f"only {done} of {count} pivots found")
+
+
+def kernel_programs():
+    """Small random programs with at least as many variables as rows, and
+    a three-user scheme program."""
+    rng = np.random.default_rng(2024)
+    programs = []
+    while len(programs) < 12:
+        lp = lp_from_parts(*random_box_lp(rng))
+        if 2 <= lp.n_rows <= lp.n_vars:
+            programs.append(lp)
+    rates = make_rate_profile([0.3, 0.5, 0.9])
+    programs.append(build_o1(ProblemInstance(3, 3, rates, Budget(0.8)))[0])
+    return programs
+
+
+class TestKernels:
+    """The sparse pivot row and column, and the recurrence weights."""
+
+    @pytest.mark.parametrize("lp", kernel_programs())
+    def test_row_and_column_match_dense(self, lp):
+        rng = np.random.default_rng(lp.n_rows)
+        t = lp_core._Tableau(lp)
+        t.start_from(None)
+        random_pivots(t, rng, 10)
+        A = dense_columns(lp)
+        for r in range(t.m):
+            assert np.allclose(t.row(t.binv[r]), t.binv[r] @ A, rtol=0, atol=1e-12)
+        for j in range(t.ncols):
+            assert np.allclose(t.column(j), t.binv @ A[:, j], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lp", kernel_programs())
+    def test_weights_follow_the_inverse(self, lp):
+        # after 50 updates with no refactorization the steepest-edge
+        # weights must still be the squared row norms of B^-1
+        rng = np.random.default_rng(lp.n_rows + 1)
+        t = lp_core._Tableau(lp)
+        t.start_from(None)
+        random_pivots(t, rng, 50)
+        exact = np.einsum("ij,ij->i", t.binv, t.binv)
+        assert np.allclose(t.weights, exact, rtol=1e-8, atol=0)
+        # and the updated inverse is still the inverse of the basis
+        assert np.allclose(t.binv @ dense_columns(lp)[:, t.basis], np.eye(t.m), atol=1e-9)
+
+
 def test_check_point_flags_nan():
     # the solver's feasibility audit must not wave NaN through
     lp = lp_from_parts([1.0, 1.0], [({0: 1.0, 1: 1.0}, 1.0)], [({0: 1.0}, 0.5)], [0, 0], [1, 1])
@@ -182,6 +252,16 @@ def test_format_lp_lists_every_row():
     assert any("== 1" in ln for ln in lines)
     assert any("<= 0.5" in ln for ln in lines)
     assert sum("alpha" in ln for ln in lines) >= 3
+
+
+def test_too_large_program_refused_before_allocating(monkeypatch):
+    # the size check reads only the row count, so a 200-row program stands
+    # in for a huge one under a lowered limit
+    monkeypatch.setattr(lp_core, "MAX_BASIS_MIB", 0.5)
+    monkeypatch.setattr(lp_core, "_Tableau", None)  # any allocation would fail
+    rows = [({0: 1.0}, 0.5)] * 200
+    with pytest.raises(SolverError, match="200 rows: its basis arrays need 1 MiB"):
+        solve_lp(lp_from_parts([1.0], [], rows, [0], [1]))
 
 
 def test_iteration_limit_raises():

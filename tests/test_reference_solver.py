@@ -81,3 +81,13 @@ def test_matches_highs(K, seed):
         assert sol.status is LpStatus(status), name
         if sol.is_optimal:
             assert sol.objective == pytest.approx(objective, abs=1e-8), name
+
+
+def test_six_users_match_highs():
+    # the two scheme programs only; the per-layer families stay at K <= 5
+    for name, lp in programs(6, 0):
+        if name in ("budget", "fixed"):
+            status, objective = highs(lp)
+            sol = solve_lp(lp)
+            assert sol.status is LpStatus(status), name
+            assert sol.objective == pytest.approx(objective, abs=1e-8), name
