@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .lp_core import Basis, LinearProgram, SolverError, solve_lp
 from .model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
-from .scheme_lp import UserSet
 
 # the budget program has about K^2 rows and columns and the solver keeps a
 # dense inverse of its basis; nothing measured needs more users than this
@@ -44,14 +43,15 @@ class BoundReport:
 
     ``value`` is clamped to zero since load cannot be negative;
     ``raw_value`` keeps the unclamped number for diagnostics.  The
-    attaining witness is the maximizing user subset for fixed caches or
-    the minimizing memory split for a budget.  ``basis`` is the optimal
-    basis of the budget program, to start the bound at another budget from.
+    attaining witness is the maximizing user subset for fixed caches, as
+    a bitmask with bit k-1 for user k, or the minimizing memory split for
+    a budget.  ``basis`` is the optimal basis of the budget program, to
+    start the bound at another budget from.
     """
 
     value: float
     raw_value: float
-    binding_set: UserSet | tuple[float, ...]
+    binding_set: int | tuple[float, ...]
     basis: Basis | None = field(default=None, compare=False, repr=False)
 
 
@@ -122,9 +122,7 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
         if val > best + TIE_TOL:
             best = val
             best_mask = mask
-    return BoundReport(
-        value=max(best, 0.0), raw_value=best, binding_set=UserSet(best_mask)
-    )
+    return BoundReport(value=max(best, 0.0), raw_value=best, binding_set=best_mask)
 
 
 def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,

@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 from .baselines import baseline_load
@@ -29,6 +30,7 @@ from .scheme_lp import (
     build_o1,
     build_o2,
     extract_scheme,
+    mask_label,
     scheme_problems,
     with_memory,
 )
@@ -171,9 +173,15 @@ def cmd_compare(args) -> int:
     rates = inst.rates
     K = inst.K
     g = args.ratio
-    if g <= 0:
-        raise InstanceError([f"--ratio must be positive, got {g}"])
-    shape = [g ** (K - k) for k in range(1, K + 1)]
+    try:
+        shape = [g ** (K - k) for k in range(1, K + 1)]
+    except OverflowError:
+        shape = [math.inf]
+    # NaN fails every one of these tests
+    if not (g > 0 and all(0.0 < w < math.inf for w in shape)):
+        raise InstanceError(
+            [f"--ratio {g} must be positive with every power g^(K-k) finite and nonzero"]
+        )
     s_max = min(rates.r[k - 1] / shape[k - 1] for k in range(1, K + 1))
     points = max(2, args.points)
     subs = []
@@ -210,10 +218,7 @@ def cmd_bounds(args) -> int:
             row[f"m_{k}"] = mk
     else:
         report = cutset_fixed(inst)
-        row = {
-            "cutset": report.value,
-            "binding_users": "{" + ",".join(str(u) for u in report.binding_set.users()) + "}",
-        }
+        row = {"cutset": report.value, "binding_users": mask_label(report.binding_set)}
     _emit([row], list(row), args)
     return EXIT_OK
 

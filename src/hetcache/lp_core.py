@@ -308,7 +308,7 @@ class _Tableau:
         self.lo_b = self.lo[self.basis]
         self.hi_b = self.hi[self.basis]
         self.nonbasic_movable = self.movable & ~self.in_basis
-        self.refactor()
+        self.refactor(identity=start is None)
 
     def nonbasic_values(self) -> np.ndarray:
         vals = np.where(self.sign < 0, self.hi, self.lo)
@@ -324,23 +324,28 @@ class _Tableau:
         nz = slice(self.col_ptr[j], self.col_ptr[j + 1])
         return self.binv[:, self.nz_row[nz]] @ self.nz_val[nz]
 
-    def refactor(self):
+    def refactor(self, identity: bool = False):
         """Invert the basis afresh, reset the steepest-edge weights, then
-        re-price and recompute the basic values."""
+        re-price and recompute the basic values.  With ``identity`` the
+        basis is the all-logical one, which is its own inverse."""
         m = self.m
-        position = np.full(self.ncols, -1)
-        position[self.basis] = np.arange(m)
-        at = position[self.nz_col]
-        basic = at >= 0
-        B = self.rows_buf
-        B.fill(0.0)
-        B[self.nz_row[basic], at[basic]] = self.nz_val[basic]
         self.binv = None  # freed before LAPACK allocates the new inverse
-        try:
-            self.binv = np.linalg.inv(B) if m else np.zeros((0, 0))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular basis during refactorization") from exc
-        self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
+        if identity:
+            self.binv = np.eye(m)
+            self.weights = np.ones(m)
+        else:
+            position = np.full(self.ncols, -1)
+            position[self.basis] = np.arange(m)
+            at = position[self.nz_col]
+            basic = at >= 0
+            B = self.rows_buf
+            B.fill(0.0)
+            B[self.nz_row[basic], at[basic]] = self.nz_val[basic]
+            try:
+                self.binv = np.linalg.inv(B) if m else np.zeros((0, 0))
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("singular basis during refactorization") from exc
+            self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
         self.price()
         nonbasic = self.nonbasic_values()
         self.xb = self.binv @ (

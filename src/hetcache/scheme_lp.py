@@ -74,66 +74,41 @@ def _submasks(mask: int):
         sub = (sub - mask) & mask
 
 
-@dataclass(frozen=True, order=True)
-class UserSet:
-    """Subset of users 1..K as a bitmask; hashable, prints as ``{1,3}``."""
-
-    mask: int
-
-    @classmethod
-    def of(cls, users) -> "UserSet":
-        m = 0
-        for u in users:
-            m |= 1 << (u - 1)
-        return cls(m)
-
-    def users(self) -> tuple[int, ...]:
-        return tuple(
-            k + 1 for k in range(self.mask.bit_length()) if self.mask >> k & 1
-        )
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, user: int) -> bool:
-        return bool(self.mask >> (user - 1) & 1)
-
-    def issubset(self, other: "UserSet") -> bool:
-        return self.mask & other.mask == self.mask
-
-    def min_user(self) -> int:
-        if self.mask == 0:
-            raise ValueError("empty user set has no minimum")
-        return (self.mask & -self.mask).bit_length()
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(u) for u in self.users()) + "}"
+def members(mask: int) -> tuple[int, ...]:
+    """The users in ``mask``, ascending (bit k-1 stands for user k)."""
+    return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def _piece_sources(l: int, T: UserSet, j: int, K: int):
+def mask_label(mask: int) -> str:
+    """``mask`` as variable names spell it: ``{1,3}``, and ``{}`` when empty."""
+    return "{" + ",".join(map(str, members(mask))) + "}"
+
+
+def _piece_sources(l: int, tmask: int, j: int, K: int):
     """Subset classes that can hold user j's piece of signal T in layer l.
 
     The class must cover everyone else in T (they cancel the piece out of
     the XOR from their caches) and must not contain j itself.
     """
     jbit = 1 << (j - 1)
-    required = T.mask & ~jbit
+    required = tmask & ~jbit
     free = _span_mask(l, K) & ~jbit & ~required
     for sub in _submasks(free):
-        yield UserSet(required | sub)
+        yield required | sub
 
 
 @dataclass(frozen=True)
 class VariableIndex:
     """Dense column numbering for one program's variables.
 
-    ``layers`` lists which layers the program carries (all of them for
-    the joint programs, a single one for per-layer subproblems).  With
-    ``per_layer_signals`` set, signal sizes are indexed by (layer, T)
-    and each signal may carry pieces of its own layer only; otherwise a
-    single v[T] spans layers 1..min(T).  ``layer_mem`` is empty when the
-    cache split is data rather than a decision.
+    User sets in the keys are int bitmasks: ``alloc[(l, S)]``,
+    ``assign[(l, T, S)]`` and ``multicast[T]``.  ``layers`` lists which
+    layers the program carries (all of them for the joint programs, a
+    single one for per-layer subproblems).  With ``per_layer_signals``
+    set, signal sizes are keyed by (layer, T) and each signal may carry
+    pieces of its own layer only; otherwise a single v[T] spans layers
+    1..min(T).  ``layer_mem`` is empty when the cache split is data
+    rather than a decision.
     """
 
     K: int
@@ -165,7 +140,7 @@ def make_variable_index(
         raise InstanceError(["layer-spanning signals need every layer present"])
 
     # every user set is spelled once here, not once per variable name
-    label = [str(UserSet(mask)) for mask in range(1 << K)]
+    label = [mask_label(mask) for mask in range(1 << K)]
     names: list[str] = []
     alloc: dict = {}
     assign: dict = {}
@@ -174,30 +149,29 @@ def make_variable_index(
     layer_mem: dict = {}
 
     for l in layers:
-        for sub in _submasks(_span_mask(l, K)):
-            alloc[(l, UserSet(sub))] = len(names)
-            names.append(f"a[{l}][{label[sub]}]")
+        for smask in _submasks(_span_mask(l, K)):
+            alloc[(l, smask)] = len(names)
+            names.append(f"a[{l}][{label[smask]}]")
 
     for l in layers:
         for tmask in _submasks(_span_mask(l, K)):
-            T = UserSet(tmask)
-            if T.size < 2:
+            if tmask.bit_count() < 2:
                 continue
-            for j in T.users():
-                for S in _piece_sources(l, T, j, K):
-                    assign[(l, T, S)] = len(names)
-                    names.append(f"u[{l}][{label[tmask]}][{label[S.mask]}]")
+            for j in members(tmask):
+                for smask in _piece_sources(l, tmask, j, K):
+                    assign[(l, tmask, smask)] = len(names)
+                    names.append(f"u[{l}][{label[tmask]}][{label[smask]}]")
 
     if per_layer_signals:
         for l in layers:
             for tmask in _submasks(_span_mask(l, K)):
                 if tmask.bit_count() >= 2:
-                    multicast[(l, UserSet(tmask))] = len(names)
+                    multicast[(l, tmask)] = len(names)
                     names.append(f"v[{l}][{label[tmask]}]")
     else:
         for tmask in _submasks(_span_mask(1, K)):
             if tmask.bit_count() >= 2:
-                multicast[UserSet(tmask)] = len(names)
+                multicast[tmask] = len(names)
                 names.append(f"v[{label[tmask]}]")
 
     for k in range(1, K + 1):
@@ -252,16 +226,16 @@ def constraint_rows(
     """
     K = inst.K
     f = inst.rates.f
-    acol = {(l, S.mask): col for (l, S), col in index.alloc.items()}
+    alloc = index.alloc
     eqs = []
     ubs = []
     completion = {}
     shared = {}
     for l in index.layers:
         subs = list(_submasks(_span_mask(l, K)))
-        eqs.append(({acol[(l, s)]: 1.0 for s in subs}, f[l - 1]))
+        eqs.append(({alloc[(l, s)]: 1.0 for s in subs}, f[l - 1]))
         for k in range(l, K + 1):
-            cached = [acol[(l, s)] for s in subs if s >> (k - 1) & 1]
+            cached = [alloc[(l, s)] for s in subs if s >> (k - 1) & 1]
             row: SparseRow = dict.fromkeys(cached, 1.0)
             if fixed_layer_memories is None:
                 row[index.layer_mem[(k, l)]] = -1.0
@@ -274,27 +248,27 @@ def constraint_rows(
             }
         for smask in subs:
             if 2 <= smask.bit_count() <= K - l:
-                for j in UserSet(subs[-1] & ~smask).users():
+                for j in members(subs[-1] & ~smask):
                     shared[(l, smask, j)] = {}
 
     structure = {}
     for key, vcol in index.multicast.items():
-        T = key[1] if index.per_layer_signals else key
-        for j in T.users():
+        tmask = key[1] if index.per_layer_signals else key
+        for j in members(tmask):
             structure[(key, j)] = {vcol: 1.0}
 
     caps = []
-    for (l, T, S), col in index.assign.items():
-        j = (T.mask & ~S.mask).bit_length()
-        signal = (l, T) if index.per_layer_signals else T
+    for (l, tmask, smask), col in index.assign.items():
+        j = (tmask & ~smask).bit_length()
+        signal = (l, tmask) if index.per_layer_signals else tmask
         structure[(signal, j)][col] = -1.0
         completion[(l, j)][col] = -1.0
-        if S.mask & (S.mask - 1):
-            shared[(l, S.mask, j)][col] = 1.0
+        if smask & (smask - 1):
+            shared[(l, smask, j)][col] = 1.0
         else:
-            caps.append(({col: 1.0, acol[(l, S.mask)]: -1.0}, 0.0))
+            caps.append(({col: 1.0, alloc[(l, smask)]: -1.0}, 0.0))
     for (l, smask, _j), row in shared.items():
-        row[acol[(l, smask)]] = -1.0
+        row[alloc[(l, smask)]] = -1.0
 
     eqs.extend((row, 0.0) for row in structure.values())
     ubs.extend((row, -f[l - 1]) for (l, _k), row in completion.items())
@@ -320,7 +294,7 @@ def _natural_caps(inst: ProblemInstance, index: VariableIndex):
         if index.per_layer_signals:
             hi[col] = r.f[key[0] - 1]
         else:
-            hi[col] = r.cumulative(key.min_user())
+            hi[col] = r.cumulative((key & -key).bit_length())
     for (_k, l), col in index.unicast.items():
         hi[col] = r.f[l - 1]
     for (_k, l), col in index.layer_mem.items():
@@ -475,9 +449,7 @@ class SchemeSolution:
         """Header fields plus every nonzero variable under its program name."""
         index = self.index
         # scheme files list pieces by (layer, T, S), not in column order
-        assign = sorted(
-            index.assign.items(), key=lambda kv: (kv[0][0], kv[0][1].mask, kv[0][2].mask)
-        )
+        assign = sorted(index.assign.items())
         cols = [
             *index.alloc.values(),
             *(col for _key, col in assign),

@@ -17,12 +17,17 @@ scheme variable accounts for at most one bit of nudge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import InstanceError, ProblemInstance, ensure_valid
-from .scheme_lp import SchemeSolution, UserSet, _span_mask, _submasks
+from .scheme_lp import SchemeSolution, _span_mask, _submasks, mask_label, members
+
+
+# one byte per bit of every file; the largest library make_library builds
+MAX_LIBRARY_MIB = 512
 
 
 class SimulationError(RuntimeError):
@@ -55,11 +60,25 @@ class FileLibrary:
 
 
 def make_library(inst: ProblemInstance, F: int, seed: int = 0) -> FileLibrary:
-    """Draw all N files from one seeded stream, file-major, layer-minor."""
+    """Draw all N files from one seeded stream, file-major, layer-minor.
+
+    A library above MAX_LIBRARY_MIB is refused before anything is allocated.
+    """
     ensure_valid(inst)
     if F < 1:
         raise InstanceError([f"file size {F} must be a positive integer"])
-    lengths = tuple(int(round(f * F)) for f in inst.rates.f)
+    if seed < 0:
+        raise InstanceError([f"seed {seed} must be nonnegative"])
+    try:
+        lengths = tuple(int(round(f * F)) for f in inst.rates.f)
+    except OverflowError:  # f * F beyond the float range
+        lengths = (math.inf,)
+    need = inst.N * sum(lengths)
+    if need > MAX_LIBRARY_MIB << 20:
+        raise InstanceError(
+            [f"{inst.N} files at file size {F} need {need / 2**20:.0f} MiB, above the "
+             f"{MAX_LIBRARY_MIB} MiB limit"]
+        )
     rng = np.random.default_rng(seed)
     files = tuple(
         tuple(rng.integers(0, 2, size=n, dtype=np.uint8) for n in lengths)
@@ -144,7 +163,7 @@ def quantize(
         for smask in _submasks(span):
             if smask == 0:
                 continue
-            want = int(round(x[index.alloc[(l, UserSet(smask))]] * F))
+            want = int(round(x[index.alloc[(l, smask)]] * F))
             take = min(want, L - consumed)
             sizes[smask] = take
             consumed += take
@@ -165,15 +184,14 @@ def quantize(
         for smask in _submasks(span):
             if smask == 0:
                 continue
-            S = UserSet(smask)
-            for j in UserSet(span & ~smask).users():
+            for j in members(span & ~smask):
                 budget = alloc[(l, smask)]
                 start = 0
                 for pmask in _submasks(smask):
                     if pmask == 0:
                         continue
                     tmask = pmask | (1 << (j - 1))
-                    u_val = x[index.assign[(l, UserSet(tmask), S)]]
+                    u_val = x[index.assign[(l, tmask, smask)]]
                     take = min(int(round(u_val * F)), budget - start)
                     if take > 0:
                         per_user = signal_pieces.setdefault(tmask, {})
@@ -203,7 +221,8 @@ def quantize(
 
     targets = []
     for k in range(1, K + 1):
-        total = sum(x[col] * F for (l, S), col in index.alloc.items() if k in S)
+        bit = 1 << (k - 1)
+        total = sum(x[col] * F for (_l, smask), col in index.alloc.items() if smask & bit)
         targets.append(total)
 
     return QuantizedScheme(
@@ -343,7 +362,7 @@ def deliver(placement: CacheContents, q: QuantizedScheme, demand) -> Transmissio
     for tmask in sorted(q.signal_pieces):
         per_user = q.signal_pieces[tmask]
         constituents = []
-        for j in UserSet(tmask).users():
+        for j in members(tmask):
             refs = []
             parts = []
             for l, smask, chunk_start, size in per_user.get(j, ()):
@@ -419,8 +438,8 @@ def decode(k: int, cache: CacheContents, log: TransmissionLog, demand):
                 continue
             if not p.subfile_mask & kbit:
                 problems.append(
-                    f"signal to {UserSet(sig.addressees)} carries a piece of "
-                    f"chunk {UserSet(p.subfile_mask)} user {k} cannot cancel"
+                    f"signal to {mask_label(sig.addressees)} carries a piece of "
+                    f"chunk {mask_label(p.subfile_mask)} user {k} cannot cancel"
                 )
                 continue
             bits = cache.read(k, demand[p.user - 1], p.layer, p.start, p.stop)

@@ -25,6 +25,11 @@ def example_one():
     )
 
 
+def users_mask(*users):
+    """Bitmask of the given users, bit k-1 for user k, as the package keys sets."""
+    return sum(1 << (u - 1) for u in users)
+
+
 def budget_instance(rates, m_tot, N=None, q=2):
     profile = make_rate_profile(rates)
     return ProblemInstance(

@@ -21,7 +21,9 @@ made from two checkouts line up.
 
 lists every command whose exit code differs, whose text differs outside
 its numbers, or whose numbers differ by more than the tolerance, and
-exits 1 if there is any.  The file has no ``test_`` prefix, so pytest
+exits 1 if there is any.  At ``--tol 0`` it also lists every text whose
+bytes differ where the numbers parse equal ("1.0" against "1.00"), so "0
+of 260 commands differ beyond 0" means the records are byte-identical.  The file has no ``test_`` prefix, so pytest
 does not collect it.
 """
 
@@ -124,8 +126,11 @@ def differences(a: dict, b: dict, tol: float) -> list[str]:
     if a["exit"] != b["exit"]:
         found.append(f"exit {a['exit']} != {b['exit']}")
     texts = [("stdout", a["stdout"], b["stdout"]), ("stderr", a["stderr"], b["stderr"])]
-    texts += [(name, text, b["files"].get(name, "")) for name, text in a["files"].items()]
+    texts += [(name, a["files"].get(name, ""), b["files"].get(name, ""))
+              for name in sorted(a["files"].keys() | b["files"].keys())]
     for where, x, y in texts:
+        if x == y:
+            continue
         if NUMBER.sub("#", x) != NUMBER.sub("#", y):
             found.append(f"{where}: text differs")
             continue
@@ -134,6 +139,8 @@ def differences(a: dict, b: dict, tol: float) -> list[str]:
                     default=0.0)
         if not worst <= tol:
             found.append(f"{where}: numbers differ by up to {worst:.3g}")
+        elif tol == 0.0:
+            found.append(f"{where}: bytes differ")
     return found
 
 

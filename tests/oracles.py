@@ -16,7 +16,7 @@ from hetcache.bounds import BoundReport
 from hetcache.closed_form import t_decomposition
 from hetcache.lp_core import LinearProgram, SolverError, solve_lp
 from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
-from hetcache.scheme_lp import UserSet
+from hetcache.scheme_lp import mask_label
 
 FEAS = 1e-7
 
@@ -130,11 +130,11 @@ def envelope_load(corners, m_tot):
     return ys[-1]
 
 
-def served_user(T: UserSet, S: UserSet) -> int:
+def served_user(tmask: int, smask: int) -> int:
     """The one member of T outside S, i.e. whom the (T, S) piece serves."""
-    diff = T.mask & ~S.mask
+    diff = tmask & ~smask
     if diff == 0 or diff & (diff - 1):
-        raise ValueError(f"{T} minus {S} is not a single user")
+        raise ValueError(f"{mask_label(tmask)} minus {mask_label(smask)} is not a single user")
     return diff.bit_length()
 
 
@@ -231,9 +231,7 @@ def audit_delivery(cache, log) -> list:
             if sig.addressees & kbit:
                 for p in sig.pieces:
                     if p.user == k:
-                        claim(
-                            p.layer, p.start, p.stop, f"signal {UserSet(sig.addressees)}"
-                        )
+                        claim(p.layer, p.start, p.stop, f"signal {mask_label(sig.addressees)}")
         for uni in log.unicasts:
             if uni.user == k:
                 for _file, l, start, stop in uni.ranges:
@@ -284,9 +282,7 @@ def cutset_fixed_enum(inst: ProblemInstance, m=None) -> BoundReport:
         if val > best + 1e-15:
             best = val
             best_mask = mask
-    return BoundReport(
-        value=max(best, 0.0), raw_value=best, binding_set=UserSet(best_mask)
-    )
+    return BoundReport(value=max(best, 0.0), raw_value=best, binding_set=best_mask)
 
 
 def cutset_budget_enum(inst: ProblemInstance, m_tot: float | None = None) -> BoundReport:

@@ -5,9 +5,8 @@ from hetcache.baselines import baseline_load, oca_split, pca_split
 from hetcache.bounds import BoundReport, cutset_budget, cutset_fixed, cutset_k3
 from hetcache.closed_form import theorem1_load, threshold_allocation
 from hetcache.model import InstanceError, make_rate_profile
-from hetcache.scheme_lp import UserSet
 
-from conftest import budget_instance
+from conftest import budget_instance, users_mask
 from test_scheme_lp import fixed_instance
 
 FIG = [0.5, 0.7, 1.0]
@@ -18,7 +17,7 @@ class TestFixedCutset:
         inst = fixed_instance([0.2, 0.3, 0.8], [0, 0, 0])
         rep = cutset_fixed(inst)
         assert rep.value == pytest.approx(1.3, abs=1e-12)
-        assert rep.binding_set == UserSet.of([1, 2, 3])
+        assert rep.binding_set == users_mask(1, 2, 3)
 
     def test_full_memory_clamps(self):
         inst = fixed_instance([0.2, 0.3, 0.8], [0.2, 0.3, 0.8])

@@ -12,6 +12,7 @@ import pytest
 
 from hetcache.cli import main
 from hetcache.model import instance_from_dict
+from hetcache.scheme_lp import mask_label
 
 from oracles import cutset_budget_enum, cutset_fixed_enum
 
@@ -77,4 +78,4 @@ def test_bounds_exit_codes(doc):
     else:
         want = cutset_fixed_enum(inst)
         assert row["cutset"] == pytest.approx(want.value, abs=1e-12)
-        assert row["binding_users"] == "{" + ",".join(map(str, want.binding_set.users())) + "}"
+        assert row["binding_users"] == mask_label(want.binding_set)

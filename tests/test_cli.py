@@ -324,7 +324,11 @@ class TestCompare:
         assert float(rows[-1]["joint_o2"]) < float(rows[0]["joint_o2"])
 
     def test_bad_ratio_rejected(self, ex1_path, capsys):
-        assert main(["compare-baselines", ex1_path, "--ratio", "0"]) == 2
+        # 1e-300 squared underflows to zero and 1e300 squared overflows
+        for ratio in ("0", "1e-300", "1e300", "inf", "nan"):
+            assert main(["compare-baselines", ex1_path, "--ratio", ratio]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --ratio {float(ratio)!r} must be positive"), err
 
 
 class TestBounds:
@@ -399,6 +403,17 @@ class TestVerify:
     def test_intra_mode_verifies(self, ex1_path, capsys):
         assert main(["verify", ex1_path, "--mode", "intra"]) == 0
         assert capsys.readouterr().out.startswith("PASS")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", "-1", "seed -1 must be nonnegative"),
+         # 1.8 TiB of library: refused before numpy is asked for it
+         ("--file-size", str(10**13), "above the 512 MiB limit")],
+    )
+    def test_hostile_seed_and_file_size_refused(self, ex1_path, capsys, flag, value, message):
+        assert main(["verify", ex1_path, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
 
 
 def test_module_entry_point(ex1_path):

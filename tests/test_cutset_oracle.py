@@ -11,9 +11,8 @@ import pytest
 
 from hetcache.bounds import cutset_budget, cutset_fixed
 from hetcache.model import FixedMemories, ProblemInstance, make_rate_profile
-from hetcache.scheme_lp import UserSet
 
-from conftest import budget_instance
+from conftest import budget_instance, users_mask
 from oracles import cutset_budget_enum, cutset_fixed_enum
 
 
@@ -62,8 +61,8 @@ def test_terms_equal_up_to_rounding_tie_to_the_lower_user():
     # users 2 and 6 both have a single-user cut of 0.19, which the floats
     # r_6 - m_6 = 0.19000000000000006 and r_2 - m_2 = 0.19 miss by 6e-17
     inst = fixed([0.3, 0.3, 0.5, 0.6, 0.9, 0.9], [0.24, 0.11, 0.4, 0.56, 0.78, 0.71], 6)
-    assert cutset_fixed(inst).binding_set == UserSet.of([2])
-    assert cutset_fixed_enum(inst).binding_set == UserSet.of([2])
+    assert cutset_fixed(inst).binding_set == users_mask(2)
+    assert cutset_fixed_enum(inst).binding_set == users_mask(2)
 
 
 @pytest.mark.parametrize("K", range(1, 10))

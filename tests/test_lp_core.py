@@ -207,6 +207,19 @@ class TestKernels:
         # and the updated inverse is still the inverse of the basis
         assert np.allclose(t.binv @ dense_columns(lp)[:, t.basis], np.eye(t.m), atol=1e-9)
 
+    def test_cold_start_does_not_invert_the_identity(self, monkeypatch):
+        # the all-logical basis is its own inverse, so a cold start calls no
+        # LAPACK and installs exactly what inverting it would give
+        for lp in kernel_programs():
+            t = lp_core._Tableau(lp)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "inv", None)
+                t.start_from(None)
+            cold = (t.binv.copy(), t.weights.copy(), t.xb.copy(), t.sign.copy())
+            t.refactor()
+            for got, want in zip(cold, (t.binv, t.weights, t.xb, t.sign)):
+                assert np.array_equal(got, want)
+
 
 def test_check_point_flags_nan():
     # the solver's feasibility audit must not wave NaN through

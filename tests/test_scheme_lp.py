@@ -16,7 +16,6 @@ from hetcache.model import (
 from hetcache.model import MemoryAllocation
 from hetcache.scheme_lp import (
     SchemeSolution,
-    UserSet,
     build_intra_layer,
     build_intra_restricted,
     build_o1,
@@ -24,10 +23,12 @@ from hetcache.scheme_lp import (
     constraint_rows,
     extract_scheme,
     make_variable_index,
+    mask_label,
+    members,
     scheme_problems,
 )
 
-from conftest import budget_instance
+from conftest import budget_instance, users_mask
 from oracles import served_user
 
 
@@ -55,35 +56,24 @@ def random_fixed_instance(rng, K):
     return fixed_instance(r, m, q=8)
 
 
-US = UserSet.of
-
-
-class TestUserSet:
+class TestMasks:
     def test_roundtrip(self):
-        s = US([3, 1])
-        assert s.users() == (1, 3)
-        assert str(s) == "{1,3}"
-        assert s.size == 2
-        assert 1 in s and 3 in s and 2 not in s
-        assert s.min_user() == 1
+        s = users_mask(3, 1)
+        assert s == 0b101
+        assert members(s) == (1, 3)
+        assert mask_label(s) == "{1,3}"
+        assert users_mask(*members(0b1011010)) == 0b1011010
 
     def test_empty(self):
-        e = UserSet(0)
-        assert e.users() == ()
-        assert str(e) == "{}"
-        with pytest.raises(ValueError):
-            e.min_user()
-
-    def test_subset(self):
-        assert US([2]).issubset(US([1, 2]))
-        assert not US([3]).issubset(US([1, 2]))
+        assert members(0) == ()
+        assert mask_label(0) == "{}"
 
     def test_served_user(self):
-        assert served_user(US([1, 3]), US([1, 2])) == 3
+        assert served_user(users_mask(1, 3), users_mask(1, 2)) == 3
+        with pytest.raises(ValueError, match=r"\{1,2,3\} minus \{3\}"):
+            served_user(users_mask(1, 2, 3), users_mask(3))  # two users left over
         with pytest.raises(ValueError):
-            served_user(US([1, 2, 3]), US([3]))  # two users left over
-        with pytest.raises(ValueError):
-            served_user(US([1]), US([1]))
+            served_user(users_mask(1), users_mask(1))
 
 
 class TestVariableIndex:
@@ -112,8 +102,8 @@ class TestVariableIndex:
     def test_per_layer_signal_keys(self):
         idx = make_variable_index(3, per_layer_signals=True)
         keys = set(idx.multicast)
-        assert (1, US([1, 2, 3])) in keys
-        assert (2, US([2, 3])) in keys
+        assert (1, users_mask(1, 2, 3)) in keys
+        assert (2, users_mask(2, 3)) in keys
         assert len(keys) == 5  # four sets in layer 1, one in layer 2
 
     def test_single_layer_index(self):
@@ -496,10 +486,9 @@ class TestSerialization:
         assert sorted(keys) == sorted(idx.names)
         # pieces are listed by (layer, T, S), not in column order
         pieces = [k for k in keys if k.startswith("u[")]
-        by_key = sorted(
-            idx.assign, key=lambda key: (key[0], key[1].mask, key[2].mask)
-        )
-        assert pieces == [f"u[{l}][{T}][{S}]" for l, T, S in by_key]
+        assert pieces == [
+            f"u[{l}][{mask_label(T)}][{mask_label(S)}]" for l, T, S in sorted(idx.assign)
+        ]
         assert pieces != [n for n in idx.names if n.startswith("u[")]
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
@@ -556,7 +545,7 @@ class TestSerialization:
             "a[1][{}]": 0.25,
         }
         back = SchemeSolution.from_json_dict(data)
-        assert back.x[back.index.alloc[(1, UserSet(0))]] == 0.25
+        assert back.x[back.index.alloc[(1, 0)]] == 0.25
         assert np.count_nonzero(back.x) == 1
 
 
@@ -574,7 +563,7 @@ class TestSchemeAudit:
         scheme = extract_scheme(solve_lp(lp), idx)
         x = scheme.x
         for T, vcol in scheme.index.multicast.items():
-            for j in T.users():
+            for j in members(T):
                 got = sum(
                     x[col]
                     for (l, TT, S), col in scheme.index.assign.items()
@@ -622,7 +611,7 @@ class TestSchemeAudit:
         scheme = extract_scheme(solve_lp(lp), idx)
         assert scheme_problems(scheme, inst) == []
         x = scheme.x.copy()
-        x[idx.alloc[(3, UserSet(0))]] += 1.2e-7
+        x[idx.alloc[(3, 0)]] += 1.2e-7
         problems = scheme_problems(dataclasses.replace(scheme, x=x), inst)
         assert len(problems) == 1 and problems[0].startswith("eq row 2:")
 

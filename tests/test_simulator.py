@@ -9,7 +9,6 @@ from hetcache.lp_core import solve_lp
 from hetcache.model import InstanceError
 from hetcache.scheme_lp import (
     SchemeSolution,
-    UserSet,
     build_intra_restricted,
     build_o2,
     extract_scheme,
@@ -26,6 +25,7 @@ from hetcache.simulator import (
     verify,
 )
 
+from conftest import users_mask
 from oracles import audit_delivery
 from test_scheme_lp import fixed_instance
 
@@ -123,8 +123,8 @@ class TestLibrary:
 class TestQuantize:
     def test_allocation_bits_round_to_nearest(self):
         q = quantize(EX1_SCHEME, 10)
-        assert q.alloc[(1, UserSet.of([3]).mask)] == 1
-        assert q.alloc[(3, UserSet.of([3]).mask)] == 5
+        assert q.alloc[(1, users_mask(3))] == 1
+        assert q.alloc[(3, users_mask(3))] == 5
         assert q.layer_lengths == (2, 1, 5)
 
     def test_chunks_partition_each_layer(self):
@@ -147,8 +147,8 @@ class TestQuantize:
 
     def test_signal_sizes_and_no_unicast_on_optimum(self):
         q = quantize(EX1_SCHEME, 10_000)
-        assert q.payload_bits(UserSet.of([1, 3]).mask) == 1000
-        assert q.payload_bits(UserSet.of([2, 3]).mask) == 1000
+        assert q.payload_bits(users_mask(1, 3)) == 1000
+        assert q.payload_bits(users_mask(2, 3)) == 1000
         assert q.total_bits() == 2000
         for k in range(1, 4):
             for l in range(1, k + 1):
@@ -211,8 +211,8 @@ class TestDeliver:
         q = quantize(EX1_SCHEME, 10_000, layer_lengths=lib.layer_lengths)
         log = deliver(place(lib, q), q, (1, 2, 3))
         assert [s.addressees for s in log.signals] == [
-            UserSet.of([1, 3]).mask,
-            UserSet.of([2, 3]).mask,
+            users_mask(1, 3),
+            users_mask(2, 3),
         ]
         assert all(len(s.payload) == 1000 for s in log.signals)
         assert log.unicasts == ()
@@ -329,7 +329,7 @@ class TestDecode:
         lib, cache, log, _ = self.decoded(1)
         sig = log.signals[0]
         twisted = tuple(
-            dataclasses.replace(p, subfile_mask=UserSet.of([2]).mask)
+            dataclasses.replace(p, subfile_mask=users_mask(2))
             if p.user != 1
             else p
             for p in sig.pieces
