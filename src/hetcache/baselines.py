@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .lp_core import SolverError, solve_lp
 from .model import InstanceError, MemoryAllocation, ProblemInstance, RateProfile
-from .scheme_lp import build_intra_layer
+from .scheme_lp import build_intra_layer, with_split
 
 
 def pca_split(m, rates: RateProfile) -> MemoryAllocation:
@@ -73,21 +73,41 @@ def _check_vector(m, rates: RateProfile) -> None:
 _SPLITS = {"pca": pca_split, "oca": oca_split}
 
 
+def baseline_loads(inst: ProblemInstance, memories, methods=("pca", "oca")) -> dict:
+    """Load of each named split, followed by optimal per-layer delivery,
+    at each cache vector of ``memories``: a list of loads per method.
+
+    The K per-layer programs are built once.  From one split to the next
+    only their cache-share rows move, so each layer's solves, the splits of
+    every method at every vector in turn, run as one warm chain.
+    """
+    for method in methods:
+        if method.lower() not in _SPLITS:
+            raise ValueError(f"unknown baseline {method!r}; use 'pca' or 'oca'")
+    loads = {method: [] for method in methods}
+    programs = None
+    starts = [None] * inst.K
+    for method in methods:
+        for m in memories:
+            split = _SPLITS[method.lower()](m, inst.rates)
+            if programs is None:
+                programs = build_intra_layer(inst, split)
+            total = 0.0
+            for l, (lp, index) in enumerate(programs):
+                sol = solve_lp(with_split(lp, index, split), start=starts[l])
+                if not sol.is_optimal:
+                    raise SolverError(f"per-layer solve ended {sol.status.value}")
+                starts[l] = sol.basis
+                total += sol.objective
+            loads[method].append(total)
+    return loads
+
+
 def baseline_load(method: str, inst: ProblemInstance, m=None) -> float:
     """Load of the named split followed by optimal per-layer delivery."""
-    try:
-        split_fn = _SPLITS[method.lower()]
-    except KeyError:
-        raise ValueError(f"unknown baseline {method!r}; use 'pca' or 'oca'") from None
     if m is None:
         if inst.is_budget:
             raise InstanceError(["baselines need per-user cache sizes"])
         m = inst.constraint.m
-    split = split_fn(m, inst.rates)
-    total = 0.0
-    for lp, _index in build_intra_layer(inst, split):
-        sol = solve_lp(lp)
-        if not sol.is_optimal:
-            raise SolverError(f"per-layer solve ended {sol.status.value}")
-        total += sol.objective
-    return total
+    (load,) = baseline_loads(inst, [m], (method,))[method]
+    return load

@@ -19,7 +19,8 @@ import json
 import math
 import sys
 
-from .baselines import baseline_load
+# perfbench/tracing.py wraps cli.baseline_load, so it stays importable here
+from .baselines import baseline_load, baseline_loads  # noqa: F401
 from .bounds import cutset_budget, cutset_fixed, cutset_k3
 from .closed_form import corner_points, theorem1_load, threshold_allocation
 from .lp_core import SolverError, solve_lp
@@ -34,12 +35,15 @@ from .scheme_lp import (
     scheme_problems,
     with_memory,
 )
-from .simulator import verify
+from .simulator import library_layout, verify
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+
+# most points a sweep or a comparison takes: each one is a solve
+MAX_POINTS = 10_000
 
 
 def _load(path: str):
@@ -78,6 +82,13 @@ def _solve_chain(subs, mode: str = "joint") -> list[SchemeSolution]:
         start = solution.basis
         schemes.append(extract_scheme(solution, index))
     return schemes
+
+
+def _points(args) -> int:
+    """--points, raised to the two end points and refused above MAX_POINTS."""
+    if args.points > MAX_POINTS:
+        raise InstanceError([f"--points {args.points} is above the limit of {MAX_POINTS}"])
+    return max(2, args.points)
 
 
 def _solve_scheme(inst, mode: str) -> SchemeSolution:
@@ -134,7 +145,7 @@ def cmd_sweep(args) -> int:
         raise InstanceError(["sweep needs a budget instance (total memory free)"])
     rates = inst.rates
     total = rates.sum_rates
-    points = max(2, args.points)
+    points = _points(args)
     grid = {total * i / (points - 1) for i in range(points)}
     # corners keep the curve exact where it has kinks
     grid.update(m for m, _ in corner_points(rates))
@@ -183,21 +194,22 @@ def cmd_compare(args) -> int:
             [f"--ratio {g} must be positive with every power g^(K-k) finite and nonzero"]
         )
     s_max = min(rates.r[k - 1] / shape[k - 1] for k in range(1, K + 1))
-    points = max(2, args.points)
+    points = _points(args)
     subs = []
     for i in range(points):
         s = s_max * i / (points - 1)
         m = tuple(s * shape[k - 1] for k in range(1, K + 1))
         subs.append(dataclasses.replace(inst, constraint=FixedMemories(m=m)))
     schemes = _solve_chain(subs)
+    baselines = baseline_loads(inst, [sub.constraint.m for sub in subs])
 
     def one(i: int) -> dict:
         sub = subs[i]
         return {
             "m_tot": sum(sub.constraint.m),
             "joint_o2": schemes[i].load(),
-            "pca": baseline_load("pca", sub),
-            "oca": baseline_load("oca", sub),
+            "pca": baselines["pca"][i],
+            "oca": baselines["oca"][i],
             "cutset_fixed": cutset_fixed(sub).value,
         }
 
@@ -225,6 +237,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load(args.instance)
+    # refuse the library options before a scheme is read or solved
+    library_layout(inst, args.file_size, args.seed)
     if args.scheme:
         with open(args.scheme, "r", encoding="utf-8") as fh:
             try:

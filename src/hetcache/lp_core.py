@@ -48,25 +48,32 @@ Design notes, fixed deliberately so results are reproducible run to run:
   B^-1 (e_r^T B^-1)^T per pivot, and the reduced costs by the pivot row.
   Every 100 pivots the basis is inverted afresh, which also resets the
   weights to their exact values and recomputes the reduced costs and the
-  basic values, to shed accumulated error.  At the end the reduced costs
-  are recomputed once more; if a column moves to its other bound, or the
-  point fails the feasibility audit, the dual loop runs again, at most
-  three times in all.
+  basic values, to shed accumulated error; the count runs on along a
+  chain of warm starts that hand their inverse on (see below).  At the
+  end the reduced costs are recomputed once more; if a column moves to
+  its other bound, or the point fails the feasibility audit, the dual
+  loop runs again, at most three times in all.
 * The solver holds three m x m arrays (the inverse and two work arrays,
-  one of which also holds B while it is inverted), so a program with
-  more rows than those fit in MAX_BASIS_MIB is refused with SolverError
+  one of which also holds B while it is inverted), and a warm start
+  holds a fourth, the inverse it carries; a program with more rows than
+  four such arrays fit in MAX_BASIS_MIB is refused with SolverError
   before anything is allocated.
 * Tolerances: feasibility 1e-8, optimality 1e-8, pivot acceptance 1e-11.
 
 Warm starts.  Every optimal solution carries its final :class:`Basis`.
 Passed back as ``start`` for a program of the same layout whose
 right-hand side moved, as in a budget sweep, that basis is still dual
-feasible, so only a few dual pivots remain.  A start that does not fit
-(another layout, a repeated column, a singular basis, an unbounded slack
-that prices the wrong way) or that ends in a dual ray or numerical
-trouble is dropped, and the solve reruns from the all-logical basis.  So
-a start never changes a status and never raises where a solve without
-one would not.
+feasible, so only a few dual pivots remain.  The basis also carries the
+inverse and steepest-edge weights it ended with, and the columns of A
+they belong to.  B^-1 depends only on A and the basic columns, not on
+costs, bounds or b, so a start on an identical A copies them in and the
+re-solve costs only its pivots; on any other A the basis is inverted.
+A start is only read, so one basis can start many solves.  A start that
+does not fit (another layout, a repeated column, a singular basis, an
+unbounded slack that prices the wrong way) or that ends in a dual ray
+or numerical trouble is dropped, and the solve reruns from the
+all-logical basis.  So a start never changes a status and never raises
+where a solve without one would not.
 
 Infeasible is a status, not an exception; SolverError is reserved for
 numerical trouble, iteration limits and programs too large to hold.
@@ -89,7 +96,7 @@ PIVOT_TOL = 1e-11
 RATIO_TIE_TOL = 1e-9
 REFACTOR_EVERY = 100
 # largest memory for the solver's m x m arrays: admits every program of up
-# to 8 users (3595 rows, 296 MiB) and refuses 9 users (6447 rows, 951 MiB)
+# to 8 users (3595 rows, 394 MiB) and refuses 9 users (6447 rows, 1268 MiB)
 MAX_BASIS_MIB = 512
 # pivots per row and column before the smallest-index rule takes over
 SMALLEST_INDEX_AFTER = 10
@@ -104,6 +111,20 @@ class LpStatus(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
+class Factor(NamedTuple):
+    """The basis inverse an optimal solve ended with, and what it is
+    valid for: ``binv`` and the steepest-edge ``weights`` of the final
+    basis, ``age`` pivots since the last scheduled inversion, and the
+    column-wise nonzeros of the A they belong to."""
+
+    binv: np.ndarray
+    weights: np.ndarray
+    age: int
+    col_ptr: np.ndarray
+    nz_row: np.ndarray
+    nz_val: np.ndarray
+
+
 class Basis(NamedTuple):
     """Where an optimal solve ended, reusable as the start of another.
 
@@ -111,12 +132,14 @@ class Basis(NamedTuple):
     nonbasic columns resting on their upper bound.  Both index the
     tableau's column layout: structural variables, then one logical per
     row, equalities first; ``layout`` is (structural count, equality rows,
-    inequality rows).
+    inequality rows).  ``factor``, set on every optimal solution, lets a
+    start on the same A skip inverting the basis; it is only ever read.
     """
 
     cols: np.ndarray
     at_upper: np.ndarray
     layout: tuple
+    factor: Factor | None = None
 
 
 @dataclass
@@ -180,6 +203,10 @@ class LinearProgram:
         for j in bad[:5]:
             problems.append(f"empty bound box for {self.name_of(int(j))}")
         for kind, rows in (("eq", self.eq_rows), ("ub", self.ub_rows)):
+            _lengths, cols, _vals, b = _row_arrays(rows)
+            if np.isfinite(b).all() and (not cols.size or 0 <= cols.min() <= cols.max() < n):
+                continue
+            # name the bad rows and columns, in row order
             for i, (coefs, rhs) in enumerate(rows):
                 if not np.isfinite(rhs):
                     problems.append(f"{kind} row {i} has non-finite rhs")
@@ -196,20 +223,41 @@ class LinearProgram:
         """
         # each test is written so that NaN, which compares false, fails it
         problems = []
-        for j in range(self.n_vars):
-            if not self.lo[j] - tol <= x[j] <= self.hi[j] + tol:
-                problems.append(
-                    f"{self.name_of(j)}={x[j]} outside [{self.lo[j]}, {self.hi[j]}]"
-                )
-        for i, (coefs, rhs) in enumerate(self.eq_rows):
-            lhs = sum(v * x[j] for j, v in coefs.items())
-            if not abs(lhs - rhs) <= tol * (1.0 + abs(rhs)):
-                problems.append(f"eq row {i}: {lhs} != {rhs} in {_row_head(self, coefs)}")
-        for i, (coefs, rhs) in enumerate(self.ub_rows):
-            lhs = sum(v * x[j] for j, v in coefs.items())
-            if not lhs <= rhs + tol * (1.0 + abs(rhs)):
-                problems.append(f"ub row {i}: {lhs} > {rhs} in {_row_head(self, coefs)}")
+        xs = np.asarray(x, dtype=float)
+        inside = (self.lo - tol <= xs[:self.n_vars]) & (xs[:self.n_vars] <= self.hi + tol)
+        for j in np.flatnonzero(~inside).tolist():
+            problems.append(f"{self.name_of(j)}={x[j]} outside [{self.lo[j]}, {self.hi[j]}]")
+        for kind, rows in (("eq", self.eq_rows), ("ub", self.ub_rows)):
+            m = len(rows)
+            lengths, cols, vals, rhs = _row_arrays(rows)
+            # summed left to right in dict order, as a loop over the row would
+            lhs = np.bincount(np.arange(m).repeat(lengths), vals * xs[cols], minlength=m)
+            slack = tol * (1.0 + np.abs(rhs))
+            if kind == "eq":
+                broken, sign = ~(np.abs(lhs - rhs) <= slack), "!="
+            else:
+                broken, sign = ~(lhs <= rhs + slack), ">"
+            for i in np.flatnonzero(broken).tolist():
+                coefs, b = rows[i]
+                # an empty row sums to the integer 0, as sum() would give
+                value = lhs[i] if coefs else 0
+                problems.append(f"{kind} row {i}: {value} {sign} {b} in {_row_head(self, coefs)}")
         return problems
+
+
+def _row_arrays(rows: list[tuple[SparseRow, float]]):
+    """(length, columns, values, rhs) arrays of sparse rows; the nonzeros
+    run row by row, each row in its dict order."""
+    m = len(rows)
+    coefs = [coefs for coefs, _ in rows]
+    lengths = np.fromiter(map(len, coefs), dtype=np.intp, count=m)
+    nnz = int(lengths.sum())
+    cols = np.fromiter(itertools.chain.from_iterable(coefs), dtype=np.intp, count=nnz)
+    vals = np.fromiter(
+        itertools.chain.from_iterable(row.values() for row in coefs), dtype=float, count=nnz
+    )
+    rhs = np.fromiter((b for _, b in rows), dtype=float, count=m)
+    return lengths, cols, vals, rhs
 
 
 def _term(lp: LinearProgram, j: int, v: float) -> str:
@@ -250,15 +298,7 @@ class _Tableau:
         m = m_eq + m_ub
         self.m = m
         self.ncols = n + m  # structural then one logical per row
-        rows = lp.eq_rows + lp.ub_rows
-        coefs = [row for row, _ in rows]
-        lengths = np.fromiter(map(len, coefs), dtype=np.intp, count=m)
-        nnz = int(lengths.sum())
-        cols = np.fromiter(itertools.chain.from_iterable(coefs), dtype=np.intp, count=nnz)
-        vals = np.fromiter(
-            itertools.chain.from_iterable(row.values() for row in coefs), dtype=float, count=nnz
-        )
-        self.b = np.fromiter((rhs for _, rhs in rows), dtype=float, count=m)
+        lengths, cols, vals, self.b = _row_arrays(lp.eq_rows + lp.ub_rows)
         # structural nonzeros in column order, then the logical of row i,
         # column n + i, as a unit entry in row i
         order = cols.argsort(kind="stable")
@@ -282,13 +322,19 @@ class _Tableau:
     def start_from(self, start: Basis | None):
         """Install ``start``, or the all-logical basis, made dual feasible.
 
+        The start's factor is copied in when it was made for this same A,
+        since B^-1 depends on nothing else; otherwise the basis is inverted.
         Raises SolverError when ``start`` names no basis of this program
         or cannot be made dual feasible.
         """
         n, m = self.layout[0], self.m
+        # pivots since the last scheduled inversion, carried along a chain
+        self.age = 0
+        inverse = None
         if start is None:
             cols = np.arange(n, n + m)
             at_upper = np.zeros(self.ncols, dtype=bool)
+            inverse = (np.eye(m), np.ones(m))  # the identity is its own inverse
         else:
             cols = np.asarray(start.cols, dtype=int)
             at_upper = np.asarray(start.at_upper, dtype=bool)
@@ -297,6 +343,12 @@ class _Tableau:
                 raise SolverError("start comes from a program of another layout")
             if m and (cols.min() < 0 or cols.max() >= self.ncols or len(set(cols.tolist())) < m):
                 raise SolverError("start does not name one column per row")
+            factor = start.factor
+            if (factor is not None and np.array_equal(factor.col_ptr, self.col_ptr)
+                    and np.array_equal(factor.nz_row, self.nz_row)
+                    and np.array_equal(factor.nz_val, self.nz_val)):
+                inverse = (factor.binv.copy(), factor.weights.copy())
+                self.age = factor.age
         self.basis = cols.copy()
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
@@ -308,7 +360,7 @@ class _Tableau:
         self.lo_b = self.lo[self.basis]
         self.hi_b = self.hi[self.basis]
         self.nonbasic_movable = self.movable & ~self.in_basis
-        self.refactor(identity=start is None)
+        self.refactor(inverse)
 
     def nonbasic_values(self) -> np.ndarray:
         vals = np.where(self.sign < 0, self.hi, self.lo)
@@ -324,15 +376,14 @@ class _Tableau:
         nz = slice(self.col_ptr[j], self.col_ptr[j + 1])
         return self.binv[:, self.nz_row[nz]] @ self.nz_val[nz]
 
-    def refactor(self, identity: bool = False):
+    def refactor(self, inverse: tuple | None = None):
         """Invert the basis afresh, reset the steepest-edge weights, then
-        re-price and recompute the basic values.  With ``identity`` the
-        basis is the all-logical one, which is its own inverse."""
+        re-price and recompute the basic values.  ``inverse``, a pair of
+        B^-1 and its weights known already, replaces the inversion."""
         m = self.m
         self.binv = None  # freed before LAPACK allocates the new inverse
-        if identity:
-            self.binv = np.eye(m)
-            self.weights = np.ones(m)
+        if inverse is not None:
+            self.binv, self.weights = inverse
         else:
             position = np.full(self.ncols, -1)
             position[self.basis] = np.arange(m)
@@ -383,6 +434,7 @@ class _Tableau:
         bound the leaving variable rests on.
         """
         leaving = self.basis[r]
+        self.age += 1
         self.in_basis[leaving] = False
         self.in_basis[j] = True
         self.nonbasic_movable[leaving] = self.movable[leaving]
@@ -418,7 +470,10 @@ class _Tableau:
         self.binv[r] = piv_row
 
     def final_basis(self) -> Basis:
-        return Basis(self.basis.copy(), self.sign < 0, self.layout)
+        # the tableau is dropped after this, so its arrays are handed over
+        factor = Factor(self.binv, self.weights, self.age,
+                        self.col_ptr, self.nz_row, self.nz_val)
+        return Basis(self.basis.copy(), self.sign < 0, self.layout, factor)
 
 
 def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
@@ -433,8 +488,9 @@ def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
     switch = SMALLEST_INDEX_AFTER * (m + t.ncols)
     while True:
         pivots = t.iterations - first
-        if pivots and pivots % REFACTOR_EVERY == 0:
+        if t.age >= REFACTOR_EVERY:
             t.refactor()
+            t.age = 0
         violation = np.maximum(t.lo_b - t.xb, t.xb - t.hi_b)
         # dual steepest edge: violation^2 / w_r on the violated rows, 0 elsewhere
         score = np.where(violation > FEAS_TOL, violation * violation / t.weights, 0.0)
@@ -519,7 +575,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     iteration exhaustion, or a program too large for MAX_BASIS_MIB.
     """
     m = lp.n_rows
-    need_mib = 3 * m * m * 8 / 2**20
+    need_mib = 4 * m * m * 8 / 2**20
     if need_mib > MAX_BASIS_MIB:
         raise SolverError(
             f"program has {m} rows: its basis arrays need {need_mib:.0f} MiB, "

@@ -416,6 +416,22 @@ def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
     return programs
 
 
+def with_split(lp: LinearProgram, index: VariableIndex, split: MemoryAllocation) -> LinearProgram:
+    """A program of :func:`build_intra_layer` moved to the cache split ``split``.
+
+    ``lp`` and ``index`` are one pair that :func:`build_intra_layer` returned,
+    for an instance with the same users and rates, and ``split`` is a split
+    it accepts.  The program of layer l opens its upper bounds with the
+    cache rows of users l..K, so only those right-hand sides change; every
+    other row, the costs and the bounds are shared with ``lp``, which is
+    what lets an optimal basis of ``lp`` warm-start the new program.
+    """
+    (l,) = index.layers
+    shares = [float(split.per_layer[k - 1][l - 1]) for k in range(l, index.K + 1)]
+    moved = [(coefs, v) for (coefs, _old), v in zip(lp.ub_rows, shares)]
+    return replace(lp, ub_rows=moved + lp.ub_rows[len(shares):])
+
+
 # ---------------------------------------------------------------------------
 # solutions
 
@@ -580,5 +596,4 @@ def scheme_problems(
     _check_scale(inst)
     lp = _assemble(inst, scheme.index)
     widest = max(abs(rhs) for _row, rhs in lp.eq_rows + lp.ub_rows)
-    # plain floats sum faster than numpy scalars in the row loop
-    return lp.check_point(scheme.x.tolist(), tol / (1.0 + widest))
+    return lp.check_point(scheme.x, tol / (1.0 + widest))

@@ -59,10 +59,12 @@ class FileLibrary:
         return self.files[file_id - 1][l - 1]
 
 
-def make_library(inst: ProblemInstance, F: int, seed: int = 0) -> FileLibrary:
-    """Draw all N files from one seeded stream, file-major, layer-minor.
+def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, ...]:
+    """The bit length of each layer of a file at file size ``F``.
 
-    A library above MAX_LIBRARY_MIB is refused before anything is allocated.
+    Raises InstanceError for a file size, seed or library size that
+    :func:`make_library` cannot take, a library above MAX_LIBRARY_MIB
+    included, so a caller can refuse them before any other work.
     """
     ensure_valid(inst)
     if F < 1:
@@ -79,6 +81,16 @@ def make_library(inst: ProblemInstance, F: int, seed: int = 0) -> FileLibrary:
             [f"{inst.N} files at file size {F} need {need / 2**20:.0f} MiB, above the "
              f"{MAX_LIBRARY_MIB} MiB limit"]
         )
+    return lengths
+
+
+def make_library(inst: ProblemInstance, F: int, seed: int = 0) -> FileLibrary:
+    """Draw all N files from one seeded stream, file-major, layer-minor.
+
+    A library :func:`library_layout` refuses is refused before anything
+    is allocated.
+    """
+    lengths = library_layout(inst, F, seed)
     rng = np.random.default_rng(seed)
     files = tuple(
         tuple(rng.integers(0, 2, size=n, dtype=np.uint8) for n in lengths)

@@ -14,7 +14,7 @@ import numpy as np
 
 from hetcache.bounds import BoundReport
 from hetcache.closed_form import t_decomposition
-from hetcache.lp_core import LinearProgram, SolverError, solve_lp
+from hetcache.lp_core import LinearProgram, SolverError, _row_head, solve_lp
 from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
 from hetcache.scheme_lp import mask_label
 
@@ -115,6 +115,48 @@ def random_box_lp(rng):
         slack = float(rng.integers(-2, 4))  # negative slack can cut off x0
         ub_rows.append((coefs, float(base) + slack))
     return c, eq_rows, ub_rows, lo, hi
+
+
+def validate_loop(lp: LinearProgram) -> list[str]:
+    """``LinearProgram.validate`` as a loop over every row and column."""
+    problems = []
+    n = lp.n_vars
+    if lp.lo.shape != (n,) or lp.hi.shape != (n,):
+        problems.append("bound arrays do not match variable count")
+        return problems
+    if not (np.all(np.isfinite(lp.lo)) and np.all(np.isfinite(lp.hi))):
+        problems.append("variable bounds must be finite")
+    bad = np.nonzero(lp.lo > lp.hi + 1e-15)[0]
+    for j in bad[:5]:
+        problems.append(f"empty bound box for {lp.name_of(int(j))}")
+    for kind, rows in (("eq", lp.eq_rows), ("ub", lp.ub_rows)):
+        for i, (coefs, rhs) in enumerate(rows):
+            if not np.isfinite(rhs):
+                problems.append(f"{kind} row {i} has non-finite rhs")
+            for j in coefs:
+                if not 0 <= j < n:
+                    problems.append(f"{kind} row {i} references column {j}")
+    return problems
+
+
+def check_point_loop(lp: LinearProgram, x, tol: float) -> list[str]:
+    """``LinearProgram.check_point`` as a loop: each row summed by ``sum``."""
+    # each test is written so that NaN, which compares false, fails it
+    problems = []
+    for j in range(lp.n_vars):
+        if not lp.lo[j] - tol <= x[j] <= lp.hi[j] + tol:
+            problems.append(
+                f"{lp.name_of(j)}={x[j]} outside [{lp.lo[j]}, {lp.hi[j]}]"
+            )
+    for i, (coefs, rhs) in enumerate(lp.eq_rows):
+        lhs = sum(v * x[j] for j, v in coefs.items())
+        if not abs(lhs - rhs) <= tol * (1.0 + abs(rhs)):
+            problems.append(f"eq row {i}: {lhs} != {rhs} in {_row_head(lp, coefs)}")
+    for i, (coefs, rhs) in enumerate(lp.ub_rows):
+        lhs = sum(v * x[j] for j, v in coefs.items())
+        if not lhs <= rhs + tol * (1.0 + abs(rhs)):
+            problems.append(f"ub row {i}: {lhs} > {rhs} in {_row_head(lp, coefs)}")
+    return problems
 
 
 def envelope_load(corners, m_tot):

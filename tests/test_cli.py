@@ -8,8 +8,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+from hetcache import cli
+from hetcache.baselines import baseline_load
 from hetcache.cli import main
 from hetcache.lp_core import solve_lp
 from hetcache.scheme_lp import SchemeSolution, build_o1, build_o2, scheme_problems
@@ -331,6 +334,29 @@ class TestCompare:
             assert err.startswith(f"error: --ratio {float(ratio)!r} must be positive"), err
 
 
+class TestCompareChain:
+    """The chained per-layer solves against one cold solve per point."""
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_baselines_match_cold_per_point_solves(self, K, tmp_path):
+        rng = np.random.default_rng(40 + K)
+        rates = sorted(float(r) for r in rng.uniform(0.05, 1.0, K))
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"K": K, "N": K, "rates": rates, "memories": [0.0] * K}))
+        inst = load_instance(str(path))
+        for ratio in (0.6, 0.8, 0.95):
+            out = tmp_path / f"cmp{ratio}.csv"
+            argv = ["compare-baselines", str(path), "--points", "5", "--ratio", repr(ratio)]
+            assert main(argv + ["--out", str(out)]) == 0
+            shape = [ratio ** (K - k) for k in range(1, K + 1)]
+            s_max = min(r / w for r, w in zip(inst.rates.r, shape))
+            for i, row in enumerate(read_csv(out)):
+                m = tuple(s_max * i / 4 * w for w in shape)
+                sub = dataclasses.replace(inst, constraint=FixedMemories(m))
+                for method in ("pca", "oca"):
+                    assert abs(float(row[method]) - baseline_load(method, sub)) <= 1e-12
+
+
 class TestBounds:
     def test_fixed_instance(self, ex1_path, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -414,6 +440,20 @@ class TestVerify:
         assert main(["verify", ex1_path, flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
+
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "-1"), ("--file-size", str(10**13)), ("--file-size", "0")],
+    )
+    def test_library_options_refused_before_solving(self, ex1_path, capsys, monkeypatch,
+                                                    flag, value):
+        def no_solve(*_args):
+            raise AssertionError("the scheme was solved before the options were checked")
+
+        monkeypatch.setattr(cli, "_solve_scheme", no_solve)
+        assert main(["verify", ex1_path, flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_module_entry_point(ex1_path):

@@ -1,9 +1,12 @@
-"""Hypothesis fuzzing of scheme files and of the numeric command line options.
+"""Hypothesis fuzzing of scheme files, instance files and the numeric
+command line options.
 
 A valid scheme file of the worked three-user example is spoiled one field
 at a time, or cut short, and read by ``SchemeSolution.from_json_dict`` and
 by ``hetcache verify --scheme``.  ``compare-baselines --ratio``, ``verify
 --seed`` and ``verify --file-size`` get drawn values, extremes included.
+Instance files of up to five users, spoiled the same way, go through
+``solve``, ``sweep`` and ``compare-baselines`` with drawn ``--points``.
 Every run must exit 0, 2 or 4 without a traceback, and an exit 2 must say
 why on a stderr line starting ``error: ``.
 """
@@ -46,6 +49,9 @@ RATIOS = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e160, 1e300, math.inf, -math.inf, math.nan]),
 )
 SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([-1, 0, 2**64]))
+# accepted values stay at three points or fewer, so a draw runs in well
+# under a second; above MAX_POINTS the grid is refused before it is built
+POINTS = st.one_of(st.integers(-6, 3), st.sampled_from([10_001, 2**63, 10**30, -(2**63)]))
 
 
 @functools.cache
@@ -138,3 +144,52 @@ def test_numeric_option_exit_codes(option):
             fine = value >= 0 if name == "seed" else 1 <= value <= 10**8
     # a refused value exits 2, an accepted one runs to a verdict
     assert (code == 2) != fine
+
+
+@st.composite
+def instance_texts(draw):
+    """An instance of one to five users, valid or with one field spoiled,
+    added, dropped or cut short."""
+    K = draw(st.integers(1, 5))
+    rates = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=K, max_size=K)))
+    doc = {"K": K, "N": draw(st.integers(K, K + 2)), "rates": rates}
+    if draw(st.booleans()):
+        doc["budget"] = draw(st.floats(0.0, sum(rates)))
+    else:
+        doc["memories"] = [draw(st.floats(0.0, r)) for r in rates]
+    # half the files are valid, so the solves behind each command run too
+    spoil = draw(st.sampled_from(["none"] * 5 + ["value", "entry", "add", "drop", "cut"]))
+    if spoil == "value":
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = draw(st.one_of(HOSTILE, st.sampled_from([0, -1, 6, 11, 2**63, [], [0.5] * 6])))
+    elif spoil == "entry":
+        key = draw(st.sampled_from(["rates", "memories"] if "memories" in doc else ["rates"]))
+        doc[key] = list(doc[key])
+        doc[key][draw(st.integers(0, K - 1))] = draw(
+            st.one_of(HOSTILE, st.floats(-1.0, 2.0), st.sampled_from([0.0, 5e-324]))
+        )
+    elif spoil == "add":
+        key = draw(st.sampled_from(["q", "distortions", "budget", "memories", "extra"]))
+        doc[key] = draw(st.one_of(HOSTILE, st.sampled_from([0, 1, 2, 3, [0.5] * K])))
+    elif spoil == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    text = json.dumps(doc)
+    if spoil == "cut":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(text=instance_texts(), points=POINTS)
+def test_instance_file_exit_codes(text, points):
+    with tempfile.TemporaryDirectory() as work:
+        inst = os.path.join(work, "instance.json")
+        with open(inst, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        solved = run(["solve", inst])
+        for command in ("sweep", "compare-baselines"):
+            code = run([command, inst, f"--points={points}"])
+            assert code in (0, 2)
+            if points > 10_000:
+                assert code == 2
+    assert solved in (0, 2)

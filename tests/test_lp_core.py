@@ -407,3 +407,107 @@ class TestWarmStart:
         lp.eq_rows = rows + [(budget_row, rates.sum_rates + 0.5)]
         assert solve_lp(lp, start=start).status is LpStatus.INFEASIBLE
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
+
+def counting_inverse(monkeypatch):
+    """Count the calls of np.linalg.inv, the one inversion of a solve."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+class TestCarriedFactor:
+    """An optimal basis carries its inverse to a start on the same A."""
+
+    def budget_program(self, K, seed, share=0.4):
+        rates = random_rates(np.random.default_rng(seed), K)
+        lp, _ = build_o1(ProblemInstance(K, K, rates, Budget(share * rates.sum_rates)))
+        return lp, rates
+
+    def test_same_matrix_skips_the_inversion(self, monkeypatch):
+        lp, _ = self.budget_program(4, 1)
+        start = solve_lp(lp).basis
+        assert start.factor is not None and start.factor.binv.shape == (lp.n_rows,) * 2
+        calls = counting_inverse(monkeypatch)
+        warm = solve_lp(lp, start=start)
+        assert warm.iterations == 0 and calls == []
+
+    def test_changed_coefficient_inverts_afresh(self, monkeypatch):
+        # the same layout and basis, but one coefficient of A differs: the
+        # carried inverse belongs to another matrix and must not be used
+        lp, _ = self.budget_program(4, 2)
+        start = solve_lp(lp).basis
+        rows = [dict(coefs) for coefs, _ in lp.eq_rows]
+        i = next(i for i, coefs in enumerate(rows) if len(coefs) > 2)
+        j = next(iter(rows[i]))
+        rows[i][j] *= 1.5
+        changed = lp_from_parts(lp.c, [(coefs, b) for coefs, (_, b) in zip(rows, lp.eq_rows)],
+                                lp.ub_rows, lp.lo, lp.hi)
+        calls = counting_inverse(monkeypatch)
+        warm = solve_lp(changed, start=start)
+        assert calls  # inverted, not copied
+        cold = solve_lp(changed)
+        assert warm.is_optimal and cold.is_optimal
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert changed.check_point(warm.x) == []
+
+    def test_a_start_is_never_written(self):
+        lp, rates = self.budget_program(5, 3)
+        start = solve_lp(lp).basis
+        saved = [np.copy(a) for a in start.factor[:2]]
+        moved = with_memory(lp, ProblemInstance(5, 5, rates, Budget(0.7 * rates.sum_rates)))
+        first = solve_lp(moved, start=start)
+        second = solve_lp(moved, start=start)
+        assert first.iterations == second.iterations > 0
+        assert first.x.tobytes() == second.x.tobytes()
+        for before, after in zip(saved, start.factor[:2]):
+            assert before.tobytes() == after.tobytes()
+
+    def test_random_walk_audits_clean_and_refactors_on_schedule(self, monkeypatch):
+        # 60 budgets in a random walk: each warm solve must pass the audit
+        # and match the cold one, and the pivots the carried inverse has
+        # seen since its last inversion stay below REFACTOR_EVERY
+        lp, rates = self.budget_program(4, 4)
+        rng = np.random.default_rng(60)
+        calls = counting_inverse(monkeypatch)
+        budget = 0.5 * rates.sum_rates
+        start = solve_lp(lp).basis
+        pivots = inversions = 0
+        for _ in range(60):
+            budget = float(np.clip(budget + rng.normal(0.0, 0.6), 0.0, rates.sum_rates))
+            program = with_memory(lp, ProblemInstance(4, 4, rates, Budget(budget)))
+            before = len(calls)
+            warm = solve_lp(program, start=start)
+            inversions += len(calls) - before
+            pivots += warm.iterations
+            cold = solve_lp(program)
+            assert warm.is_optimal
+            assert program.check_point(warm.x) == []
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert 0 <= warm.basis.factor.age < lp_core.REFACTOR_EVERY
+            start = warm.basis
+        # the schedule counts along the chain: it crosses REFACTOR_EVERY
+        # several times, though no single re-solve comes near it
+        assert pivots > 3 * lp_core.REFACTOR_EVERY
+        assert inversions >= pivots // lp_core.REFACTOR_EVERY
+
+    def test_cold_solve_is_unchanged_by_earlier_chains(self):
+        # nothing of a warm chain is kept between solves: a cold solve after
+        # one pivots exactly as a cold solve before it
+        lp, rates = self.budget_program(5, 5)
+        before = solve_lp(lp)
+        start = before.basis
+        for share in (0.2, 0.9, 0.5):
+            start = solve_lp(
+                with_memory(lp, ProblemInstance(5, 5, rates, Budget(share * rates.sum_rates))),
+                start=start,
+            ).basis
+        after = solve_lp(lp)
+        assert after.iterations == before.iterations
+        assert after.x.tobytes() == before.x.tobytes()

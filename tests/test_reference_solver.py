@@ -15,7 +15,13 @@ import pytest
 from hetcache.baselines import oca_split, pca_split
 from hetcache.lp_core import LpStatus, solve_lp
 from hetcache.model import Budget, FixedMemories, ProblemInstance, make_rate_profile
-from hetcache.scheme_lp import build_intra_layer, build_intra_restricted, build_o1, build_o2
+from hetcache.scheme_lp import (
+    build_intra_layer,
+    build_intra_restricted,
+    build_o1,
+    build_o2,
+    with_split,
+)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -91,3 +97,26 @@ def test_six_users_match_highs():
             sol = solve_lp(lp)
             assert sol.status is LpStatus(status), name
             assert sol.objective == pytest.approx(objective, abs=1e-8), name
+
+
+@pytest.mark.parametrize("K, seed", [(3, 0), (4, 1), (5, 2)])
+def test_warm_baseline_chains_match_highs(K, seed):
+    # each layer's program moved through the PCA and then the OCA split of
+    # five cache vectors in fixed ratio, every solve warm-started from the
+    # one before, as compare-baselines runs them
+    rng = np.random.default_rng(seed)
+    rates = make_rate_profile(sorted(rng.uniform(0.05, 1.0, K)))
+    shape = [0.8 ** (K - k) for k in range(1, K + 1)]
+    s_max = min(r / w for r, w in zip(rates.r, shape))
+    memories = [tuple(s * w for w in shape) for s in np.linspace(0.0, s_max, 5)]
+    inst = ProblemInstance(K, K, rates, FixedMemories(memories[0]))
+    splits = [fn(m, rates) for fn in (pca_split, oca_split) for m in memories]
+    for lp, index in build_intra_layer(inst, splits[0]):
+        start = None
+        for split in splits:
+            program = with_split(lp, index, split)
+            sol = solve_lp(program, start=start)
+            status, objective = highs(program)
+            assert sol.status is LpStatus(status)
+            assert sol.objective == pytest.approx(objective, abs=1e-8)
+            start = sol.basis
