@@ -75,21 +75,25 @@ _SPLITS = {"pca": pca_split, "oca": oca_split}
 
 def baseline_loads(inst: ProblemInstance, memories, methods=("pca", "oca")) -> dict:
     """Load of each named split, followed by optimal per-layer delivery,
-    at each cache vector of ``memories``: a list of loads per method.
+    at each cache vector of ``memories``: a list of loads per method, in
+    the order of ``memories``.
 
     The K per-layer programs are built once.  From one split to the next
-    only their cache-share rows move, so each layer's solves, the splits of
-    every method at every vector in turn, run as one warm chain.
+    only their cache-share rows move, so each layer's solves run as one
+    warm chain: every split of the first method from the largest vector
+    to the smallest, where the cold solve is cheapest at the top, then
+    every split of the next method the same way.
     """
     for method in methods:
         if method.lower() not in _SPLITS:
             raise ValueError(f"unknown baseline {method!r}; use 'pca' or 'oca'")
-    loads = {method: [] for method in methods}
+    order = sorted(range(len(memories)), key=lambda i: sum(memories[i]), reverse=True)
+    loads = {method: [None] * len(memories) for method in methods}
     programs = None
     starts = [None] * inst.K
     for method in methods:
-        for m in memories:
-            split = _SPLITS[method.lower()](m, inst.rates)
+        for i in order:
+            split = _SPLITS[method.lower()](memories[i], inst.rates)
             if programs is None:
                 programs = build_intra_layer(inst, split)
             total = 0.0
@@ -99,7 +103,7 @@ def baseline_loads(inst: ProblemInstance, memories, methods=("pca", "oca")) -> d
                     raise SolverError(f"per-layer solve ended {sol.status.value}")
                 starts[l] = sol.basis
                 total += sol.objective
-            loads[method].append(total)
+            loads[method][i] = total
     return loads
 
 

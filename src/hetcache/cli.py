@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -66,21 +67,24 @@ def _build(inst, mode: str):
 
 
 def _solve_chain(subs, mode: str = "joint") -> list[SchemeSolution]:
-    """Solve one program at each instance's memory, in order.
+    """Solve one program at each instance's memory, given in ascending
+    order; the schemes come back in that order.
 
     The instances differ only in their budget or cache sizes, so the
-    program is built once and each solve starts from the previous optimal
-    basis, which leaves only a few dual pivots per point.
+    program is built once and each solve starts from the optimal basis of
+    the point above it, which leaves only a few dual pivots per point.  The
+    chain walks down from the most memory, where the cold solve is
+    cheapest.
     """
     lp, index = _build(subs[0], mode)
-    schemes = []
+    schemes = [None] * len(subs)
     start = None
-    for sub in subs:
-        solution = solve_lp(with_memory(lp, sub), start=start)
+    for i in reversed(range(len(subs))):
+        solution = solve_lp(with_memory(lp, subs[i]), start=start)
         if not solution.is_optimal:
             raise SolverError(f"solve ended with status {solution.status.value}")
         start = solution.basis
-        schemes.append(extract_scheme(solution, index))
+        schemes[i] = extract_scheme(solution, index)
     return schemes
 
 
@@ -139,25 +143,38 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _budget_grid(rates, points: int) -> list[float]:
+    """``points`` even budgets from 0 to the sum of rates, and every corner,
+    ascending.  Corners keep the curve exact where it has kinks.  A budget
+    less than 1e-12 times the sum of rates below a larger one is dropped,
+    so the grid ends at the sum of rates exactly and no point is solved
+    twice."""
+    total = rates.sum_rates
+    grid = {total * i / (points - 1) for i in range(points - 1)}
+    grid.update(m for m, _ in corner_points(rates))
+    grid.add(total)
+    kept = []
+    for m in sorted(grid, reverse=True):
+        if not kept or m < kept[-1] - 1e-12 * total:
+            kept.append(m)
+    return kept[::-1]
+
+
 def cmd_sweep(args) -> int:
     inst = _load(args.instance)
     if not inst.is_budget:
         raise InstanceError(["sweep needs a budget instance (total memory free)"])
     rates = inst.rates
-    total = rates.sum_rates
-    points = _points(args)
-    grid = {total * i / (points - 1) for i in range(points)}
-    # corners keep the curve exact where it has kinks
-    grid.update(m for m, _ in corner_points(rates))
-    subs = [dataclasses.replace(inst, constraint=Budget(m_tot=m)) for m in sorted(grid)]
+    subs = [dataclasses.replace(inst, constraint=Budget(m_tot=m))
+            for m in _budget_grid(rates, _points(args))]
     schemes = _solve_chain(subs)
-    # the bound program, too, moves only its budget from point to point
-    cutsets = []
+    # the bound program, too, moves only its budget, from the top down
+    cutsets = [None] * len(subs)
     start = None
-    for sub in subs:
-        report = cutset_budget(sub, start=start)
+    for i in reversed(range(len(subs))):
+        report = cutset_budget(subs[i], start=start)
         start = report.basis
-        cutsets.append(report.value)
+        cutsets[i] = report.value
 
     def one(i: int) -> dict:
         m_tot = subs[i].constraint.m_tot
@@ -278,6 +295,7 @@ def cmd_verify(args) -> int:
 # wiring
 
 
+@functools.cache  # parsing does not change the parser, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetcache",

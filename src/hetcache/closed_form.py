@@ -125,7 +125,9 @@ def corner_points(rates: RateProfile) -> list[tuple[float, float]]:
     """Every corner of the budget/load trade-off, ascending in budget.
 
     The curve starts at (0, sum of rates), drops along the greedy steps,
-    and ends at (sum of rates, 0).
+    and ends at (sum of rates, 0) exactly: the greedy fills every layer,
+    and sum_l f_l (K - l + 1) = sum_k r_k, which the running sums would
+    only reach to within rounding.
     """
     m = 0.0
     load = rates.sum_rates
@@ -134,9 +136,8 @@ def corner_points(rates: RateProfile) -> list[tuple[float, float]]:
         m += cost
         load -= slope * cost
         points.append((m, load))
-    if points:
-        last_m, last_load = points[-1]
-        points[-1] = (last_m, max(last_load, 0.0))
+    if len(points) > 1:
+        points[-1] = (rates.sum_rates, 0.0)
     return points
 
 

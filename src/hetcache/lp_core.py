@@ -41,23 +41,25 @@ Design notes, fixed deliberately so results are reproducible run to run:
   is bounded on any nonempty feasible set.
 * A is stored column-wise and sparse; the pivot row e_r^T B^-1 A, the
   reduced costs and A x_N are sums over its nonzeros, and the entering
-  column is B^-1 times a column's few nonzeros.  The basis inverse is
-  kept as a dense m x m array and updated in place per pivot, only in the
-  rows where the entering column is nonzero; the steepest-edge weights
-  follow by the Forrest-Goldfarb recurrence, which costs one product
-  B^-1 (e_r^T B^-1)^T per pivot, and the reduced costs by the pivot row.
-  Every 100 pivots the basis is inverted afresh, which also resets the
-  weights to their exact values and recomputes the reduced costs and the
-  basic values, to shed accumulated error; the count runs on along a
-  chain of warm starts that hand their inverse on (see below).  At the
-  end the reduced costs are recomputed once more; if a column moves to
-  its other bound, or the point fails the feasibility audit, the dual
-  loop runs again, at most three times in all.
+  column is B^-1 times a column's few nonzeros.  These arrays are derived
+  once per program and shared by the programs moved from it (see
+  :class:`LinearProgram`).  The basis inverse is kept as a dense m x m
+  array and updated in place per pivot, only in the rows where the
+  entering column is nonzero; the steepest-edge weights follow by the
+  Forrest-Goldfarb recurrence, which costs one product B^-1 (e_r^T B^-1)^T
+  per pivot, and the reduced costs by the pivot row.  Every 100 pivots the
+  basis is inverted afresh, which also resets the weights to their exact
+  values and recomputes the reduced costs and the basic values, to shed
+  accumulated error; the count runs on along a chain of warm starts that
+  hand their inverse on (see below).  At the end the reduced costs are
+  recomputed once more; if a column moves to its other bound, or the point
+  fails the feasibility audit, the dual loop runs again, at most three
+  times in all.
 * The solver holds three m x m arrays (the inverse and two work arrays,
   one of which also holds B while it is inverted), and a warm start
-  holds a fourth, the inverse it carries; a program with more rows than
-  four such arrays fit in MAX_BASIS_MIB is refused with SolverError
-  before anything is allocated.
+  holds a fourth, the inverse it carries, which its first pivot copies;
+  a program with more rows than four such arrays fit in MAX_BASIS_MIB is
+  refused with SolverError before anything is allocated.
 * Tolerances: feasibility 1e-8, optimality 1e-8, pivot acceptance 1e-11.
 
 Warm starts.  Every optimal solution carries its final :class:`Basis`.
@@ -66,14 +68,17 @@ right-hand side moved, as in a budget sweep, that basis is still dual
 feasible, so only a few dual pivots remain.  The basis also carries the
 inverse and steepest-edge weights it ended with, and the columns of A
 they belong to.  B^-1 depends only on A and the basic columns, not on
-costs, bounds or b, so a start on an identical A copies them in and the
-re-solve costs only its pivots; on any other A the basis is inverted.
-A start is only read, so one basis can start many solves.  A start that
-does not fit (another layout, a repeated column, a singular basis, an
-unbounded slack that prices the wrong way) or that ends in a dual ray
-or numerical trouble is dropped, and the solve reruns from the
-all-logical basis.  So a start never changes a status and never raises
-where a solve without one would not.
+costs, bounds or b, so a start on an identical A takes them over and the
+re-solve costs only its pivots; on any other A the basis is inverted.  A
+start is only read (its first pivot copies them), so one basis can start
+many solves.  Along a right-hand side that moves monotonically, as a
+sweep's memory does, a chain is cheapest started where the cold solve
+is; for the scheme programs that is at full memory, so their chains walk
+down.  A start that does not fit (another layout, a repeated column, a
+singular basis, an unbounded slack that prices the wrong way) or that
+ends in a dual ray or numerical trouble is dropped, and the solve reruns
+from the all-logical basis.  So a start never changes a status and never
+raises where a solve without one would not.
 
 Infeasible is a status, not an exception; SolverError is reserved for
 numerical trouble, iteration limits and programs too large to hold.
@@ -83,6 +88,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -115,7 +121,7 @@ class Factor(NamedTuple):
     """The basis inverse an optimal solve ended with, and what it is
     valid for: ``binv`` and the steepest-edge ``weights`` of the final
     basis, ``age`` pivots since the last scheduled inversion, and the
-    column-wise nonzeros of the A they belong to."""
+    column-wise nonzeros of the A they belong to, all read-only."""
 
     binv: np.ndarray
     weights: np.ndarray
@@ -163,6 +169,13 @@ class LinearProgram:
     coefficients map column index to value.  Bounds must be finite for
     every structural variable; unbounded slack handling is internal.
     ``names`` is optional and only used by the debug dump and error text.
+
+    The coefficient arrays that the audit and the solver read are derived
+    from the row dicts once, on first use.  ``dataclasses.replace`` hands
+    them on, so a program moved to another right-hand side
+    (``scheme_lp.with_memory``, ``with_split``) shares them; rows replaced
+    by rows with other coefficient dicts derive them again.  A coefficient
+    dict is never changed in place.
     """
 
     c: np.ndarray
@@ -171,12 +184,15 @@ class LinearProgram:
     lo: np.ndarray = None
     hi: np.ndarray = None
     names: tuple[str, ...] | None = None
+    _arrays: _Coefficients | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.shape[0]
         self.lo = np.zeros(n) if self.lo is None else np.asarray(self.lo, dtype=float)
         self.hi = np.ones(n) if self.hi is None else np.asarray(self.hi, dtype=float)
+        if self._arrays is None:
+            self._arrays = _Coefficients(self)
 
     @property
     def n_vars(self) -> int:
@@ -191,6 +207,13 @@ class LinearProgram:
             return self.names[j]
         return f"x{j}"
 
+    def coefficients(self) -> _Coefficients:
+        """The coefficient arrays of the current rows, derived again only
+        when the rows hold other coefficient dicts than they were made of."""
+        if not self._arrays.fits(self):
+            self._arrays = _Coefficients(self)
+        return self._arrays
+
     def validate(self) -> list[str]:
         problems = []
         n = self.n_vars
@@ -202,11 +225,12 @@ class LinearProgram:
         bad = np.nonzero(self.lo > self.hi + 1e-15)[0]
         for j in bad[:5]:
             problems.append(f"empty bound box for {self.name_of(int(j))}")
+        cols = self.coefficients().rows()[1]
+        if (np.isfinite(_rhs(self.eq_rows + self.ub_rows)).all()
+                and (not cols.size or 0 <= cols.min() <= cols.max() < n)):
+            return problems
+        # name the bad rows and columns, in row order
         for kind, rows in (("eq", self.eq_rows), ("ub", self.ub_rows)):
-            _lengths, cols, _vals, b = _row_arrays(rows)
-            if np.isfinite(b).all() and (not cols.size or 0 <= cols.min() <= cols.max() < n):
-                continue
-            # name the bad rows and columns, in row order
             for i, (coefs, rhs) in enumerate(rows):
                 if not np.isfinite(rhs):
                     problems.append(f"{kind} row {i} has non-finite rhs")
@@ -218,8 +242,9 @@ class LinearProgram:
     def check_point(self, x: np.ndarray, tol: float = FEAS_TOL) -> list[str]:
         """All constraint violations of ``x`` beyond ``tol``, for audits.
 
-        A broken row is named by its number, then by its first few terms
-        in the order the builder emitted them.
+        The rows are summed from the program's own row arrays, not from a
+        solver's.  A broken row is named by its number, then by its first
+        few terms in the order the builder emitted them.
         """
         # each test is written so that NaN, which compares false, fails it
         problems = []
@@ -227,37 +252,94 @@ class LinearProgram:
         inside = (self.lo - tol <= xs[:self.n_vars]) & (xs[:self.n_vars] <= self.hi + tol)
         for j in np.flatnonzero(~inside).tolist():
             problems.append(f"{self.name_of(j)}={x[j]} outside [{self.lo[j]}, {self.hi[j]}]")
-        for kind, rows in (("eq", self.eq_rows), ("ub", self.ub_rows)):
-            m = len(rows)
-            lengths, cols, vals, rhs = _row_arrays(rows)
-            # summed left to right in dict order, as a loop over the row would
-            lhs = np.bincount(np.arange(m).repeat(lengths), vals * xs[cols], minlength=m)
-            slack = tol * (1.0 + np.abs(rhs))
-            if kind == "eq":
-                broken, sign = ~(np.abs(lhs - rhs) <= slack), "!="
-            else:
-                broken, sign = ~(lhs <= rhs + slack), ">"
-            for i in np.flatnonzero(broken).tolist():
-                coefs, b = rows[i]
-                # an empty row sums to the integer 0, as sum() would give
-                value = lhs[i] if coefs else 0
-                problems.append(f"{kind} row {i}: {value} {sign} {b} in {_row_head(self, coefs)}")
+        row_of, cols, vals = self.coefficients().rows()
+        rows = self.eq_rows + self.ub_rows
+        m_eq, m = len(self.eq_rows), len(rows)
+        # summed left to right in dict order, as a loop over the row would
+        lhs = np.bincount(row_of, vals * xs[cols], minlength=m)
+        rhs = _rhs(rows)
+        slack = tol * (1.0 + np.abs(rhs))
+        broken = np.concatenate([~(np.abs(lhs[:m_eq] - rhs[:m_eq]) <= slack[:m_eq]),
+                                 ~(lhs[m_eq:] <= rhs[m_eq:] + slack[m_eq:])])
+        for i in np.flatnonzero(broken).tolist():
+            coefs, b = rows[i]
+            kind, sign, at = ("eq", "!=", i) if i < m_eq else ("ub", ">", i - m_eq)
+            # an empty row sums to the integer 0, as sum() would give
+            value = lhs[i] if coefs else 0
+            problems.append(f"{kind} row {at}: {value} {sign} {b} in {_row_head(self, coefs)}")
         return problems
 
 
-def _row_arrays(rows: list[tuple[SparseRow, float]]):
-    """(length, columns, values, rhs) arrays of sparse rows; the nonzeros
-    run row by row, each row in its dict order."""
-    m = len(rows)
-    coefs = [coefs for coefs, _ in rows]
-    lengths = np.fromiter(map(len, coefs), dtype=np.intp, count=m)
+class _Coefficients:
+    """The coefficient arrays of a program's rows, eq rows first, row by
+    row for the audit and column by column for the tableau; each derived
+    on first use and read-only, so programs and bases can share them."""
+
+    def __init__(self, lp: LinearProgram):
+        self.n = lp.n_vars
+        self.m_eq = len(lp.eq_rows)
+        self.dicts = list(map(_COEFS, itertools.chain(lp.eq_rows, lp.ub_rows)))
+        self._rows = None
+        self._columns = None
+
+    def fits(self, lp: LinearProgram) -> bool:
+        """Whether ``lp``'s rows hold the very coefficient dicts these
+        arrays were made of."""
+        return (self.n == lp.n_vars and self.m_eq == len(lp.eq_rows)
+                and len(self.dicts) == lp.n_rows
+                and all(map(operator.is_, self.dicts,
+                            map(_COEFS, itertools.chain(lp.eq_rows, lp.ub_rows)))))
+
+    def rows(self):
+        if self._rows is None:
+            self._rows = _frozen(*_row_arrays(self.dicts))
+        return self._rows
+
+    def columns(self):
+        if self._columns is None:
+            self._columns = _frozen(*_column_arrays(self.n, len(self.dicts), *self.rows()))
+        return self._columns
+
+
+def _row_arrays(dicts: list[SparseRow]):
+    """The row of each nonzero, its column and its value, row by row and
+    each row in its dict order."""
+    m = len(dicts)
+    lengths = np.fromiter(map(len, dicts), dtype=np.intp, count=m)
     nnz = int(lengths.sum())
-    cols = np.fromiter(itertools.chain.from_iterable(coefs), dtype=np.intp, count=nnz)
-    vals = np.fromiter(
-        itertools.chain.from_iterable(row.values() for row in coefs), dtype=float, count=nnz
-    )
-    rhs = np.fromiter((b for _, b in rows), dtype=float, count=m)
-    return lengths, cols, vals, rhs
+    cols = np.fromiter(itertools.chain.from_iterable(dicts), dtype=np.intp, count=nnz)
+    vals = np.fromiter(itertools.chain.from_iterable(row.values() for row in dicts),
+                       dtype=float, count=nnz)
+    return np.arange(m).repeat(lengths), cols, vals
+
+
+def _column_arrays(n: int, m: int, row_of: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """(col_ptr, nz_row, nz_val, nz_col, col_norm2): the structural
+    nonzeros in column order, then the logical of row i, column n + i, as
+    a unit entry in row i."""
+    order = cols.argsort(kind="stable")
+    logical = np.arange(m)
+    nz_col = np.concatenate([cols[order], n + logical])
+    nz_row = np.concatenate([row_of[order], logical])
+    nz_val = np.concatenate([vals[order], np.ones(m)])
+    col_ptr = np.zeros(n + m + 1, dtype=np.intp)
+    np.bincount(nz_col, minlength=n + m).cumsum(out=col_ptr[1:])
+    col_norm2 = np.bincount(nz_col, nz_val * nz_val, minlength=n + m)
+    return col_ptr, nz_row, nz_val, nz_col, col_norm2
+
+
+def _frozen(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+_COEFS = operator.itemgetter(0)
+_RHS = operator.itemgetter(1)
+
+
+def _rhs(rows: list[tuple[SparseRow, float]]) -> np.ndarray:
+    return np.fromiter(map(_RHS, rows), dtype=float, count=len(rows))
 
 
 def _term(lp: LinearProgram, j: int, v: float) -> str:
@@ -298,17 +380,10 @@ class _Tableau:
         m = m_eq + m_ub
         self.m = m
         self.ncols = n + m  # structural then one logical per row
-        lengths, cols, vals, self.b = _row_arrays(lp.eq_rows + lp.ub_rows)
-        # structural nonzeros in column order, then the logical of row i,
-        # column n + i, as a unit entry in row i
-        order = cols.argsort(kind="stable")
-        logical = np.arange(m)
-        self.nz_col = np.concatenate([cols[order], n + logical])
-        self.nz_row = np.concatenate([logical.repeat(lengths)[order], logical])
-        self.nz_val = np.concatenate([vals[order], np.ones(m)])
-        self.col_ptr = np.zeros(self.ncols + 1, dtype=np.intp)
-        np.bincount(self.nz_col, minlength=self.ncols).cumsum(out=self.col_ptr[1:])
-        self.col_norm2 = np.bincount(self.nz_col, self.nz_val * self.nz_val, minlength=self.ncols)
+        self.b = _rhs(lp.eq_rows + lp.ub_rows)
+        # shared with every program moved from the same rows, and only read
+        (self.col_ptr, self.nz_row, self.nz_val, self.nz_col,
+         self.col_norm2) = lp.coefficients().columns()
         self.cost = np.concatenate([lp.c, np.zeros(m)])
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.zeros(m_eq), np.full(m_ub, np.inf)])
@@ -344,10 +419,12 @@ class _Tableau:
             if m and (cols.min() < 0 or cols.max() >= self.ncols or len(set(cols.tolist())) < m):
                 raise SolverError("start does not name one column per row")
             factor = start.factor
-            if (factor is not None and np.array_equal(factor.col_ptr, self.col_ptr)
-                    and np.array_equal(factor.nz_row, self.nz_row)
-                    and np.array_equal(factor.nz_val, self.nz_val)):
-                inverse = (factor.binv.copy(), factor.weights.copy())
+            if factor is not None and all(
+                    a is b or np.array_equal(a, b)
+                    for a, b in ((factor.col_ptr, self.col_ptr), (factor.nz_row, self.nz_row),
+                                 (factor.nz_val, self.nz_val))):
+                # read-only: the first pivot copies them (see pivot)
+                inverse = (factor.binv, factor.weights)
                 self.age = factor.age
         self.basis = cols.copy()
         self.in_basis = np.zeros(self.ncols, dtype=bool)
@@ -435,6 +512,8 @@ class _Tableau:
         """
         leaving = self.basis[r]
         self.age += 1
+        if not self.binv.flags.writeable:  # still the start's: copy before writing
+            self.binv, self.weights = self.binv.copy(), self.weights.copy()
         self.in_basis[leaving] = False
         self.in_basis[j] = True
         self.nonbasic_movable[leaving] = self.movable[leaving]
@@ -470,8 +549,9 @@ class _Tableau:
         self.binv[r] = piv_row
 
     def final_basis(self) -> Basis:
-        # the tableau is dropped after this, so its arrays are handed over
-        factor = Factor(self.binv, self.weights, self.age,
+        # the tableau is dropped after this, so its arrays are handed over,
+        # read-only, since a start is never written
+        factor = Factor(*_frozen(self.binv, self.weights), self.age,
                         self.col_ptr, self.nz_row, self.nz_val)
         return Basis(self.basis.copy(), self.sign < 0, self.layout, factor)
 

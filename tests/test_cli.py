@@ -11,12 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from hetcache import cli
+from hetcache import baselines, cli
 from hetcache.baselines import baseline_load
+from hetcache.bounds import cutset_budget
 from hetcache.cli import main
+from hetcache.closed_form import corner_points
 from hetcache.lp_core import solve_lp
 from hetcache.scheme_lp import SchemeSolution, build_o1, build_o2, scheme_problems
-from hetcache.model import Budget, FixedMemories, load_instance
+from hetcache.model import Budget, FixedMemories, load_instance, make_rate_profile
 
 
 FIG_CORNERS = [0.0, 0.5, 0.7, 1.0, 1.5, 1.7, 2.2]
@@ -454,6 +456,140 @@ class TestVerify:
         monkeypatch.setattr(cli, "_solve_scheme", no_solve)
         assert main(["verify", ex1_path, flag, value]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def write_instance(tmp_path, name, rates, **memory):
+    path = tmp_path / name
+    path.write_text(json.dumps({"K": len(rates), "N": len(rates), "rates": rates, **memory}))
+    return str(path)
+
+
+def random_rate_list(rng, K):
+    return sorted(float(r) for r in rng.uniform(0.05, 1.0, K))
+
+
+class TestSweepGrid:
+    """Every budget a sweep solves is solved once, and the last is the sum
+    of rates exactly."""
+
+    def test_grid_is_strict_and_ends_at_the_sum_of_rates(self):
+        rng = np.random.default_rng(90)
+        for K in range(2, 7):
+            for _ in range(20):
+                rates = make_rate_profile(random_rate_list(rng, K))
+                total = rates.sum_rates
+                corners = [m for m, _ in corner_points(rates)]
+                for points in (2, 9, 50):
+                    grid = cli._budget_grid(rates, points)
+                    assert grid[0] == 0.0 and grid[-1] == total
+                    assert all(b - a > 1e-12 * total for a, b in zip(grid, grid[1:]))
+                    assert all(min(abs(g - m) for g in grid) <= 1e-12 * total for m in corners)
+                    assert len(grid) >= points
+
+    def test_sweep_prints_each_budget_once(self, tmp_path):
+        rng = np.random.default_rng(91)
+        for K in (2, 3, 4):
+            for i in range(4):
+                rates = random_rate_list(rng, K)
+                path = write_instance(tmp_path, f"k{K}_{i}.json", rates, budget=0.0)
+                total = load_instance(path).rates.sum_rates
+                for points in ("2", "9"):
+                    out = tmp_path / "sweep.csv"
+                    assert main(["sweep", path, "--points", points, "--out", str(out)]) == 0
+                    budgets = [float(row["m_tot"]) for row in read_csv(out)]
+                    assert all(b - a > 1e-12 * total for a, b in zip(budgets, budgets[1:]))
+                    assert budgets[-1] == total
+
+
+class TestChainOrder:
+    """Every warm chain starts at the most memory and walks down."""
+
+    def record(self, monkeypatch, module, name, what):
+        seen = []
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            seen.append(what(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return seen
+
+    def test_sweep_chains_walk_down(self, monkeypatch, tmp_path):
+        rates = random_rate_list(np.random.default_rng(92), 4)
+        path = write_instance(tmp_path, "k4.json", rates, budget=0.0)
+        # the budget row is the last equality of the scheme program
+        budgets = self.record(monkeypatch, cli, "solve_lp", lambda lp, *_: lp.eq_rows[-1][1])
+        bounds = self.record(monkeypatch, cli, "cutset_budget",
+                             lambda inst, *_: inst.constraint.m_tot)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", path, "--points", "5", "--out", str(out)]) == 0
+        printed = [float(row["m_tot"]) for row in read_csv(out)]
+        assert budgets == bounds == printed[::-1]
+        assert budgets[0] == load_instance(path).rates.sum_rates
+
+    def test_compare_chains_walk_down(self, monkeypatch, tmp_path):
+        K, points = 4, 5
+        rates = random_rate_list(np.random.default_rng(93), K)
+        path = write_instance(tmp_path, "k4.json", rates, memories=[0.0] * K)
+        # the cache rows are the last K equalities of the joint program
+        joint = self.record(monkeypatch, cli, "solve_lp",
+                            lambda lp, *_: sum(b for _, b in lp.eq_rows[-K:]))
+        splits = self.record(monkeypatch, baselines, "with_split",
+                             lambda lp, index, split: (index.layers, split.total))
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-baselines", path, "--points", str(points), "--out", str(out)]) == 0
+        printed = [float(row["m_tot"]) for row in read_csv(out)]
+        assert joint == pytest.approx(printed[::-1], abs=1e-12)
+        assert all(a > b for a, b in zip(joint, joint[1:]))
+        # per layer: every proportional split from the top, then every ordered one
+        for l in range(1, K + 1):
+            totals = [total for layers, total in splits if layers == (l,)]
+            assert len(totals) == 2 * points
+            assert totals[:points] == pytest.approx(printed[::-1], abs=1e-12)
+            assert totals[points:] == pytest.approx(printed[::-1], abs=1e-12)
+
+    def test_k4_rows_match_cold_per_point_solves(self, tmp_path):
+        rng = np.random.default_rng(94)
+        rates = random_rate_list(rng, 4)
+        path = write_instance(tmp_path, "budget.json", rates, budget=0.0)
+        inst = load_instance(path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", path, "--points", "4", "--out", str(out)]) == 0
+        for row in read_csv(out):
+            sub = dataclasses.replace(inst, constraint=Budget(float(row["m_tot"])))
+            assert abs(float(row["lp_load"]) - solve_lp(build_o1(sub)[0]).objective) <= 1e-9
+            assert abs(float(row["cutset"]) - cutset_budget(sub).value) <= 1e-9
+
+        path = write_instance(tmp_path, "fixed.json", rates, memories=[0.0] * 4)
+        inst = load_instance(path)
+        out = tmp_path / "cmp.csv"
+        argv = ["compare-baselines", path, "--points", "4", "--ratio", "0.7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        shape = [0.7 ** (4 - k) for k in range(1, 5)]
+        s_max = min(r / w for r, w in zip(inst.rates.r, shape))
+        for i, row in enumerate(read_csv(out)):
+            sub = dataclasses.replace(
+                inst, constraint=FixedMemories(tuple(s_max * i / 3 * w for w in shape)))
+            assert abs(float(row["joint_o2"]) - solve_lp(build_o2(sub)[0]).objective) <= 1e-9
+            for method in ("pca", "oca"):
+                assert abs(float(row[method]) - baseline_load(method, sub)) <= 1e-9
+
+
+def test_one_parser_serves_every_call(ex1_path, capsys):
+    # a rejected command, a refused instance, then two good commands, all
+    # in this process, must print what a fresh process prints for each
+    assert cli.build_parser() is cli.build_parser()
+    commands = [["solve"], ["sweep", ex1_path], ["solve", ex1_path], ["bounds", ex1_path]]
+    for argv in commands:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "hetcache", *argv],
+                               capture_output=True, text=True)
+        assert (rc, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_module_entry_point(ex1_path):

@@ -117,6 +117,16 @@ class TestCornerPoints:
         pts = corner_points(make_rate_profile([0.8]))
         assert pts == [(0.0, 0.8), (pytest.approx(0.8), pytest.approx(0.0))]
 
+    def test_curve_ends_at_the_sum_of_rates_exactly(self):
+        # the running sum of step costs misses the sum of rates by an ulp
+        # or two; the last corner must not
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            p = random_profile(rng, allow_flat=True)
+            pts = corner_points(p)
+            assert pts[-1] == (p.sum_rates, 0.0)
+            assert all(m0 < m1 for (m0, _), (m1, _) in zip(pts, pts[1:]))
+
 
 class TestTheorem1Load:
     def test_corner_values(self, figure_profile):

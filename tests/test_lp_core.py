@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from hetcache.lp_core import (
     solve_lp,
 )
 from hetcache.model import Budget, FixedMemories, ProblemInstance, make_rate_profile
-from hetcache.scheme_lp import build_o1, build_o2, with_memory
+from hetcache.baselines import pca_split
+from hetcache.scheme_lp import build_intra_layer, build_o1, build_o2, with_memory, with_split
 from oracles import brute_force_lp, random_box_lp
 
 
@@ -511,3 +514,110 @@ class TestCarriedFactor:
         after = solve_lp(lp)
         assert after.iterations == before.iterations
         assert after.x.tobytes() == before.x.tobytes()
+
+
+def counting_derivations(monkeypatch):
+    """Count the row and column arrays derived, by the rows they cover."""
+    built = {"rows": [], "columns": []}
+    row_arrays, column_arrays = lp_core._row_arrays, lp_core._column_arrays
+
+    def rows(dicts):
+        built["rows"].append(len(dicts))
+        return row_arrays(dicts)
+
+    def columns(n, m, *arrays):
+        built["columns"].append(m)
+        return column_arrays(n, m, *arrays)
+
+    monkeypatch.setattr(lp_core, "_row_arrays", rows)
+    monkeypatch.setattr(lp_core, "_column_arrays", columns)
+    return built
+
+
+class TestSharedArrays:
+    """A program derives its coefficient arrays once, and a program moved
+    to another right-hand side shares them with its parent."""
+
+    def budget_program(self, K, seed):
+        rates = random_rates(np.random.default_rng(seed), K)
+        lp, _ = build_o1(ProblemInstance(K, K, rates, Budget(0.4 * rates.sum_rates)))
+        return lp, rates
+
+    def test_moved_programs_share_the_parents_arrays(self, monkeypatch):
+        lp, rates = self.budget_program(4, 11)
+        built = counting_derivations(monkeypatch)
+        moved = [with_memory(lp, ProblemInstance(4, 4, rates, Budget(s * rates.sum_rates)))
+                 for s in (0.9, 0.5, 0.1)]
+        start = None
+        for program in moved:
+            start = solve_lp(program, start=start).basis
+        assert built == {"rows": [lp.n_rows], "columns": [lp.n_rows]}
+        for program in moved:
+            assert program.coefficients() is lp.coefficients()
+        # the basis carries the very arrays the programs share
+        assert start.factor.nz_val is lp.coefficients().columns()[2]
+
+    def test_split_programs_share_the_parents_arrays(self, monkeypatch):
+        rates = random_rates(np.random.default_rng(12), 4)
+        inst = ProblemInstance(4, 4, rates, FixedMemories(tuple(0.5 * r for r in rates.r)))
+        programs = build_intra_layer(inst, pca_split(inst.constraint.m, rates))
+        built = counting_derivations(monkeypatch)
+        for share in (0.8, 0.3):
+            split = pca_split(tuple(share * r for r in rates.r), rates)
+            for lp, index in programs:
+                moved = with_split(lp, index, split)
+                assert solve_lp(moved).is_optimal
+                assert moved.coefficients() is lp.coefficients()
+        assert sorted(built["rows"]) == sorted(lp.n_rows for lp, _ in programs)
+        assert built["rows"] == built["columns"]
+
+    def test_replaced_rows_derive_afresh(self):
+        # one coefficient of the budget row changed after a solve: the
+        # program must solve as a fresh program with that row, warm and cold
+        lp, _ = self.budget_program(4, 13)
+        start = solve_lp(lp).basis
+        shared = lp.coefficients()
+        *rows, (budget_row, b) = lp.eq_rows
+        changed = dict(budget_row)
+        changed[next(iter(changed))] *= 1.5
+        lp.eq_rows = rows + [(changed, b)]
+        assert lp.coefficients() is not shared
+        fresh = lp_from_parts(lp.c, lp.eq_rows, lp.ub_rows, lp.lo, lp.hi)
+        want = solve_lp(fresh).objective
+        warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+        assert warm.is_optimal and cold.is_optimal
+        assert warm.objective == pytest.approx(want, abs=1e-9)
+        assert cold.objective == pytest.approx(want, abs=1e-9)
+        assert lp.check_point(warm.x) == fresh.check_point(warm.x) == []
+
+    def test_replaced_row_list_is_checked_row_by_row(self):
+        # a row swapped inside the same list is noticed too
+        lp = lp_from_parts([-1.0, 0.0], [({0: 1.0, 1: 1.0}, 1.0)], [({0: 1.0}, 0.25)],
+                           [0, 0], [1, 1])
+        assert solve_lp(lp).x.tolist() == pytest.approx([0.25, 0.75])
+        lp.ub_rows[0] = ({1: 1.0}, 0.25)
+        assert lp.check_point([0.0, 1.0]) == ["ub row 0: 1.0 > 0.25 in +1*x1"]
+        assert solve_lp(lp).x.tolist() == pytest.approx([1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_moved_program_with_bad_rhs_is_refused(self, bad):
+        lp, rates = self.budget_program(4, 14)
+        start = solve_lp(lp).basis
+        moved = with_memory(lp, ProblemInstance(4, 4, rates, Budget(0.7 * rates.sum_rates)))
+        *rows, (budget_row, _) = moved.eq_rows
+        spoiled = dataclasses.replace(moved, eq_rows=rows + [(budget_row, bad)])
+        assert spoiled.coefficients() is lp.coefficients()
+        for begin in (None, start):
+            with pytest.raises(ValueError, match="malformed program: eq row .* non-finite rhs"):
+                solve_lp(spoiled, start=begin)
+        ub_spoiled = dataclasses.replace(
+            moved, ub_rows=[(moved.ub_rows[0][0], bad)] + moved.ub_rows[1:])
+        with pytest.raises(ValueError, match="malformed program: ub row 0 has non-finite rhs"):
+            solve_lp(ub_spoiled, start=start)
+
+    def test_arrays_and_starts_are_read_only(self):
+        lp, _ = self.budget_program(3, 15)
+        factor = solve_lp(lp).basis.factor
+        for a in (*lp.coefficients().rows(), *lp.coefficients().columns(),
+                  factor.binv, factor.weights):
+            assert not a.flags.writeable
