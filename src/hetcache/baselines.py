@@ -73,16 +73,18 @@ def _check_vector(m, rates: RateProfile) -> None:
 _SPLITS = {"pca": pca_split, "oca": oca_split}
 
 
-def baseline_loads(inst: ProblemInstance, memories, methods=("pca", "oca")) -> dict:
+def baseline_loads(inst: ProblemInstance, memories, methods=("oca", "pca")) -> dict:
     """Load of each named split, followed by optimal per-layer delivery,
     at each cache vector of ``memories``: a list of loads per method, in
     the order of ``memories``.
 
     The K per-layer programs are built once.  From one split to the next
     only their cache-share rows move, so each layer's solves run as one
-    warm chain: every split of the first method from the largest vector
-    to the smallest, where the cold solve is cheapest at the top, then
-    every split of the next method the same way.
+    warm chain, and the chain snakes: every split of the first method from
+    the largest vector to the smallest, where the cold solve is cheapest
+    at the top, then every split of the next method back up, and so on.
+    At zero memory every split is the same program, so the turn there
+    costs no jump.
     """
     for method in methods:
         if method.lower() not in _SPLITS:
@@ -104,6 +106,7 @@ def baseline_loads(inst: ProblemInstance, memories, methods=("pca", "oca")) -> d
                 starts[l] = sol.basis
                 total += sol.objective
             loads[method][i] = total
+        order.reverse()
     return loads
 
 

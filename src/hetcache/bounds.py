@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .lp_core import Basis, LinearProgram, SolverError, solve_lp
 from .model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
@@ -126,22 +126,16 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
 
 
 def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
-                  start: Basis | None = None) -> BoundReport:
+                  start: Basis | None = None,
+                  program: LinearProgram | None = None) -> BoundReport:
     """Budget version: minimize the best cut over admissible splits.
 
-    Epigraph formulation over the columns m_1..m_K and the bound value z.
-    A size s row pushes z above the sum of the s largest terms
-    y_k = r_k - c_s m_k through a threshold t_s and excesses e_{s,k} >= 0:
-
-        s t_s + sum_k e_{s,k} - z <= 0,    y_k - t_s - e_{s,k} <= 0.
-
-    A size with at most K subsets (1, K - 1 and K) needs no threshold and
-    gets one row sum_U y_k - z <= 0 per subset U instead.  The budget row
-    and the boxes m_k in [0, r_k] complete the program: K^2 - 1 rows and
-    K^2 - K - 2 columns for K >= 3, against 2^K rows for one row per subset.
-
-    Only the budget row's right-hand side depends on the budget, so the
-    ``basis`` of the report at one budget is a warm ``start`` at another.
+    The program is :func:`budget_program`'s, moved to the budget
+    ``m_tot`` (the instance's own when None).  Only the budget row's
+    right-hand side depends on the budget, so along a chain of budgets
+    ``program``, built once for these users, is moved instead of rebuilt,
+    and the ``basis`` of the report at one budget is a warm ``start`` at
+    another.
     """
     ensure_valid(inst)
     _check_program_size(inst.K)
@@ -154,9 +148,37 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
     if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
         raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
 
+    lp = budget_program(inst) if program is None else program
+    # the same coefficient dicts, so the moved program shares their arrays
+    ((budget_row, _),) = lp.eq_rows
+    sol = solve_lp(replace(lp, eq_rows=[(budget_row, m_tot)]), start=start)
+    if not sol.is_optimal:
+        raise SolverError(f"cut-set program ended {sol.status.value}")
+    raw = float(sol.objective)
+    memories = tuple(float(sol.x[k]) for k in range(inst.K))
+    return BoundReport(value=max(raw, 0.0), raw_value=raw, binding_set=memories,
+                       basis=sol.basis)
+
+
+def budget_program(inst: ProblemInstance) -> LinearProgram:
+    """The budget bound's program for the users of ``inst``, at zero budget.
+
+    Epigraph formulation over the columns m_1..m_K and the bound value z.
+    A size s row pushes z above the sum of the s largest terms
+    y_k = r_k - c_s m_k through a threshold t_s and excesses e_{s,k} >= 0:
+
+        s t_s + sum_k e_{s,k} - z <= 0,    y_k - t_s - e_{s,k} <= 0.
+
+    A size with at most K subsets (1, K - 1 and K) needs no threshold and
+    gets one row sum_U y_k - z <= 0 per subset U instead.  The budget row,
+    the one equality, and the boxes m_k in [0, r_k] complete the program:
+    K^2 - 1 rows and K^2 - K - 2 columns for K >= 3, against 2^K rows for
+    one row per subset.
+    """
     K, N = inst.K, inst.N
     r = inst.rates.r
     r_max = max(r)
+    total = inst.rates.sum_rates
     zcol = K
     # the size-1 cuts r_k - m_k are nonnegative and no cut exceeds the total
     lo = [0.0] * (K + 1)
@@ -192,15 +214,8 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
 
     c = [0.0] * len(names)
     c[zcol] = 1.0
-    eq = [({k: 1.0 for k in range(K)}, m_tot)]
-    lp = LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi, names=tuple(names))
-    sol = solve_lp(lp, start=start)
-    if not sol.is_optimal:
-        raise SolverError(f"cut-set program ended {sol.status.value}")
-    raw = float(sol.objective)
-    memories = tuple(float(sol.x[k]) for k in range(K))
-    return BoundReport(value=max(raw, 0.0), raw_value=raw, binding_set=memories,
-                       basis=sol.basis)
+    eq = [({k: 1.0 for k in range(K)}, 0.0)]
+    return LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi, names=tuple(names))
 
 
 def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:

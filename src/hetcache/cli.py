@@ -22,7 +22,7 @@ import sys
 
 # perfbench/tracing.py wraps cli.baseline_load, so it stays importable here
 from .baselines import baseline_load, baseline_loads  # noqa: F401
-from .bounds import cutset_budget, cutset_fixed, cutset_k3
+from .bounds import budget_program, cutset_budget, cutset_fixed, cutset_k3
 from .closed_form import corner_points, theorem1_load, threshold_allocation
 from .lp_core import SolverError, solve_lp
 from .model import Budget, FixedMemories, InstanceError, load_instance
@@ -168,11 +168,13 @@ def cmd_sweep(args) -> int:
     subs = [dataclasses.replace(inst, constraint=Budget(m_tot=m))
             for m in _budget_grid(rates, _points(args))]
     schemes = _solve_chain(subs)
-    # the bound program, too, moves only its budget, from the top down
+    # the bound program, too, is built once and moves only its budget,
+    # from the top down
+    program = budget_program(inst)
     cutsets = [None] * len(subs)
     start = None
     for i in reversed(range(len(subs))):
-        report = cutset_budget(subs[i], start=start)
+        report = cutset_budget(subs[i], start=start, program=program)
         start = report.basis
         cutsets[i] = report.value
 

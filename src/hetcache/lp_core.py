@@ -43,38 +43,53 @@ Design notes, fixed deliberately so results are reproducible run to run:
   reduced costs and A x_N are sums over its nonzeros, and the entering
   column is B^-1 times a column's few nonzeros.  These arrays are derived
   once per program and shared by the programs moved from it (see
-  :class:`LinearProgram`).  The basis inverse is kept as a dense m x m
-  array and updated in place per pivot, only in the rows where the
-  entering column is nonzero; the steepest-edge weights follow by the
+  :class:`LinearProgram`).
+* The basis inverse is kept in product form (Dantzig & Orchard-Hays
+  1954): B0^-1, a dense m x m inverse computed afresh and never written,
+  and an outer-product eta file of the k pivots made since, so that
+  B^-1 = B0^-1 - U^T V.  A pivot in row r on the entering column
+  alpha = B^-1 a_j appends u = alpha - e_r to U and v = e_r^T B^-1 / alpha_r
+  to V and writes nothing else.  Every read of B^-1 (a row, the entering
+  column, B^-1 v and y^T B^-1) is one product with B0^-1 and two with the
+  k pending rows.  The steepest-edge weights follow by the
   Forrest-Goldfarb recurrence, which costs one product B^-1 (e_r^T B^-1)^T
-  per pivot, and the reduced costs by the pivot row.  Every 100 pivots the
-  basis is inverted afresh, which also resets the weights to their exact
-  values and recomputes the reduced costs and the basic values, to shed
-  accumulated error; the count runs on along a chain of warm starts that
-  hand their inverse on (see below).  At the end the reduced costs are
-  recomputed once more; if a column moves to its other bound, or the point
-  fails the feasibility audit, the dual loop runs again, at most three
-  times in all.
-* The solver holds three m x m arrays (the inverse and two work arrays,
-  one of which also holds B while it is inverted), and a warm start
-  holds a fourth, the inverse it carries, which its first pivot copies;
-  a program with more rows than four such arrays fit in MAX_BASIS_MIB is
-  refused with SolverError before anything is allocated.
+  per pivot, and the reduced costs by the pivot row.  Every 100 pivots
+  (REFACTOR_EVERY) the basis is inverted afresh, which empties the eta
+  file, resets the weights to their exact values and recomputes the
+  reduced costs and the basic values, to shed accumulated error; the
+  count runs on along a chain of warm starts that hand their factor on
+  (see below), so k never exceeds REFACTOR_EVERY.  At the end the reduced
+  costs are recomputed once more; if a column moves to its other bound,
+  or the point fails the feasibility audit, the basis is inverted and the
+  dual loop runs again, at most three times in all.
+* Memory: the solver holds B0^-1 and one work array of m rows by
+  max(m, 2 * REFACTOR_EVERY), which holds the eta file between
+  inversions and B while it is inverted; while it inverts, B0^-1 is
+  dropped for LAPACK's output.  An optimal basis keeps both arrays, so
+  a start held by the caller adds two more: four in all, as many as
+  when the inverse was updated in place.  (Copying out only the k eta
+  rows instead would hold less, but at K=5 it left the allocator's heap
+  0.4-0.8 MB larger over a sweep.)  The tracemalloc peak of a warm K=6
+  solve (535 rows), its start included, is 4.2 m x m arrays, the rest
+  being vectors (numpy's arrays only; LAPACK's own work space is not
+  traced).  A program whose four arrays exceed MAX_BASIS_MIB is refused
+  with SolverError before anything is allocated.
 * Tolerances: feasibility 1e-8, optimality 1e-8, pivot acceptance 1e-11.
 
 Warm starts.  Every optimal solution carries its final :class:`Basis`.
 Passed back as ``start`` for a program of the same layout whose
 right-hand side moved, as in a budget sweep, that basis is still dual
-feasible, so only a few dual pivots remain.  The basis also carries the
-inverse and steepest-edge weights it ended with, and the columns of A
-they belong to.  B^-1 depends only on A and the basic columns, not on
-costs, bounds or b, so a start on an identical A takes them over and the
-re-solve costs only its pivots; on any other A the basis is inverted.  A
-start is only read (its first pivot copies them), so one basis can start
-many solves.  Along a right-hand side that moves monotonically, as a
-sweep's memory does, a chain is cheapest started where the cold solve
-is; for the scheme programs that is at full memory, so their chains walk
-down.  A start that does not fit (another layout, a repeated column, a
+feasible, so only a few dual pivots remain.  The basis also carries its
+factor (B0^-1, the eta rows and the steepest-edge weights it ended with)
+and the columns of A they belong to.  B^-1 depends only on A and the
+basic columns, not on costs, bounds or b, so a start on an identical A
+takes the factor over: it shares B0^-1, copies the k eta rows and goes
+on pivoting, and the re-solve costs only its pivots; on any other A the
+basis is inverted.  A start is only read, so one basis can start many
+solves.  Along a right-hand side that moves monotonically, as a sweep's
+memory does, a chain is cheapest started where the cold solve is; for
+the scheme programs that is at full memory, so their chains walk down.
+A start that does not fit (another layout, a repeated column, a
 singular basis, an unbounded slack that prices the wrong way) or that
 ends in a dual ray or numerical trouble is dropped, and the solve reruns
 from the all-logical basis.  So a start never changes a status and never
@@ -101,8 +116,9 @@ OPT_TOL = 1e-8
 PIVOT_TOL = 1e-11
 RATIO_TIE_TOL = 1e-9
 REFACTOR_EVERY = 100
-# largest memory for the solver's m x m arrays: admits every program of up
-# to 8 users (3595 rows, 394 MiB) and refuses 9 users (6447 rows, 1268 MiB)
+# largest memory for the solver's four m x m arrays: admits every
+# program of up to 8 users (3595 rows, 394 MiB) and refuses 9 users
+# (6447 rows, 1268 MiB)
 MAX_BASIS_MIB = 512
 # pivots per row and column before the smallest-index rule takes over
 SMALLEST_INDEX_AFTER = 10
@@ -119,12 +135,17 @@ class LpStatus(enum.Enum):
 
 class Factor(NamedTuple):
     """The basis inverse an optimal solve ended with, and what it is
-    valid for: ``binv`` and the steepest-edge ``weights`` of the final
-    basis, ``age`` pivots since the last scheduled inversion, and the
-    column-wise nonzeros of the A they belong to, all read-only."""
+    valid for, all read-only: ``binv``, the last fresh inverse B0^-1, and
+    the eta rows ``eta_u`` and ``eta_v`` of the k pivots since, views of
+    the solve's work array, so that the final basis has
+    B^-1 = binv - eta_u^T eta_v; its steepest-edge
+    ``weights``; ``age`` pivots since the last scheduled inversion; and the
+    column-wise nonzeros of the A they belong to."""
 
     binv: np.ndarray
     weights: np.ndarray
+    eta_u: np.ndarray
+    eta_v: np.ndarray
     age: int
     col_ptr: np.ndarray
     nz_row: np.ndarray
@@ -139,7 +160,8 @@ class Basis(NamedTuple):
     tableau's column layout: structural variables, then one logical per
     row, equalities first; ``layout`` is (structural count, equality rows,
     inequality rows).  ``factor``, set on every optimal solution, lets a
-    start on the same A skip inverting the basis; it is only ever read.
+    start on the same A skip inverting the basis and go on with its eta
+    file; it is only ever read.
     """
 
     cols: np.ndarray
@@ -371,7 +393,8 @@ class _Tableau:
     A is held column-wise and sparse: the nonzeros of column j are
     ``nz_row[col_ptr[j]:col_ptr[j + 1]]`` and ``nz_val[...]`` in row
     order, and ``nz_col`` names the column of each nonzero.  The basis
-    inverse is dense, m x m.
+    inverse is ``binv0``, dense and read-only, less the eta file's first
+    ``k`` rows: B^-1 = binv0 - eta_u[:k]^T eta_v[:k].
     """
 
     def __init__(self, lp: LinearProgram):
@@ -390,14 +413,18 @@ class _Tableau:
         self.movable = self.lo < self.hi
         self.layout = (n, m_eq, m_ub)
         self.iterations = 0
-        # work space of the inverse update; rows_buf also holds B for inv
-        self.rows_buf = np.empty((m, m))
-        self.outer_buf = np.empty((m, m))
+        # One work array holds the eta file, B^-1 = binv0 - eta_u[:k]^T eta_v[:k]
+        # with one row pair per pivot, and B while it is inverted, which
+        # empties the eta file.
+        work = np.empty(m * max(m, 2 * REFACTOR_EVERY))
+        self.etas = work[:2 * REFACTOR_EVERY * m].reshape(2, REFACTOR_EVERY, m)
+        self.eta_u, self.eta_v = self.etas
+        self.rows_buf = work[:m * m].reshape(m, m)
 
     def start_from(self, start: Basis | None):
         """Install ``start``, or the all-logical basis, made dual feasible.
 
-        The start's factor is copied in when it was made for this same A,
+        The start's factor is taken over when it was made for this same A,
         since B^-1 depends on nothing else; otherwise the basis is inverted.
         Raises SolverError when ``start`` names no basis of this program
         or cannot be made dual feasible.
@@ -409,7 +436,8 @@ class _Tableau:
         if start is None:
             cols = np.arange(n, n + m)
             at_upper = np.zeros(self.ncols, dtype=bool)
-            inverse = (np.eye(m), np.ones(m))  # the identity is its own inverse
+            # the identity is its own inverse, with no etas
+            inverse = (np.eye(m), np.ones(m), self.eta_u[:0], self.eta_v[:0])
         else:
             cols = np.asarray(start.cols, dtype=int)
             at_upper = np.asarray(start.at_upper, dtype=bool)
@@ -423,8 +451,7 @@ class _Tableau:
                     a is b or np.array_equal(a, b)
                     for a, b in ((factor.col_ptr, self.col_ptr), (factor.nz_row, self.nz_row),
                                  (factor.nz_val, self.nz_val))):
-                # read-only: the first pivot copies them (see pivot)
-                inverse = (factor.binv, factor.weights)
+                inverse = factor[:4]
                 self.age = factor.age
         self.basis = cols.copy()
         self.in_basis = np.zeros(self.ncols, dtype=bool)
@@ -448,19 +475,45 @@ class _Tableau:
         """rho A over every column; for rho = e_r^T B^-1 the pivot row."""
         return np.bincount(self.nz_col, rho[self.nz_row] * self.nz_val, minlength=self.ncols)
 
+    # The four reads of B^-1 = binv0 - U^T V, with U and V the k pending
+    # rows of the eta file: each is one product with binv0 and two with U, V.
+
+    def inverse_row(self, r: int) -> np.ndarray:
+        """e_r^T B^-1."""
+        k = self.k
+        return self.binv0[r] - self.eta_u[:k, r] @ self.eta_v[:k]
+
     def column(self, j: int) -> np.ndarray:
         """B^-1 A[:, j]."""
         nz = slice(self.col_ptr[j], self.col_ptr[j + 1])
-        return self.binv[:, self.nz_row[nz]] @ self.nz_val[nz]
+        rows, vals = self.nz_row[nz], self.nz_val[nz]
+        k = self.k
+        return self.binv0[:, rows] @ vals - (self.eta_v[:k, rows] @ vals) @ self.eta_u[:k]
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v."""
+        k = self.k
+        return self.binv0 @ v - (self.eta_v[:k] @ v) @ self.eta_u[:k]
+
+    def btran(self, y: np.ndarray) -> np.ndarray:
+        """y^T B^-1."""
+        k = self.k
+        return y @ self.binv0 - (self.eta_u[:k] @ y) @ self.eta_v[:k]
 
     def refactor(self, inverse: tuple | None = None):
-        """Invert the basis afresh, reset the steepest-edge weights, then
-        re-price and recompute the basic values.  ``inverse``, a pair of
-        B^-1 and its weights known already, replaces the inversion."""
+        """Invert the basis afresh, which empties the eta file and resets
+        the steepest-edge weights, then re-price and recompute the basic
+        values.  ``inverse``, the binv0, weights and eta rows of this basis
+        known already, replaces the inversion; only its weights and etas
+        are copied, since binv0 is never written."""
         m = self.m
-        self.binv = None  # freed before LAPACK allocates the new inverse
+        self.binv0 = None  # freed before LAPACK allocates the new inverse
         if inverse is not None:
-            self.binv, self.weights = inverse
+            self.binv0, weights, eta_u, eta_v = inverse
+            self.weights = weights.copy()
+            self.k = len(eta_u)
+            self.eta_u[:self.k] = eta_u
+            self.eta_v[:self.k] = eta_v
         else:
             position = np.full(self.ncols, -1)
             position[self.basis] = np.arange(m)
@@ -470,13 +523,14 @@ class _Tableau:
             B.fill(0.0)
             B[self.nz_row[basic], at[basic]] = self.nz_val[basic]
             try:
-                self.binv = np.linalg.inv(B) if m else np.zeros((0, 0))
+                self.binv0 = np.linalg.inv(B) if m else np.zeros((0, 0))
             except np.linalg.LinAlgError as exc:
                 raise SolverError("singular basis during refactorization") from exc
-            self.weights = np.einsum("ij,ij->i", self.binv, self.binv)
+            self.weights = np.einsum("ij,ij->i", self.binv0, self.binv0)
+            self.k = 0
         self.price()
         nonbasic = self.nonbasic_values()
-        self.xb = self.binv @ (
+        self.xb = self.ftran(
             self.b - np.bincount(self.nz_row, self.nz_val * nonbasic[self.nz_col], minlength=m)
         )
 
@@ -488,7 +542,7 @@ class _Tableau:
         stale until the next refactorization.  Raises SolverError for a
         slack that would have to move to infinity.
         """
-        self.d = self.cost - self.row(self.cost[self.basis] @ self.binv)
+        self.d = self.cost - self.row(self.btran(self.cost[self.basis]))
         self.d[self.basis] = 0.0
         # a negative dual slack d_j * sign_j: column j prefers its other bound
         wrong = self.nonbasic_movable & (self.d * self.sign < -OPT_TOL)
@@ -504,16 +558,15 @@ class _Tableau:
         x[self.basis] = self.xb
         return x
 
-    def pivot(self, r: int, j: int, col: np.ndarray):
-        """Make column j basic in row r; ``col`` is B^-1 A[:, j].
+    def pivot(self, r: int, j: int, col: np.ndarray, rho: np.ndarray):
+        """Make column j basic in row r; ``col`` is B^-1 A[:, j] and ``rho``
+        is e_r^T B^-1.
 
         The caller has already moved the basic values and recorded which
         bound the leaving variable rests on.
         """
         leaving = self.basis[r]
         self.age += 1
-        if not self.binv.flags.writeable:  # still the start's: copy before writing
-            self.binv, self.weights = self.binv.copy(), self.weights.copy()
         self.in_basis[leaving] = False
         self.in_basis[j] = True
         self.nonbasic_movable[leaving] = self.movable[leaving]
@@ -530,29 +583,27 @@ class _Tableau:
         # spreading through row r to every other weight.  No weight can
         # fall below ratio_i^2 / |a_leaving|^2, since the new row i meets
         # the leaving column in -ratio_i; that floor absorbs cancellation.
-        rho = self.binv[r]
-        tau = self.binv @ rho
+        tau = self.ftran(rho)
         ratio = col / col[r]
         w_r = tau[r]
         self.weights += ratio * (ratio * w_r - 2.0 * tau)
         np.maximum(self.weights, ratio * ratio / self.col_norm2[leaving], out=self.weights)
         self.weights[r] = w_r / (col[r] * col[r])
 
-        # Rank-one update of the inverse in place: row r scaled, the other
-        # rows where the entering column is nonzero swept.
-        piv_row = rho / col[r]
-        nz = col.nonzero()[0]
-        # mode="clip" lets take() write straight into ``out``; nz is in range
-        swept = self.binv.take(nz, axis=0, out=self.rows_buf[:nz.size], mode="clip")
-        swept -= np.multiply(col[nz, None], piv_row, out=self.outer_buf[:nz.size])
-        self.binv[nz] = swept
-        self.binv[r] = piv_row
+        # The new inverse is B^-1 - u v^T with u = col - e_r and
+        # v = rho / col[r]: row r scaled, the others swept.  It is appended
+        # to the eta file; nothing else is written.
+        u = self.eta_u[self.k]
+        u[:] = col
+        u[r] -= 1.0
+        np.divide(rho, col[r], out=self.eta_v[self.k])
+        self.k += 1
 
     def final_basis(self) -> Basis:
-        # the tableau is dropped after this, so its arrays are handed over,
-        # read-only, since a start is never written
-        factor = Factor(*_frozen(self.binv, self.weights), self.age,
-                        self.col_ptr, self.nz_row, self.nz_val)
+        # the tableau is dropped after this, so binv0, the weights and the
+        # k etas are handed over, read-only, since a start is never written
+        factor = Factor(*_frozen(self.binv0, self.weights, *self.etas[:, :self.k]),
+                        self.age, self.col_ptr, self.nz_row, self.nz_val)
         return Basis(self.basis.copy(), self.sign < 0, self.layout, factor)
 
 
@@ -589,7 +640,8 @@ def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
         # push it there if moving j off its own bound moves row r the right
         # way; the dual ratio test keeps every other reduced cost signed.
         to_upper = bool(t.xb[r] - t.hi_b[r] > t.lo_b[r] - t.xb[r])
-        alpha = t.row(t.binv[r])
+        rho = t.inverse_row(r)
+        alpha = t.row(rho)
         # push_j > 0: moving column j off its bound moves row r that way
         push = alpha * t.sign
         if not to_upper:
@@ -618,7 +670,7 @@ def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
             t.d -= (t.d[j] / alpha[j]) * alpha
         t.d[j] = 0.0
         t.sign[t.basis[r]] = -1.0 if to_upper else 1.0
-        t.pivot(r, j, col)
+        t.pivot(r, j, col, rho)
 
 
 def _optimize(t: _Tableau, lp: LinearProgram, limit: int) -> LpSolution:
@@ -655,7 +707,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     iteration exhaustion, or a program too large for MAX_BASIS_MIB.
     """
     m = lp.n_rows
-    need_mib = 4 * m * m * 8 / 2**20
+    need_mib = 2 * (m + max(m, 2 * REFACTOR_EVERY)) * m * 8 / 2**20
     if need_mib > MAX_BASIS_MIB:
         raise SolverError(
             f"program has {m} rows: its basis arrays need {need_mib:.0f} MiB, "

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from hetcache import baselines, cli
+from hetcache import baselines, cli, lp_core
 from hetcache.baselines import baseline_load
-from hetcache.bounds import cutset_budget
+from hetcache.bounds import budget_program, cutset_budget
 from hetcache.cli import main
 from hetcache.closed_form import corner_points
 from hetcache.lp_core import solve_lp
@@ -542,12 +542,27 @@ class TestChainOrder:
         printed = [float(row["m_tot"]) for row in read_csv(out)]
         assert joint == pytest.approx(printed[::-1], abs=1e-12)
         assert all(a > b for a, b in zip(joint, joint[1:]))
-        # per layer: every proportional split from the top, then every ordered one
+        # per layer, a snake: every ordered split from the top, then every
+        # proportional one from the bottom back up
         for l in range(1, K + 1):
             totals = [total for layers, total in splits if layers == (l,)]
             assert len(totals) == 2 * points
             assert totals[:points] == pytest.approx(printed[::-1], abs=1e-12)
-            assert totals[points:] == pytest.approx(printed[::-1], abs=1e-12)
+            assert totals[points:] == pytest.approx(printed, abs=1e-12)
+
+    def test_sweep_builds_its_bound_program_once(self, monkeypatch, tmp_path):
+        rates = random_rate_list(np.random.default_rng(95), 4)
+        path = write_instance(tmp_path, "k4.json", rates, budget=0.0)
+        inst = load_instance(path)
+        programs = [build_o1(inst)[0].n_rows, budget_program(inst).n_rows]
+        derived = self.record(monkeypatch, lp_core, "_row_arrays", len)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", path, "--points", "6", "--out", str(out)]) == 0
+        # one derivation for the scheme program, one for the bound's
+        assert sorted(derived) == sorted(programs)
+        for row in read_csv(out):
+            sub = dataclasses.replace(inst, constraint=Budget(float(row["m_tot"])))
+            assert abs(float(row["cutset"]) - cutset_budget(sub).value) <= 1e-12
 
     def test_k4_rows_match_cold_per_point_solves(self, tmp_path):
         rng = np.random.default_rng(94)

@@ -151,6 +151,12 @@ def dense_columns(lp):
     return A
 
 
+def inverse(t):
+    """The tableau's current B^-1, dense: its last fresh inverse less the
+    eta file."""
+    return t.binv0 - t.eta_u[:t.k].T @ t.eta_v[:t.k]
+
+
 def random_pivots(t, rng, count):
     """``count`` pivots, none refactorizing, each in a random row on its
     largest entry of B^-1 A among the nonbasic columns, so the basis stays
@@ -158,10 +164,11 @@ def random_pivots(t, rng, count):
     done = 0
     for _ in range(20 * count):
         r = int(rng.integers(t.m))
-        alpha = np.where(t.in_basis, 0.0, np.abs(t.row(t.binv[r])))
+        rho = inverse(t)[r]
+        alpha = np.where(t.in_basis, 0.0, np.abs(t.row(rho)))
         j = int(np.argmax(alpha))
         if alpha[j] > 1e-3:
-            t.pivot(r, j, t.column(j))
+            t.pivot(r, j, t.column(j), rho)
             done += 1
             if done == count:
                 return
@@ -193,9 +200,9 @@ class TestKernels:
         random_pivots(t, rng, 10)
         A = dense_columns(lp)
         for r in range(t.m):
-            assert np.allclose(t.row(t.binv[r]), t.binv[r] @ A, rtol=0, atol=1e-12)
+            assert np.allclose(t.row(inverse(t)[r]), inverse(t)[r] @ A, rtol=0, atol=1e-12)
         for j in range(t.ncols):
-            assert np.allclose(t.column(j), t.binv @ A[:, j], rtol=0, atol=1e-12)
+            assert np.allclose(t.column(j), inverse(t) @ A[:, j], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lp", kernel_programs())
     def test_weights_follow_the_inverse(self, lp):
@@ -205,10 +212,10 @@ class TestKernels:
         t = lp_core._Tableau(lp)
         t.start_from(None)
         random_pivots(t, rng, 50)
-        exact = np.einsum("ij,ij->i", t.binv, t.binv)
+        exact = np.einsum("ij,ij->i", inverse(t), inverse(t))
         assert np.allclose(t.weights, exact, rtol=1e-8, atol=0)
         # and the updated inverse is still the inverse of the basis
-        assert np.allclose(t.binv @ dense_columns(lp)[:, t.basis], np.eye(t.m), atol=1e-9)
+        assert np.allclose(inverse(t) @ dense_columns(lp)[:, t.basis], np.eye(t.m), atol=1e-9)
 
     def test_cold_start_does_not_invert_the_identity(self, monkeypatch):
         # the all-logical basis is its own inverse, so a cold start calls no
@@ -218,10 +225,59 @@ class TestKernels:
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "inv", None)
                 t.start_from(None)
-            cold = (t.binv.copy(), t.weights.copy(), t.xb.copy(), t.sign.copy())
+            cold = (inverse(t).copy(), t.weights.copy(), t.xb.copy(), t.sign.copy())
             t.refactor()
-            for got, want in zip(cold, (t.binv, t.weights, t.xb, t.sign)):
+            for got, want in zip(cold, (inverse(t), t.weights, t.xb, t.sign)):
                 assert np.array_equal(got, want)
+
+
+class TestEtaFile:
+    """B^-1 is the last fresh inverse less an outer-product eta file, one
+    row pair per pivot since."""
+
+    @pytest.mark.parametrize("lp", kernel_programs())
+    def test_full_eta_file_keeps_the_kernels_exact(self, lp):
+        rng = np.random.default_rng(lp.n_rows + 2)
+        t = lp_core._Tableau(lp)
+        t.start_from(None)
+        random_pivots(t, rng, lp_core.REFACTOR_EVERY)
+        assert t.k == lp_core.REFACTOR_EVERY  # full: nothing was inverted
+        A = dense_columns(lp)
+        binv = inverse(t)
+        for r in range(t.m):
+            assert np.allclose(t.row(t.inverse_row(r)), binv[r] @ A, rtol=0, atol=1e-12)
+        for j in range(t.ncols):
+            assert np.allclose(t.column(j), binv @ A[:, j], rtol=0, atol=1e-12)
+        v = rng.normal(size=t.m)
+        assert np.allclose(t.ftran(v), binv @ v, rtol=0, atol=1e-12)
+        assert np.allclose(t.btran(v), v @ binv, rtol=0, atol=1e-12)
+        assert np.allclose(t.weights, np.einsum("ij,ij->i", binv, binv), rtol=1e-8, atol=0)
+        assert np.allclose(binv @ A[:, t.basis], np.eye(t.m), atol=1e-9)
+
+    def test_warm_chain_carries_its_etas(self):
+        # five re-solves down the budget: each factor inverts its basis,
+        # the etas run on from one solve to the next while nothing is
+        # inverted, and a start is left byte-identical by two solves
+        rates = random_rates(np.random.default_rng(21), 4)
+        lp, _ = build_o1(ProblemInstance(4, 4, rates, Budget(0.9 * rates.sum_rates)))
+        A = dense_columns(lp)
+        start = solve_lp(lp).basis
+        carried = 0
+        for share in (0.7, 0.5, 0.35, 0.2, 0.05):
+            program = with_memory(lp, ProblemInstance(4, 4, rates, Budget(share * rates.sum_rates)))
+            saved = [a.tobytes() for a in start.factor[:4]]
+            first, second = (solve_lp(program, start=start) for _ in range(2))
+            assert first.iterations == second.iterations > 0
+            assert first.x.tobytes() == second.x.tobytes()
+            assert [a.tobytes() for a in start.factor[:4]] == saved
+            factor = first.basis.factor
+            binv = factor.binv - factor.eta_u.T @ factor.eta_v
+            assert np.allclose(binv @ A[:, first.basis.cols], np.eye(lp.n_rows), atol=1e-9)
+            if factor.binv is start.factor.binv:
+                assert len(factor.eta_u) == len(start.factor.eta_u) + first.iterations
+                carried += 1
+            start = first.basis
+        assert carried >= 3
 
 
 def test_check_point_flags_nan():
@@ -278,6 +334,21 @@ def test_too_large_program_refused_before_allocating(monkeypatch):
     rows = [({0: 1.0}, 0.5)] * 200
     with pytest.raises(SolverError, match="200 rows: its basis arrays need 1 MiB"):
         solve_lp(lp_from_parts([1.0], [], rows, [0], [1]))
+
+
+def test_basis_limit_admits_eight_users_and_refuses_nine(monkeypatch):
+    # the check reads only the row count: the intra program has 3595 rows
+    # for eight users and 6447 for nine; nothing large is allocated
+    class Admitted(Exception):
+        pass
+
+    def admitted(lp):
+        raise Admitted
+
+    monkeypatch.setattr(lp_core, "_Tableau", admitted)
+    for m, verdict in ((3595, Admitted), (6447, SolverError)):
+        with pytest.raises(verdict):
+            solve_lp(lp_from_parts([1.0], [], [({0: 1.0}, 0.5)] * m, [0], [1]))
 
 
 def test_iteration_limit_raises():
