@@ -39,8 +39,11 @@ constraint families to drift out of step.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,6 +60,12 @@ from .model import (
 # column counts grow like 3^K; past eight users the solver refuses the
 # program (lp_core.MAX_BASIS_MIB), and this cap bounds the index build
 MAX_USERS = 10
+
+# distinct variable indexes kept for reuse, least recently used dropped
+# first: a K=4 or K=5 command uses at most six (the joint index and one
+# per layer), and the cache is bounded because a K=10 index holds
+# 274 435 columns, about 60 MB
+INDEX_CACHE_SIZE = 8
 
 
 def _span_mask(l: int, K: int) -> int:
@@ -108,22 +117,51 @@ class VariableIndex:
     set, signal sizes are keyed by (layer, T) and each signal may carry
     pieces of its own layer only; otherwise a single v[T] spans layers
     1..min(T).  ``layer_mem`` is empty when the cache split is data
-    rather than a decision.
+    rather than a decision.  ``columns`` maps each name back to its column.
+
+    Indexes are shared between every caller that asks for the same one
+    (:func:`make_variable_index`), so the mappings are read-only views.
     """
 
     K: int
     layers: tuple[int, ...]
     per_layer_signals: bool
-    alloc: dict
-    assign: dict
-    multicast: dict
-    unicast: dict
-    layer_mem: dict
+    alloc: Mapping
+    assign: Mapping
+    multicast: Mapping
+    unicast: Mapping
+    layer_mem: Mapping
     names: tuple[str, ...]
+    columns: Mapping
 
     @property
     def n_vars(self) -> int:
         return len(self.names)
+
+
+def _check_user_count(K: int) -> None:
+    if not 1 <= K <= MAX_USERS:
+        raise InstanceError([f"user count {K} outside supported range 1..{MAX_USERS}"])
+
+
+def program_columns(K: int) -> tuple[int, int]:
+    """Column counts of the joint and of the intra-restricted K-user program.
+
+    Counted in closed form, without building either index.  A layer seen
+    by n users has 2^n placement classes and, for each addressee set T of
+    t >= 2 of those users and each j in T, one piece per class that holds
+    T - j and not j: t * 2^(n-t) of them.  Summed over t >= 1 that is
+    n * 3^(n-1), less n * 2^(n-1) for t = 1.  Both programs add K(K+1)/2
+    unicasts and as many layer memories; they differ only in their
+    signals, 2^K - K - 1 spanning ones against 2^n - n - 1 per layer.
+    """
+    _check_user_count(K)
+    shared = K * (K + 1)
+    for n in range(1, K + 1):
+        shared += (1 << n) + n * 3 ** (n - 1) - n * (1 << (n - 1))
+    joint = shared + (1 << K) - K - 1
+    restricted = shared + sum((1 << n) - n - 1 for n in range(1, K + 1))
+    return joint, restricted
 
 
 def make_variable_index(
@@ -133,12 +171,24 @@ def make_variable_index(
     per_layer_signals: bool = False,
     with_layer_memories: bool = True,
 ) -> VariableIndex:
-    if not 1 <= K <= MAX_USERS:
-        raise InstanceError([f"user count {K} outside supported range 1..{MAX_USERS}"])
+    """The column numbering of one program, shared by every caller.
+
+    An index is built once per distinct argument set and kept in a
+    least-recently-used cache of INDEX_CACHE_SIZE entries; ``layers`` may
+    be any iterable.  A user count outside 1..MAX_USERS is refused before
+    anything is built or cached.
+    """
+    _check_user_count(K)
     layers = tuple(range(1, K + 1)) if layers is None else tuple(layers)
     if not per_layer_signals and layers != tuple(range(1, K + 1)):
         raise InstanceError(["layer-spanning signals need every layer present"])
+    return _build_index(K, layers, per_layer_signals, with_layer_memories)
 
+
+@functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
+def _build_index(
+    K: int, layers: tuple[int, ...], per_layer_signals: bool, with_layer_memories: bool
+) -> VariableIndex:
     # every user set is spelled once here, not once per variable name
     label = [mask_label(mask) for mask in range(1 << K)]
     names: list[str] = []
@@ -191,12 +241,13 @@ def make_variable_index(
         K=K,
         layers=layers,
         per_layer_signals=per_layer_signals,
-        alloc=alloc,
-        assign=assign,
-        multicast=multicast,
-        unicast=unicast,
-        layer_mem=layer_mem,
+        alloc=MappingProxyType(alloc),
+        assign=MappingProxyType(assign),
+        multicast=MappingProxyType(multicast),
+        unicast=MappingProxyType(unicast),
+        layer_mem=MappingProxyType(layer_mem),
         names=tuple(names),
+        columns=MappingProxyType(dict(zip(names, range(len(names))))),
     )
 
 
@@ -513,26 +564,22 @@ class SchemeSolution:
         if problems:
             raise InstanceError(problems)
         objective = numbers.pop("objective")
-        index = make_variable_index(K)
-        # the two programs differ only in their signals: 2^K - K - 1 joint
-        # ones against 2^j - j - 1 for each layer seen by j users
-        restricted = index.n_vars - ((1 << K) - K - 1) + sum(
-            (1 << j) - j - 1 for j in range(1, K + 1)
-        )
-        if variable_count not in (index.n_vars, restricted):
+        # counted before the index is built, so a wrong count costs nothing
+        joint, restricted = program_columns(K)
+        if variable_count not in (joint, restricted):
             raise InstanceError(
-                [f"variable_count {variable_count} is neither {index.n_vars} (joint) "
+                [f"variable_count {variable_count} is neither {joint} (joint) "
                  f"nor {restricted} (intra-restricted) for {K} users"]
             )
-        columns = {name: col for col, name in enumerate(index.names)}
-        unknown = [key for key in numbers if key not in columns]
+        index = make_variable_index(K)
+        unknown = [key for key in numbers if key not in index.columns]
         if unknown:
             raise InstanceError(
                 [f"{key!r} is not a variable of the {K}-user program" for key in unknown]
             )
         x = np.zeros(index.n_vars)
         for key, val in numbers.items():
-            x[columns[key]] = val
+            x[index.columns[key]] = val
         return cls(index=index, x=x, objective=objective, variable_count=variable_count)
 
 

@@ -5,7 +5,10 @@ into integer bit counts, fills caches, XORs real signals together, and
 has every user decode its demanded layers from nothing but its own
 cache and the transmitted log.  Everything is deterministic given
 (instance, scheme, file size, seed), so a run doubles as a regression
-fixture.
+fixture.  Library bits are drawn a 32-bit word at a time, yet they are
+the stream one bounded uint8 draw per bit gives from the same seed
+(:func:`_random_bits` says why), so a library does not depend on how
+its bits were drawn.
 
 Rounding policy: allocation fractions round to the nearest bit with the
 uncached chunk absorbing the slack, signal pieces are capped greedily
@@ -84,18 +87,35 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     return lengths
 
 
+def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform bits, the very stream ``rng.integers(0, 2, size=n, dtype=np.uint8)`` gives.
+
+    numpy draws a bounded uint8 by Lemire's method on successive bytes
+    of buffered 32-bit words, low byte first: the bit is (byte * 2) >> 8,
+    the byte's top bit, and with a range of 2 the rejection threshold is
+    (255 - 1) % 2 = 0, so no byte is ever rejected.  Each call starts
+    with an empty byte buffer and so consumes ceil(n / 4) words, which
+    is exactly what drawing those words whole consumes.  Reading them as
+    little-endian bytes keeps the order independent of the host.
+    """
+    words = rng.integers(0, 2**32, size=(n + 3) // 4, dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)
+    bits >>= 7
+    return bits[:n]
+
+
 def make_library(inst: ProblemInstance, F: int, seed: int = 0) -> FileLibrary:
     """Draw all N files from one seeded stream, file-major, layer-minor.
 
-    A library :func:`library_layout` refuses is refused before anything
-    is allocated.
+    A layer of n bits is one :func:`_random_bits` call: ceil(n / 4)
+    32-bit words, the top bit of each byte, the same bits as
+    ``rng.integers(0, 2, size=n, dtype=np.uint8)``.  A library
+    :func:`library_layout` refuses is refused before anything is
+    allocated.
     """
     lengths = library_layout(inst, F, seed)
     rng = np.random.default_rng(seed)
-    files = tuple(
-        tuple(rng.integers(0, 2, size=n, dtype=np.uint8) for n in lengths)
-        for _ in range(inst.N)
-    )
+    files = tuple(tuple(_random_bits(rng, n) for n in lengths) for _ in range(inst.N))
     return FileLibrary(F=int(F), seed=int(seed), layer_lengths=lengths, files=files)
 
 

@@ -244,6 +244,21 @@ def simplified_budget_solve(m_tot, rates):
     return dec, load
 
 
+def library_per_bit(inst: ProblemInstance, F: int, seed: int) -> tuple:
+    """The N files as one bounded uint8 draw per bit gives them.
+
+    One ``integers(0, 2, dtype=uint8)`` call per layer, file-major and
+    layer-minor, from one seeded stream: the library ``make_library``
+    must reproduce bit for bit.
+    """
+    lengths = tuple(int(round(f * F)) for f in inst.rates.f)
+    rng = np.random.default_rng(seed)
+    return tuple(
+        tuple(rng.integers(0, 2, size=n, dtype=np.uint8) for n in lengths)
+        for _ in range(inst.N)
+    )
+
+
 def audit_delivery(cache, log) -> list:
     """Check that no user is handed a bit twice.
 

@@ -607,6 +607,30 @@ def test_one_parser_serves_every_call(ex1_path, capsys):
         assert (rc, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
+def test_verify_shares_nothing_between_calls(ex1_path, tmp_path, capsys):
+    # indexes are cached per process: K=3 and K=4 verifies, interleaved
+    # twice in this process, must each print and write what a fresh
+    # process does
+    k4_path = write_instance(tmp_path, "k4.json", [0.2, 0.45, 0.7, 0.9],
+                             memories=[0.1, 0.2, 0.3, 0.5])
+    fresh = {}
+    for name, path in (("k3", ex1_path), ("k4", k4_path)):
+        scheme = str(tmp_path / f"{name}-scheme.json")
+        assert main(["solve", path, "--out", scheme]) == 0
+        out = tmp_path / f"{name}-fresh.json"
+        argv = ["verify", path, "--scheme", scheme, "--seed", "1"]
+        proc = subprocess.run([sys.executable, "-m", "hetcache", *argv, "--out", str(out)],
+                              capture_output=True, text=True)
+        fresh[name] = (argv, (proc.returncode, proc.stdout, out.read_bytes()))
+    capsys.readouterr()
+    for call, name in enumerate(["k3", "k4", "k3", "k4"]):
+        argv, want = fresh[name]
+        out = tmp_path / f"{name}-{call}.json"
+        rc = main([*argv, "--out", str(out)])
+        assert (rc, capsys.readouterr().out, out.read_bytes()) == want
+        assert want[0] == 0
+
+
 def test_module_entry_point(ex1_path):
     proc = subprocess.run(
         [sys.executable, "-m", "hetcache", "solve", ex1_path],

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from hetcache import scheme_lp
 from hetcache.closed_form import theorem1_load, threshold_allocation
 from hetcache.lp_core import LpSolution, LpStatus, SolverError, solve_lp
 from hetcache.model import (
@@ -15,6 +16,7 @@ from hetcache.model import (
 )
 from hetcache.model import MemoryAllocation
 from hetcache.scheme_lp import (
+    INDEX_CACHE_SIZE,
     SchemeSolution,
     build_intra_layer,
     build_intra_restricted,
@@ -25,6 +27,7 @@ from hetcache.scheme_lp import (
     make_variable_index,
     mask_label,
     members,
+    program_columns,
     scheme_problems,
 )
 
@@ -119,6 +122,61 @@ class TestVariableIndex:
     def test_rejects_oversized(self):
         with pytest.raises(InstanceError):
             make_variable_index(11)
+
+    def test_repeated_calls_share_one_index(self):
+        assert make_variable_index(4) is make_variable_index(4)
+        assert make_variable_index(4, per_layer_signals=True) is make_variable_index(
+            4, per_layer_signals=True
+        )
+        assert make_variable_index(4) is not make_variable_index(4, per_layer_signals=True)
+
+    def test_shared_index_is_read_only(self):
+        idx = make_variable_index(3)
+        for family in ("alloc", "assign", "multicast", "unicast", "layer_mem", "columns"):
+            mapping = getattr(idx, family)
+            key = next(iter(mapping))
+            with pytest.raises(TypeError):
+                mapping[key] = 0
+            with pytest.raises(TypeError):
+                del mapping[key]
+        assert make_variable_index(3).n_vars == 47
+
+    def test_layers_may_be_a_list(self):
+        idx = make_variable_index(
+            3, layers=[2], per_layer_signals=True, with_layer_memories=False
+        )
+        assert idx.layers == (2,)
+        assert idx is make_variable_index(
+            3, layers=(2,), per_layer_signals=True, with_layer_memories=False
+        )
+
+    def test_oversized_is_refused_every_call_and_never_cached(self):
+        before = scheme_lp._build_index.cache_info()
+        for K in (11, 11, 0):
+            with pytest.raises(InstanceError, match="outside supported range"):
+                make_variable_index(K)
+        after = scheme_lp._build_index.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits, before.misses, before.currsize
+        )
+
+    def test_columns_name_every_column(self):
+        idx = make_variable_index(4, per_layer_signals=True)
+        assert [idx.columns[name] for name in idx.names] == list(range(idx.n_vars))
+
+    @pytest.mark.parametrize("K", range(1, 11))
+    def test_closed_form_column_counts(self, K):
+        assert program_columns(K) == (
+            make_variable_index(K).n_vars,
+            make_variable_index(K, per_layer_signals=True).n_vars,
+        )
+
+    def test_cache_stays_at_its_bound(self):
+        # largest first, so the indexes the count test just built are reused
+        for K in range(10, 2, -1):
+            make_variable_index(K)
+            assert scheme_lp._build_index.cache_info().currsize <= INDEX_CACHE_SIZE
+        assert scheme_lp._build_index.cache_info().currsize == INDEX_CACHE_SIZE
 
     def test_joint_needs_all_layers(self):
         with pytest.raises(InstanceError):
@@ -504,6 +562,15 @@ class TestSerialization:
             else:
                 with pytest.raises(InstanceError, match="variable_count"):
                     SchemeSolution.from_json_dict(data)
+
+    def test_wrong_count_refused_before_the_index_is_built(self, monkeypatch):
+        def no_index(*_args, **_kwargs):
+            raise AssertionError("the index was built before the count was checked")
+
+        monkeypatch.setattr(scheme_lp, "make_variable_index", no_index)
+        data = {"K": 10, "objective": 0.0, "variable_count": 1}
+        with pytest.raises(InstanceError, match="variable_count 1 is neither 274435"):
+            SchemeSolution.from_json_dict(data)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(InstanceError):

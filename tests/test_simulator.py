@@ -26,7 +26,7 @@ from hetcache.simulator import (
 )
 
 from conftest import users_mask
-from oracles import audit_delivery
+from oracles import audit_delivery, library_per_bit
 from test_scheme_lp import fixed_instance
 
 
@@ -118,6 +118,31 @@ class TestLibrary:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(InstanceError, match="file size"):
             make_library(ex1_instance(), 0)
+
+    # (rates, N, F, layer lengths): a length that is not a multiple of four
+    # leaves bytes of its last 32-bit word unused, an odd word count leaves
+    # half of a 64-bit PCG64 output for the next layer, and an empty layer
+    # draws nothing
+    LAYOUTS = [
+        ([0.0, 0.001, 0.003, 0.006, 0.010, 0.015, 0.022], 9, 1000, (0, 1, 2, 3, 4, 5, 7)),
+        ([0.123457, 0.823458, 0.999999], 4, 10**6, (123457, 700001, 176541)),
+        ([3e-6, 0.12346, 0.123461, 0.123466, 0.823467, 0.823467, 0.823474], 7, 10**6,
+         (3, 123457, 1, 5, 700001, 0, 7)),
+    ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_library_is_the_per_bit_draw(self, seed):
+        for rates, N, F, lengths in self.LAYOUTS:
+            inst = fixed_instance(rates, [0.0] * len(rates), N=N)
+            lib = make_library(inst, F, seed)
+            assert lib.layer_lengths == lengths
+            want = library_per_bit(inst, F, seed)
+            assert len(lib.files) == len(want) == N
+            for got_file, want_file in zip(lib.files, want, strict=True):
+                for got, ref in zip(got_file, want_file, strict=True):
+                    assert got.dtype == np.uint8
+                    assert np.array_equal(got, ref)
+                    assert not np.any(got > 1)
 
 
 class TestQuantize:
