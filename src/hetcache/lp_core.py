@@ -45,7 +45,7 @@ Design notes, fixed deliberately so results are reproducible run to run:
   once per program and shared by the programs moved from it (see
   :class:`LinearProgram`).
 * The basis inverse is kept in product form (Dantzig & Orchard-Hays
-  1954): B0^-1, a dense m x m inverse computed afresh and never written,
+  1954): B0^-1, a dense m x m inverse, computed afresh or folded (below),
   and an outer-product eta file of the k pivots made since, so that
   B^-1 = B0^-1 - U^T V.  A pivot in row r on the entering column
   alpha = B^-1 a_j appends u = alpha - e_r to U and v = e_r^T B^-1 / alpha_r
@@ -53,27 +53,31 @@ Design notes, fixed deliberately so results are reproducible run to run:
   column, B^-1 v and y^T B^-1) is one product with B0^-1 and two with the
   k pending rows.  The steepest-edge weights follow by the
   Forrest-Goldfarb recurrence, which costs one product B^-1 (e_r^T B^-1)^T
-  per pivot, and the reduced costs by the pivot row.  Every 100 pivots
-  (REFACTOR_EVERY) the basis is inverted afresh, which empties the eta
-  file, resets the weights to their exact values and recomputes the
-  reduced costs and the basic values, to shed accumulated error; the
-  count runs on along a chain of warm starts that hand their factor on
-  (see below), so k never exceeds REFACTOR_EVERY.  At the end the reduced
-  costs are recomputed once more; if a column moves to its other bound,
-  or the point fails the feasibility audit, the basis is inverted and the
-  dual loop runs again, at most three times in all.
+  per pivot, and the reduced costs by the pivot row.
+* Refresh: when the eta file is full (REFACTOR_EVERY = 100 rows) it is
+  folded, B0^-1 <- B0^-1 - U^T V in one matrix product; the weights are
+  reset to the folded rows' squared norms and the reduced costs and basic
+  values recomputed.  The file runs on along a chain of warm starts that
+  hand their factor on (see below), so k never exceeds REFACTOR_EVERY.
+  The basis is inverted afresh only on evidence: a fold whose probe
+  fails (|B B^-1 z - z| > 1e-9 |z| for the fixed z_i = 1 + i/m), a start
+  on another A, or a point that fails the feasibility audit.  At the end
+  the reduced costs are recomputed once more; a column that moves to its
+  other bound (basic values recomputed) or a failed audit (basis
+  inverted) sends the dual loop round again, at most three times in all.
 * Memory: the solver holds B0^-1 and one work array of m rows by
-  max(m, 2 * REFACTOR_EVERY), which holds the eta file between
-  inversions and B while it is inverted; while it inverts, B0^-1 is
-  dropped for LAPACK's output.  An optimal basis keeps both arrays, so
-  a start held by the caller adds two more: four in all, as many as
-  when the inverse was updated in place.  (Copying out only the k eta
-  rows instead would hold less, but at K=5 it left the allocator's heap
-  0.4-0.8 MB larger over a sweep.)  The tracemalloc peak of a warm K=6
-  solve (535 rows), its start included, is 4.2 m x m arrays, the rest
-  being vectors (numpy's arrays only; LAPACK's own work space is not
-  traced).  A program whose four arrays exceed MAX_BASIS_MIB is refused
-  with SolverError before anything is allocated.
+  max(m, 2 * REFACTOR_EVERY), which holds the eta file, and B while it is
+  inverted; while it inverts, B0^-1 is dropped for LAPACK's output.  A
+  fold writes a B0^-1 of the solve's own in place, a block of rows at a
+  time; one still shared with a start goes to one fresh array, since a
+  start is never written.  An optimal basis keeps both arrays, so a start
+  held by the caller adds two more: four in all.  (Copying out only the k
+  eta rows instead would hold less, but at K=5 it left the allocator's
+  heap 0.4-0.8 MB larger over a sweep.)  The tracemalloc peak of a warm
+  K=6 solve (535 rows), its start excluded, is 2.21 m x m arrays, the
+  rest being vectors (numpy's arrays only; LAPACK's own work space is
+  not traced).  A program whose four arrays exceed MAX_BASIS_MIB is
+  refused with SolverError before anything is allocated.
 * Tolerances: feasibility 1e-8, optimality 1e-8, pivot acceptance 1e-11.
 
 Warm starts.  Every optimal solution carries its final :class:`Basis`.
@@ -116,6 +120,8 @@ OPT_TOL = 1e-8
 PIVOT_TOL = 1e-11
 RATIO_TIE_TOL = 1e-9
 REFACTOR_EVERY = 100
+# a fold's probe: the largest error of B (B^-1 z), relative to |z|
+PROBE_TOL = 1e-9
 # largest memory for the solver's four m x m arrays: admits every
 # program of up to 8 users (3595 rows, 394 MiB) and refuses 9 users
 # (6447 rows, 1268 MiB)
@@ -135,18 +141,16 @@ class LpStatus(enum.Enum):
 
 class Factor(NamedTuple):
     """The basis inverse an optimal solve ended with, and what it is
-    valid for, all read-only: ``binv``, the last fresh inverse B0^-1, and
+    valid for, all read-only: ``binv``, the dense B0^-1, and
     the eta rows ``eta_u`` and ``eta_v`` of the k pivots since, views of
     the solve's work array, so that the final basis has
-    B^-1 = binv - eta_u^T eta_v; its steepest-edge
-    ``weights``; ``age`` pivots since the last scheduled inversion; and the
+    B^-1 = binv - eta_u^T eta_v; its steepest-edge ``weights``; and the
     column-wise nonzeros of the A they belong to."""
 
     binv: np.ndarray
     weights: np.ndarray
     eta_u: np.ndarray
     eta_v: np.ndarray
-    age: int
     col_ptr: np.ndarray
     nz_row: np.ndarray
     nz_val: np.ndarray
@@ -393,8 +397,8 @@ class _Tableau:
     A is held column-wise and sparse: the nonzeros of column j are
     ``nz_row[col_ptr[j]:col_ptr[j + 1]]`` and ``nz_val[...]`` in row
     order, and ``nz_col`` names the column of each nonzero.  The basis
-    inverse is ``binv0``, dense and read-only, less the eta file's first
-    ``k`` rows: B^-1 = binv0 - eta_u[:k]^T eta_v[:k].
+    inverse is ``binv0``, dense and read-only while a start shares it,
+    less the eta file's first ``k`` rows: B^-1 = binv0 - eta_u[:k]^T eta_v[:k].
     """
 
     def __init__(self, lp: LinearProgram):
@@ -430,8 +434,6 @@ class _Tableau:
         or cannot be made dual feasible.
         """
         n, m = self.layout[0], self.m
-        # pivots since the last scheduled inversion, carried along a chain
-        self.age = 0
         inverse = None
         if start is None:
             cols = np.arange(n, n + m)
@@ -452,7 +454,6 @@ class _Tableau:
                     for a, b in ((factor.col_ptr, self.col_ptr), (factor.nz_row, self.nz_row),
                                  (factor.nz_val, self.nz_val))):
                 inverse = factor[:4]
-                self.age = factor.age
         self.basis = cols.copy()
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
@@ -505,8 +506,7 @@ class _Tableau:
         the steepest-edge weights, then re-price and recompute the basic
         values.  ``inverse``, the binv0, weights and eta rows of this basis
         known already, replaces the inversion; only its weights and etas
-        are copied, since binv0 is never written."""
-        m = self.m
+        are copied, since a start's binv0 is never written."""
         self.binv0 = None  # freed before LAPACK allocates the new inverse
         if inverse is not None:
             self.binv0, weights, eta_u, eta_v = inverse
@@ -515,31 +515,63 @@ class _Tableau:
             self.eta_u[:self.k] = eta_u
             self.eta_v[:self.k] = eta_v
         else:
-            position = np.full(self.ncols, -1)
-            position[self.basis] = np.arange(m)
-            at = position[self.nz_col]
-            basic = at >= 0
-            B = self.rows_buf
-            B.fill(0.0)
-            B[self.nz_row[basic], at[basic]] = self.nz_val[basic]
+            rows, at, vals = self.basic_nonzeros()
+            self.rows_buf.fill(0.0)
+            self.rows_buf[rows, at] = vals
             try:
-                self.binv0 = np.linalg.inv(B) if m else np.zeros((0, 0))
+                self.binv0 = np.linalg.inv(self.rows_buf) if self.m else np.zeros((0, 0))
             except np.linalg.LinAlgError as exc:
                 raise SolverError("singular basis during refactorization") from exc
             self.weights = np.einsum("ij,ij->i", self.binv0, self.binv0)
             self.k = 0
         self.price()
-        nonbasic = self.nonbasic_values()
-        self.xb = self.ftran(
-            self.b - np.bincount(self.nz_row, self.nz_val * nonbasic[self.nz_col], minlength=m)
-        )
+        self.solve_basic()
+
+    def fold(self):
+        """Multiply the eta file out, B0^-1 <- B0^-1 - U^T V, which empties
+        it, then reset the weights, re-price and recompute the basic values,
+        or invert the basis afresh if the folded factor fails the probe.
+        A binv0 of this solve's own is written in place, 64 rows at a time;
+        one shared with a start (read-only) is folded into a fresh array."""
+        U, V = self.eta_u[:self.k], self.eta_v[:self.k]
+        if self.binv0.flags.writeable:
+            for i in range(0, self.m, 64):
+                self.binv0[i:i + 64] -= U[:, i:i + 64].T @ V
+        else:
+            binv = np.matmul(U.T, V)
+            self.binv0 = np.subtract(self.binv0, binv, out=binv)
+        self.k = 0
+        # B (B^-1 z) must give back the fixed dense z; NaN fails as well
+        z = 1.0 + np.arange(self.m) / self.m
+        rows, at, vals = self.basic_nonzeros()
+        w = self.binv0 @ z
+        error = np.abs(np.bincount(rows, vals * w[at], minlength=self.m) - z).max()
+        if not error <= PROBE_TOL * z.max():
+            return self.refactor()
+        self.weights = np.einsum("ij,ij->i", self.binv0, self.binv0)
+        self.price()
+        self.solve_basic()
+
+    def basic_nonzeros(self):
+        """(row, basis position, value) of every nonzero of B."""
+        position = np.full(self.ncols, -1)
+        position[self.basis] = np.arange(self.m)
+        at = position[self.nz_col]
+        basic = at >= 0
+        return self.nz_row[basic], at[basic], self.nz_val[basic]
+
+    def solve_basic(self):
+        """x_B = B^-1 (b - A_N x_N) from the current factor."""
+        x_n = self.nonbasic_values()[self.nz_col]
+        a_n = np.bincount(self.nz_row, self.nz_val * x_n, minlength=self.m)
+        self.xb = self.ftran(self.b - a_n)
 
     def price(self) -> bool:
         """Recompute the reduced costs and move every nonbasic column to
         the bound its reduced cost prefers.
 
         Returns whether a column moved, after which the basic values are
-        stale until the next refactorization.  Raises SolverError for a
+        stale until ``solve_basic``.  Raises SolverError for a
         slack that would have to move to infinity.
         """
         self.d = self.cost - self.row(self.btran(self.cost[self.basis]))
@@ -566,7 +598,6 @@ class _Tableau:
         bound the leaving variable rests on.
         """
         leaving = self.basis[r]
-        self.age += 1
         self.in_basis[leaving] = False
         self.in_basis[j] = True
         self.nonbasic_movable[leaving] = self.movable[leaving]
@@ -603,7 +634,7 @@ class _Tableau:
         # the tableau is dropped after this, so binv0, the weights and the
         # k etas are handed over, read-only, since a start is never written
         factor = Factor(*_frozen(self.binv0, self.weights, *self.etas[:, :self.k]),
-                        self.age, self.col_ptr, self.nz_row, self.nz_val)
+                        self.col_ptr, self.nz_row, self.nz_val)
         return Basis(self.basis.copy(), self.sign < 0, self.layout, factor)
 
 
@@ -619,9 +650,8 @@ def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
     switch = SMALLEST_INDEX_AFTER * (m + t.ncols)
     while True:
         pivots = t.iterations - first
-        if t.age >= REFACTOR_EVERY:
-            t.refactor()
-            t.age = 0
+        if t.k == REFACTOR_EVERY:
+            t.fold()
         violation = np.maximum(t.lo_b - t.xb, t.xb - t.hi_b)
         # dual steepest edge: violation^2 / w_r on the violated rows, 0 elsewhere
         score = np.where(violation > FEAS_TOL, violation * violation / t.weights, 0.0)
@@ -683,7 +713,7 @@ def _optimize(t: _Tableau, lp: LinearProgram, limit: int) -> LpSolution:
         if not _run_dual(t, first, limit):
             return LpSolution(LpStatus.INFEASIBLE, np.full(n, np.nan), np.nan, t.iterations)
         if t.price():
-            t.refactor()
+            t.solve_basic()  # a moved column only makes x_B stale
             continue
         x = t.x_full()[:n]
         problems = lp.check_point(x, tol=FEAS_TOL * 10)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def dense_columns(lp):
 
 
 def inverse(t):
-    """The tableau's current B^-1, dense: its last fresh inverse less the
+    """The tableau's current B^-1, dense: its B0^-1 less the
     eta file."""
     return t.binv0 - t.eta_u[:t.k].T @ t.eta_v[:t.k]
 
@@ -232,7 +233,7 @@ class TestKernels:
 
 
 class TestEtaFile:
-    """B^-1 is the last fresh inverse less an outer-product eta file, one
+    """B^-1 is a dense B0^-1 less an outer-product eta file, one
     row pair per pivot since."""
 
     @pytest.mark.parametrize("lp", kernel_programs())
@@ -496,6 +497,19 @@ def counting_inverse(monkeypatch):
     return calls
 
 
+def counting_folds(monkeypatch):
+    """Count the folds of a full eta file into B0^-1."""
+    calls = []
+    fold = lp_core._Tableau.fold
+
+    def counted(t):
+        calls.append(t.m)
+        return fold(t)
+
+    monkeypatch.setattr(lp_core._Tableau, "fold", counted)
+    return calls
+
+
 class TestCarriedFactor:
     """An optimal basis carries its inverse to a start on the same A."""
 
@@ -545,31 +559,35 @@ class TestCarriedFactor:
 
     def test_random_walk_audits_clean_and_refactors_on_schedule(self, monkeypatch):
         # 60 budgets in a random walk: each warm solve must pass the audit
-        # and match the cold one, and the pivots the carried inverse has
-        # seen since its last inversion stay below REFACTOR_EVERY
+        # and match the cold one, and the eta rows the carried factor holds
+        # stay below REFACTOR_EVERY
         lp, rates = self.budget_program(4, 4)
         rng = np.random.default_rng(60)
         calls = counting_inverse(monkeypatch)
+        folds = counting_folds(monkeypatch)
         budget = 0.5 * rates.sum_rates
         start = solve_lp(lp).basis
-        pivots = inversions = 0
+        pivots = inversions = folded = 0
         for _ in range(60):
             budget = float(np.clip(budget + rng.normal(0.0, 0.6), 0.0, rates.sum_rates))
             program = with_memory(lp, ProblemInstance(4, 4, rates, Budget(budget)))
-            before = len(calls)
+            before = len(calls), len(folds)
             warm = solve_lp(program, start=start)
-            inversions += len(calls) - before
+            inversions += len(calls) - before[0]
+            folded += len(folds) - before[1]
             pivots += warm.iterations
             cold = solve_lp(program)
             assert warm.is_optimal
             assert program.check_point(warm.x) == []
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert 0 <= warm.basis.factor.age < lp_core.REFACTOR_EVERY
+            assert 0 <= len(warm.basis.factor.eta_u) < lp_core.REFACTOR_EVERY
             start = warm.basis
         # the schedule counts along the chain: it crosses REFACTOR_EVERY
-        # several times, though no single re-solve comes near it
+        # several times, though no single re-solve comes near it, and each
+        # time the eta file is folded, never inverted
         assert pivots > 3 * lp_core.REFACTOR_EVERY
-        assert inversions >= pivots // lp_core.REFACTOR_EVERY
+        assert folded >= pivots // lp_core.REFACTOR_EVERY
+        assert inversions == 0
 
     def test_cold_solve_is_unchanged_by_earlier_chains(self):
         # nothing of a warm chain is kept between solves: a cold solve after
@@ -585,6 +603,113 @@ class TestCarriedFactor:
         after = solve_lp(lp)
         assert after.iterations == before.iterations
         assert after.x.tobytes() == before.x.tobytes()
+
+
+def memory_family(K, kind, seed):
+    """A K-user scheme program at full memory, and the instance at a
+    share s of it: a budget s * sum(r), or caches s * r_k."""
+    rates = random_rates(np.random.default_rng(seed), K)
+    if kind == "budget":
+        def inst(s):
+            return ProblemInstance(K, K, rates, Budget(s * rates.sum_rates))
+        lp, _ = build_o1(inst(1.0))
+    else:
+        def inst(s):
+            return ProblemInstance(K, K, rates, FixedMemories(tuple(s * r for r in rates.r)))
+        lp, _ = build_o2(inst(1.0))
+    return lp, inst
+
+
+def carried_inverse(factor):
+    return factor.binv - factor.eta_u.T @ factor.eta_v
+
+
+class TestFoldedFactor:
+    """A full eta file is folded into B0^-1; the basis is inverted afresh
+    only when the folded factor fails its probe."""
+
+    @pytest.mark.parametrize("K, kind", [(4, "budget"), (4, "fixed"), (5, "budget"), (5, "fixed")])
+    def test_long_warm_walk_folds_without_inverting(self, monkeypatch, K, kind):
+        # random memories, each solved warm from the last, for 2000 pivots
+        # and more: the carried factor folds twenty times and more, is
+        # never inverted, and stays the inverse of its basis with exact
+        # weights; every fifth point must match its cold solve
+        lp, inst = memory_family(K, kind, 40 + K)
+        A = dense_columns(lp)
+        rng = np.random.default_rng(K)
+        start = solve_lp(lp).basis
+        calls = counting_inverse(monkeypatch)
+        folds = counting_folds(monkeypatch)
+        pivots = steps = 0
+        sampled = []
+        while pivots < 2000:
+            program = with_memory(lp, inst(float(rng.uniform(0.0, 1.0))))
+            warm = solve_lp(program, start=start)
+            assert warm.is_optimal and program.check_point(warm.x) == []
+            pivots += warm.iterations
+            if steps % 5 == 0:
+                binv = carried_inverse(warm.basis.factor)
+                assert np.abs(binv @ A[:, warm.basis.cols] - np.eye(lp.n_rows)).max() <= 1e-10
+                exact = np.einsum("ij,ij->i", binv, binv)
+                assert np.allclose(warm.basis.factor.weights, exact, rtol=1e-8, atol=0)
+                sampled.append((program, warm.objective))
+            start = warm.basis
+            steps += 1
+        assert calls == []
+        assert len(folds) >= pivots // lp_core.REFACTOR_EVERY
+        for program, objective in sampled:
+            assert objective == pytest.approx(solve_lp(program).objective, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["budget", "fixed"])
+    def test_weights_are_exact_after_three_folds(self, monkeypatch, kind):
+        lp, inst = memory_family(5, kind, 50)
+        folds = counting_folds(monkeypatch)
+        factor = solve_lp(with_memory(lp, inst(0.4))).basis.factor
+        assert len(folds) >= 3
+        binv = carried_inverse(factor)
+        assert np.allclose(factor.weights, np.einsum("ij,ij->i", binv, binv), rtol=1e-8, atol=0)
+
+    def test_a_failed_probe_inverts_afresh(self, monkeypatch):
+        # one entry of the solve's own B0^-1 moved by 1e-6 just before the
+        # first fold: the probe sees it and the basis is inverted, and the
+        # solve still ends at the clean solve's optimum, audited
+        lp, inst = memory_family(5, "budget", 51)
+        program = with_memory(lp, inst(0.4))
+        calls = counting_inverse(monkeypatch)
+        clean = solve_lp(program)
+        assert calls == []
+        fold = lp_core._Tableau.fold
+        spoiled = []
+
+        def spoil_first(t):
+            if not spoiled:
+                assert t.binv0.flags.writeable
+                t.binv0[0, 0] += 1e-6
+                spoiled.append(len(calls))
+            fold(t)
+
+        monkeypatch.setattr(lp_core._Tableau, "fold", spoil_first)
+        solution = solve_lp(program)
+        assert spoiled == [0] and calls == [(program.n_rows,) * 2]
+        assert solution.is_optimal and program.check_point(solution.x) == []
+        assert solution.objective == pytest.approx(clean.objective, abs=1e-9)
+
+    def test_warm_folds_stay_within_two_arrays(self, monkeypatch):
+        # a warm K=6 solve of hundreds of pivots folds its start's shared
+        # B0^-1 into one fresh array, then its own in place: beyond the
+        # start it allocates its two m x m arrays and little more
+        lp, inst = memory_family(6, "budget", 0)
+        start = solve_lp(lp).basis
+        program = with_memory(lp, inst(0.6))
+        folds = counting_folds(monkeypatch)
+        tracemalloc.start()
+        try:
+            warm = solve_lp(program, start=start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert warm.is_optimal and len(folds) >= 2
+        assert peak <= 2.3 * lp.n_rows ** 2 * 8
 
 
 def counting_derivations(monkeypatch):
