@@ -14,7 +14,13 @@ conservative.
 from __future__ import annotations
 
 from .lp_core import SolverError, solve_lp
-from .model import InstanceError, MemoryAllocation, ProblemInstance, RateProfile
+from .model import (
+    InstanceError,
+    MemoryAllocation,
+    ProblemInstance,
+    RateProfile,
+    check_memories,
+)
 from .scheme_lp import build_intra_layer, with_split
 
 
@@ -24,8 +30,7 @@ def pca_split(m, rates: RateProfile) -> MemoryAllocation:
     A user with zero rate gets zeros; such a user cannot hold cache in
     the first place (m_k ≤ r_k = 0), which the range check enforces.
     """
-    m = tuple(float(v) for v in m)
-    _check_vector(m, rates)
+    m = check_memories(m, rates)
     rows = []
     for k in range(1, rates.K + 1):
         mk = m[k - 1]
@@ -42,8 +47,7 @@ def pca_split(m, rates: RateProfile) -> MemoryAllocation:
 
 def oca_split(m, rates: RateProfile) -> MemoryAllocation:
     """Ordered split: fill layer 1, then 2, ... until the cache is spent."""
-    m = tuple(float(v) for v in m)
-    _check_vector(m, rates)
+    m = check_memories(m, rates)
     rows = []
     for k in range(1, rates.K + 1):
         remaining = m[k - 1]
@@ -56,18 +60,6 @@ def oca_split(m, rates: RateProfile) -> MemoryAllocation:
             remaining -= take
         rows.append(row)
     return MemoryAllocation.from_matrix(rows)
-
-
-def _check_vector(m, rates: RateProfile) -> None:
-    problems = []
-    if len(m) != rates.K:
-        problems.append(f"memory vector has {len(m)} entries for {rates.K} users")
-    else:
-        for k, (mk, rk) in enumerate(zip(m, rates.r), start=1):
-            if not 0.0 <= mk <= rk + 1e-9:  # NaN fails this test
-                problems.append(f"memory m[{k}]={mk} outside [0, {rk}]")
-    if problems:
-        raise InstanceError(problems)
 
 
 _SPLITS = {"pca": pca_split, "oca": oca_split}

@@ -28,7 +28,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .lp_core import Basis, LinearProgram, SolverError, solve_lp
-from .model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
+from .model import (
+    Budget,
+    FixedMemories,
+    InstanceError,
+    ProblemInstance,
+    check_budget,
+    check_memories,
+    ensure_valid,
+)
 
 # the budget program has about K^2 rows and columns and the solver keeps a
 # dense inverse of its basis; nothing measured needs more users than this
@@ -91,17 +99,7 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
         if not isinstance(inst.constraint, FixedMemories):
             raise InstanceError(["no memory vector given and none on the instance"])
         m = inst.constraint.m
-    m = tuple(float(v) for v in m)
-    # each range test is written so that NaN, which compares false, fails it
-    problems = [
-        f"memory m[{k}]={mk} outside [0, {rk}]"
-        for k, (mk, rk) in enumerate(zip(m, inst.rates.r), start=1)
-        if not -1e-12 <= mk <= rk + 1e-9
-    ]
-    if len(m) != inst.K:
-        problems.append(f"memory vector has {len(m)} entries for {inst.K} users")
-    if problems:
-        raise InstanceError(problems)
+    m = check_memories(m, inst.rates)
 
     K, r = inst.K, inst.rates.r
     masks = []
@@ -144,9 +142,7 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
             raise InstanceError(["no budget given and none on the instance"])
         m_tot = inst.constraint.m_tot
     m_tot = float(m_tot)
-    total = inst.rates.sum_rates
-    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
-        raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
+    check_budget(m_tot, inst.rates)
 
     lp = budget_program(inst) if program is None else program
     # the same coefficient dicts, so the moved program shares their arrays
@@ -236,8 +232,7 @@ def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:
     r1, r2, r3 = inst.rates.r
     N = inst.N
     total = r1 + r2 + r3
-    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
-        raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
+    check_budget(m_tot, inst.rates)
     half = N // 2
     branches = (
         total - N / (N // 3) * m_tot,

@@ -13,6 +13,7 @@ solver breakdown, 4 failed verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -25,7 +26,7 @@ from .baselines import baseline_load, baseline_loads  # noqa: F401
 from .bounds import budget_program, cutset_budget, cutset_fixed, cutset_k3
 from .closed_form import corner_points, theorem1_load, threshold_allocation
 from .lp_core import SolverError, solve_lp
-from .model import Budget, FixedMemories, InstanceError, load_instance
+from .model import Budget, FixedMemories, InstanceError, load_instance, read_json
 from .scheme_lp import (
     SchemeSolution,
     build_intra_restricted,
@@ -101,31 +102,31 @@ def _solve_scheme(inst, mode: str) -> SchemeSolution:
 
 
 def _open_out(path):
+    """A text file to write ``path``, or stdout when there is none."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_json(data, path) -> None:
+    """Write ``data`` as indented JSON and a newline, to ``path`` or stdout."""
+    with _open_out(path) as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def _emit(rows: list[dict], header: list[str], args) -> None:
     """Write rows as CSV (header always) or JSON, to --out or stdout."""
-    fh, close = _open_out(getattr(args, "out", None))
-    try:
-        if args.format == "json":
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [
-                        repr(row[c]) if isinstance(row[c], float) else row[c]
-                        for c in header
-                    ]
-                )
-    finally:
-        if close:
-            fh.close()
+    if args.format == "json":
+        _write_json(rows, args.out)
+        return
+    with _open_out(args.out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(row[c]) if isinstance(row[c], float) else row[c] for c in header]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +138,7 @@ def cmd_solve(args) -> int:
     scheme = _solve_scheme(inst, args.mode)
     print(f"load = {scheme.load():.6f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(scheme.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(scheme.to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -259,12 +258,7 @@ def cmd_verify(args) -> int:
     # refuse the library options before a scheme is read or solved
     library_layout(inst, args.file_size, args.seed)
     if args.scheme:
-        with open(args.scheme, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InstanceError([f"scheme file is not valid JSON: {exc}"]) from exc
-        scheme = SchemeSolution.from_json_dict(data)
+        scheme = SchemeSolution.from_json_dict(read_json(args.scheme, "scheme file"))
         problems = scheme_problems(scheme, inst)
         if problems:
             print("FAIL: scheme is inconsistent with the instance")
@@ -287,9 +281,7 @@ def cmd_verify(args) -> int:
             if status != "ok":
                 print(f"  user {k}: {status}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(report.to_json_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 

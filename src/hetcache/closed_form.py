@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import InstanceError, MemoryAllocation, RateProfile
+from .model import MemoryAllocation, RateProfile, check_budget
 
 _TOL = 1e-12
 
@@ -71,10 +71,8 @@ def _unit_steps(rates: RateProfile) -> list[tuple[float, int, int, float]]:
 def t_decomposition(m_tot: float, rates: RateProfile) -> TDecomposition:
     """Spend ``m_tot`` greedily across layers; the unique best-first split."""
     K = rates.K
-    total = rates.sum_rates
-    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
-        raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
-    remaining = min(max(m_tot, 0.0), total)
+    check_budget(m_tot, rates)
+    remaining = min(max(m_tot, 0.0), rates.sum_rates)
 
     t = [0.0] * K
     for slope, l, level, cost in _unit_steps(rates):
@@ -114,10 +112,12 @@ def theorem1_load(m_tot: float, rates: RateProfile) -> float:
     """Optimal worst-case delivery load at total budget ``m_tot``."""
     dec = t_decomposition(m_tot, rates)
     K = rates.K
+    # a float even when every layer is empty
     return sum(
-        _g_interp(K, l, dec.t[l - 1]) * rates.f[l - 1]
-        for l in range(1, K + 1)
-        if rates.f[l - 1] > 0.0
+        (_g_interp(K, l, dec.t[l - 1]) * rates.f[l - 1]
+         for l in range(1, K + 1)
+         if rates.f[l - 1] > 0.0),
+        0.0,
     )
 
 

@@ -27,6 +27,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+# the most files an instance may name: the largest count a float holds
+# exactly, and the cut-set bounds compute with N in floats
+MAX_FILES = 2**53
+
+
 class InstanceError(ValueError):
     """Raised when an instance fails validation.
 
@@ -194,6 +199,8 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
         problems.append(f"K={inst.K} must be at least 1")
     if inst.N < inst.K:
         problems.append(f"N >= K violated (N={inst.N} < K={inst.K})")
+    if inst.N > MAX_FILES:
+        problems.append(f"N={inst.N} above 2^53, the largest file count a float holds")
     if inst.q < 2:
         problems.append(f"alphabet size q={inst.q} must be at least 2")
     if inst.rates.K != inst.K:
@@ -233,6 +240,29 @@ def ensure_valid(inst: ProblemInstance) -> ProblemInstance:
     if problems:
         raise InstanceError(problems)
     return inst
+
+
+def check_budget(m_tot: float, rates: RateProfile) -> None:
+    """Refuse a total budget outside [0, sum of rates], widened by 1e-9."""
+    total = rates.sum_rates
+    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
+        raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
+
+
+def check_memories(m, rates: RateProfile) -> tuple[float, ...]:
+    """``m`` as floats, refused unless it has one cache size m_k in [0, r_k]
+    per user; the band is widened to [-1e-12, r_k + 1e-9] for rounding."""
+    m = tuple(float(v) for v in m)
+    if len(m) != rates.K:
+        raise InstanceError([f"memory vector has {len(m)} entries for {rates.K} users"])
+    problems = [
+        f"memory m[{k}]={mk} outside [0, {rk}]"
+        for k, (mk, rk) in enumerate(zip(m, rates.r), start=1)
+        if not -1e-12 <= mk <= rk + 1e-9  # NaN fails this test
+    ]
+    if problems:
+        raise InstanceError(problems)
+    return m
 
 
 @dataclass(frozen=True)
@@ -377,10 +407,18 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
     return data
 
 
-def load_instance(path: str) -> ProblemInstance:
+def read_json(path: str, what: str):
+    """The JSON document in file ``path``, which ``what`` names in a refusal.
+
+    Text that is not UTF-8 or not JSON, and nesting too deep to parse, are
+    bad input like any other: InstanceError, not a traceback.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError([f"not valid JSON: {exc}"]) from exc
-    return instance_from_dict(data)
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8 errors
+            raise InstanceError([f"{what} is not valid JSON: {exc}"]) from exc
+
+
+def load_instance(path: str) -> ProblemInstance:
+    return instance_from_dict(read_json(path, "instance file"))

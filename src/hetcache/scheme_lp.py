@@ -387,17 +387,9 @@ def _assemble(
     return LinearProgram(c=c, eq_rows=eqs, ub_rows=ubs, lo=lo, hi=hi, names=index.names)
 
 
-def _check_scale(inst: ProblemInstance) -> None:
-    ensure_valid(inst)
-    if inst.K > MAX_USERS:
-        raise InstanceError(
-            [f"user count {inst.K} above the supported maximum {MAX_USERS}"]
-        )
-
-
 def build_o1(inst: ProblemInstance):
     """Budgeted program: the optimizer also chooses every cache share."""
-    _check_scale(inst)
+    ensure_valid(inst)
     if not inst.is_budget:
         raise InstanceError(["total-budget program needs a budget-type instance"])
     index = make_variable_index(inst.K)
@@ -406,7 +398,7 @@ def build_o1(inst: ProblemInstance):
 
 def build_o2(inst: ProblemInstance):
     """Fixed-memory program: per-user totals pinned, split still free."""
-    _check_scale(inst)
+    ensure_valid(inst)
     if inst.is_budget:
         raise InstanceError(["fixed-memory program needs per-user cache sizes"])
     index = make_variable_index(inst.K)
@@ -420,7 +412,7 @@ def build_intra_restricted(inst: ProblemInstance):
     so the objective gap to the joint program isolates exactly what
     cross-layer signals buy.
     """
-    _check_scale(inst)
+    ensure_valid(inst)
     index = make_variable_index(inst.K, per_layer_signals=True)
     return _assemble(inst, index), index
 
@@ -453,7 +445,7 @@ def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
     own signals; adding the objectives gives the load of a scheme that
     treats layers separately under the supplied split.
     """
-    _check_scale(inst)
+    ensure_valid(inst)
     problems = split.check(inst.rates)
     if problems:
         raise InstanceError(problems)
@@ -640,7 +632,7 @@ def scheme_problems(
     """
     if scheme.K != inst.K:
         raise InstanceError([f"scheme is for {scheme.K} users, instance for {inst.K}"])
-    _check_scale(inst)
+    ensure_valid(inst)
     lp = _assemble(inst, scheme.index)
     widest = max(abs(rhs) for _row, rhs in lp.eq_rows + lp.ub_rows)
     return lp.check_point(scheme.x, tol / (1.0 + widest))

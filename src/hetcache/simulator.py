@@ -21,7 +21,7 @@ scheme variable accounts for at most one bit of nudge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,8 +80,12 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
         lengths = (math.inf,)
     need = inst.N * sum(lengths)
     if need > MAX_LIBRARY_MIB << 20:
+        # need is inf or an exact int, perhaps beyond the float range: divide
+        # in integers, rounding half to even as "%.0f" would
+        mib, rest = divmod(need, 1 << 20) if need < math.inf else (need, 0)
+        mib += 2 * rest > 1 << 20 or (2 * rest == 1 << 20 and mib % 2 == 1)
         raise InstanceError(
-            [f"{inst.N} files at file size {F} need {need / 2**20:.0f} MiB, above the "
+            [f"{inst.N} files at file size {F} need {mib} MiB, above the "
              f"{MAX_LIBRARY_MIB} MiB limit"]
         )
     return lengths
@@ -144,34 +148,12 @@ class QuantizedScheme:
     missing: dict
     cache_targets: tuple[float, ...]
 
-    def payload_bits(self, tmask: int) -> int:
-        per_user = self.signal_pieces.get(tmask, {})
-        return max(
-            (sum(size for _, _, _, size in pieces) for pieces in per_user.values()),
-            default=0,
-        )
 
-    def unicast_bits(self, k: int, l: int) -> int:
-        return sum(stop - start for start, stop in self.missing.get((k, l), ()))
-
-    def total_bits(self) -> int:
-        total = sum(self.payload_bits(t) for t in self.signal_pieces)
-        total += sum(stop - start for r in self.missing.values() for start, stop in r)
-        return total
-
-    def cached_bits(self, k: int) -> int:
-        """Bits user k stores per file."""
-        bit = 1 << (k - 1)
-        return sum(n for (_, smask), n in self.alloc.items() if smask & bit)
-
-
-def quantize(
-    scheme: SchemeSolution, F: int, layer_lengths: tuple[int, ...] | None = None
-) -> QuantizedScheme:
+def quantize(scheme: SchemeSolution, F: int, layer_lengths: tuple[int, ...]) -> QuantizedScheme:
     """Map fractional sizes to bit counts; see the module docstring.
 
-    Layer lengths normally come from the library; without them they are
-    recovered from the scheme's own partition sums.
+    ``layer_lengths`` are the library's, so the chunks of each layer
+    partition exactly the bits the files hold.
     """
     if F < 1:
         raise InstanceError([f"file size {F} must be a positive integer"])
@@ -179,11 +161,6 @@ def quantize(
     K = scheme.K
     index = scheme.index
     x = scheme.x.tolist()
-    if layer_lengths is None:
-        widths = [0.0] * K
-        for (l, _S), col in index.alloc.items():
-            widths[l - 1] += x[col]
-        layer_lengths = tuple(int(round(w * F)) for w in widths)
 
     alloc: dict = {}
     offsets: dict = {}
@@ -518,16 +495,8 @@ class VerificationReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "user_status": list(self.user_status),
-            "measured_load": self.measured_load,
-            "predicted_load": self.predicted_load,
-            "max_discrepancy": self.max_discrepancy,
-            "discrepancy_bound": self.discrepancy_bound,
-            "file_size": self.file_size,
-            "seed": self.seed,
-        }
+        # json writes the user_status tuple as a list
+        return asdict(self)
 
 
 def verify(

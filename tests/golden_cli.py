@@ -6,6 +6,9 @@ files it wrote:
 
     PYTHONPATH=src python tests/golden_cli.py --out golden.json
 
+``--threads N`` runs BLAS and OpenMP at N threads instead, set before numpy
+loads, so two records show what the thread count changes.
+
 The set covers K = 2..5 with two budget and two fixed-memory instances
 per K, seeded, 208 commands: ``solve --out`` (joint and intra),
 ``verify --scheme`` of both schemes (F = 1e4 with ``--out``, and 1e6),
@@ -29,27 +32,24 @@ does not collect it.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy loads: one thread, one vertex
-
 import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
 
 
 def instances(K: int) -> list[tuple[str, dict]]:
     """Two budget then two fixed-memory instances with K users."""
+    import numpy as np  # only once the thread count is set
+
     rng = np.random.default_rng(1000 + K)
     out = []
     for i in range(4):
@@ -167,11 +167,17 @@ def main(argv=None) -> int:
                         help="compare two records instead of running")
     parser.add_argument("--tol", type=float, default=0.0,
                         help="largest number difference that --compare ignores")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="BLAS and OpenMP threads of the recorded run")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare, args.tol)
     if not args.out:
         parser.error("give --out or --compare")
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
+    for var in THREAD_VARS:  # before numpy loads: the thread count can move the vertex
+        os.environ[var] = str(args.threads)
     out = Path(args.out).resolve()
     with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
         results = record()

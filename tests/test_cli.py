@@ -134,6 +134,44 @@ class TestExitCodes:
         assert "error: program has 6447 rows" in err and "MiB" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "compare-baselines", "bounds",
+                                         "verify"])
+    @pytest.mark.parametrize("text", [b'{"K": 3, "N": 3, "\xff\xfe": 1}', b"[" * 100_000],
+                             ids=["not-utf8", "deep"])
+    def test_unreadable_instance_file(self, command, text, tmp_path, capsys):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(text)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not valid JSON" in err, err
+
+    @pytest.mark.parametrize("text", [b'{"K": 3, "\xff": 1}', b"[" * 100_000],
+                             ids=["not-utf8", "deep"])
+    def test_unreadable_scheme_file(self, text, ex1_path, tmp_path, capsys):
+        path = tmp_path / "unreadable.scheme.json"
+        path.write_bytes(text)
+        assert main(["verify", ex1_path, "--scheme", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not valid JSON" in err, err
+
+    @pytest.mark.parametrize("command", ["bounds", "compare-baselines", "verify"])
+    def test_file_count_above_two_to_the_53(self, command, tmp_path, capsys):
+        path = tmp_path / "huge_n.json"
+        path.write_text(json.dumps({"K": 3, "N": 10**400, "rates": [0.2, 0.3, 0.8],
+                                    "memories": [0.1, 0.2, 0.6]}))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above 2^53" in err, err
+
+    def test_library_beyond_the_float_range(self, tmp_path, capsys):
+        # 2^53 files are allowed, and their library size is an int no float holds
+        path = tmp_path / "n53.json"
+        path.write_text(json.dumps({"K": 3, "N": 2**53, "rates": [0.2, 0.3, 0.8],
+                                    "memories": [0.1, 0.2, 0.6]}))
+        assert main(["verify", str(path), "--file-size", str(10**300)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above the 512 MiB limit" in err, err
+
     def test_sweep_rejects_fixed_memories(self, ex1_path, capsys):
         assert main(["sweep", ex1_path]) == 2
         assert "budget instance" in capsys.readouterr().err

