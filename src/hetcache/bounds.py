@@ -35,7 +35,6 @@ from .model import (
     ProblemInstance,
     check_budget,
     check_memories,
-    ensure_valid,
 )
 
 # the budget program has about K^2 rows and columns and the solver keeps a
@@ -93,7 +92,6 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
     winning only by more than TIE_TOL, so ties go to the smallest bitmask
     and the witness is deterministic.
     """
-    ensure_valid(inst)
     _check_program_size(inst.K)
     if m is None:
         if not isinstance(inst.constraint, FixedMemories):
@@ -135,7 +133,6 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
     and the ``basis`` of the report at one budget is a warm ``start`` at
     another.
     """
-    ensure_valid(inst)
     _check_program_size(inst.K)
     if m_tot is None:
         if not isinstance(inst.constraint, Budget):
@@ -221,7 +218,6 @@ def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:
     with user 3's own, and the average of the single-user cuts; for three
     users the minimizing split makes every other combination redundant.
     """
-    ensure_valid(inst)
     if inst.K != 3:
         raise InstanceError([f"closed form applies to 3 users, not {inst.K}"])
     if m_tot is None:
@@ -239,6 +235,6 @@ def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:
         (half * (r1 + r2) + N * r3) / (N + half) - N * m_tot / (N + half),
         (total - m_tot) / 3.0,
     )
-    # the averaged single-user line is nonnegative throughout the domain,
-    # so no clamp is needed
-    return max(branches)
+    # every line is negative on the 1e-9 that check_budget allows above the
+    # sum of rates, and load cannot be: clamp at zero as BoundReport does
+    return max(*branches, 0.0)

@@ -15,7 +15,9 @@ users l, l+1, ..., K.
 
 This module holds the instance model shared by every other module: rate
 profiles, memory constraints (a total budget to be split, or one fixed
-cache size per user), instance validation, and the JSON interchange format.
+cache size per user), and the JSON interchange format.  Instances and cache
+splits are validated once, when they are constructed, and each memory range
+is defined once, by :func:`check_budget` and :func:`check_memories`.
 All rates and memories are normalized per source symbol; logs are base 2.
 """
 
@@ -169,9 +171,11 @@ MemoryConstraint = Budget | FixedMemories
 class ProblemInstance:
     """A complete caching problem: population, library, rates, memory.
 
-    Construction is permissive; call :func:`validate_instance` (or
-    :func:`ensure_valid`) to collect every violation.  The regime N >= K
-    with worst-case distinct demands is assumed throughout.
+    Construction raises :class:`InstanceError` listing every problem
+    :func:`validate_instance` finds, so an instance that exists is valid
+    and no function checks it again; its budget or cache sizes lie in the
+    ranges of :func:`check_budget` and :func:`check_memories`.  The regime
+    N >= K with worst-case distinct demands is assumed throughout.
     """
 
     K: int
@@ -180,20 +184,27 @@ class ProblemInstance:
     constraint: MemoryConstraint
     q: int = 2
 
+    def __post_init__(self):
+        problems = validate_instance(self)
+        if problems:
+            raise InstanceError(problems)
+
     @property
     def is_budget(self) -> bool:
         return isinstance(self.constraint, Budget)
 
 
 def validate_instance(inst: ProblemInstance) -> list[str]:
-    """Return every validation problem with ``inst``, empty if none.
+    """Every problem with the fields of ``inst``, empty if none: the list
+    that constructing a :class:`ProblemInstance` raises.
 
     Messages name the offending field and the bound it violates so they can
     be surfaced verbatim by the CLI.
     """
     problems: list[str] = []
     # NaN passes every range check, since it compares false: test it first
-    if not all(math.isfinite(x) for x in inst.rates.r):
+    finite = all(math.isfinite(x) for x in inst.rates.r)
+    if not finite:
         problems.append(f"rates {list(inst.rates.r)} must be finite")
     if inst.K < 1:
         problems.append(f"K={inst.K} must be at least 1")
@@ -211,35 +222,16 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
         problems.append(
             f"rates exceed log2(q)={math.log2(inst.q)}, unreachable for q={inst.q}"
         )
-    if isinstance(inst.constraint, Budget):
-        if not math.isfinite(inst.constraint.m_tot):
-            problems.append(f"budget {inst.constraint.m_tot} must be finite")
-        elif inst.constraint.m_tot < 0.0:
-            problems.append(f"budget {inst.constraint.m_tot} is negative")
-        elif inst.constraint.m_tot > inst.rates.sum_rates + 1e-12:
-            problems.append(
-                f"budget {inst.constraint.m_tot} exceeds sum of rates "
-                f"{inst.rates.sum_rates}"
-            )
-    else:
-        m = inst.constraint.m
-        if len(m) != inst.K:
-            problems.append(f"memory vector has {len(m)} entries, expected K={inst.K}")
-        for k, (mk, rk) in enumerate(zip(m, inst.rates.r), start=1):
-            if not math.isfinite(mk):
-                problems.append(f"m[{k}]={mk} must be finite")
-            elif mk < 0.0:
-                problems.append(f"m[{k}]={mk} is negative")
-            elif mk > rk + 1e-12:
-                problems.append(f"m[{k}]={mk} exceeds r[{k}]={rk}")
+    # the memory ranges are read off the rates: test them only on finite ones
+    if finite:
+        try:
+            if isinstance(inst.constraint, Budget):
+                check_budget(inst.constraint.m_tot, inst.rates)
+            else:
+                check_memories(inst.constraint.m, inst.rates)
+        except InstanceError as exc:
+            problems += exc.problems
     return problems
-
-
-def ensure_valid(inst: ProblemInstance) -> ProblemInstance:
-    problems = validate_instance(inst)
-    if problems:
-        raise InstanceError(problems)
-    return inst
 
 
 def check_budget(m_tot: float, rates: RateProfile) -> None:
@@ -271,7 +263,9 @@ class MemoryAllocation:
 
     ``per_layer[k-1][l-1]`` is the memory user k devotes to layer l, zero
     for l > k since those layers are useless to k.  ``per_user`` holds the
-    row sums m_k.
+    row sums m_k.  Construction raises :class:`InstanceError` unless the
+    matrix is K x K, with no share below -1e-9 and none beyond 1e-9 above
+    the diagonal.
     """
 
     per_layer: tuple[tuple[float, ...], ...]
@@ -291,22 +285,21 @@ class MemoryAllocation:
     def total(self) -> float:
         return sum(self.per_user)
 
-    def check(self, rates: RateProfile, tol: float = 1e-9) -> list[str]:
+    def __post_init__(self):
         problems = []
-        for k in range(1, self.K + 1):
-            row = self.per_layer[k - 1]
+        for k, row in enumerate(self.per_layer, start=1):
             if len(row) != self.K:
                 problems.append(f"allocation row {k} has {len(row)} entries")
                 continue
-            for l in range(1, self.K + 1):
-                v = row[l - 1]
-                if v < -tol:
+            for l, v in enumerate(row, start=1):
+                if v < -1e-9:
                     problems.append(f"allocation m[{k}][{l}]={v} is negative")
-                if l > k and abs(v) > tol:
+                if l > k and abs(v) > 1e-9:
                     problems.append(
                         f"allocation m[{k}][{l}]={v} nonzero for layer above user index"
                     )
-        return problems
+        if problems:
+            raise InstanceError(problems)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +322,7 @@ def _json_integer(data: dict, key: str, default: int | None, problems: list[str]
 
 
 def _json_number(value, what: str, problems: list[str]) -> float | None:
-    """``value`` as a float; NaN and infinities are left to validate_instance."""
+    """``value`` as a float; NaN and infinities are left to ProblemInstance."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
             return float(value)
@@ -394,8 +387,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         constraint: MemoryConstraint = Budget(m_tot=memory)
     else:
         constraint = FixedMemories(m=tuple(memory))
-    inst = ProblemInstance(K=K, N=N, rates=rates, constraint=constraint, q=q)
-    return ensure_valid(inst)
+    return ProblemInstance(K=K, N=N, rates=rates, constraint=constraint, q=q)
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:

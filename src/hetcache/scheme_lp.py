@@ -54,7 +54,6 @@ from .model import (
     ProblemInstance,
     _json_integer,
     _json_number,
-    ensure_valid,
 )
 
 # column counts grow like 3^K; past eight users the solver refuses the
@@ -389,7 +388,6 @@ def _assemble(
 
 def build_o1(inst: ProblemInstance):
     """Budgeted program: the optimizer also chooses every cache share."""
-    ensure_valid(inst)
     if not inst.is_budget:
         raise InstanceError(["total-budget program needs a budget-type instance"])
     index = make_variable_index(inst.K)
@@ -398,7 +396,6 @@ def build_o1(inst: ProblemInstance):
 
 def build_o2(inst: ProblemInstance):
     """Fixed-memory program: per-user totals pinned, split still free."""
-    ensure_valid(inst)
     if inst.is_budget:
         raise InstanceError(["fixed-memory program needs per-user cache sizes"])
     index = make_variable_index(inst.K)
@@ -412,7 +409,6 @@ def build_intra_restricted(inst: ProblemInstance):
     so the objective gap to the joint program isolates exactly what
     cross-layer signals buy.
     """
-    ensure_valid(inst)
     index = make_variable_index(inst.K, per_layer_signals=True)
     return _assemble(inst, index), index
 
@@ -428,7 +424,6 @@ def with_memory(lp: LinearProgram, inst: ProblemInstance) -> LinearProgram:
     the bounds are shared with ``lp``, which is what lets an optimal basis
     of ``lp`` warm-start the new program.
     """
-    ensure_valid(inst)
     if inst.is_budget:
         rhs = [float(inst.constraint.m_tot)]
     else:
@@ -445,10 +440,6 @@ def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
     own signals; adding the objectives gives the load of a scheme that
     treats layers separately under the supplied split.
     """
-    ensure_valid(inst)
-    problems = split.check(inst.rates)
-    if problems:
-        raise InstanceError(problems)
     programs = []
     for l in range(1, inst.K + 1):
         index = make_variable_index(
@@ -632,7 +623,6 @@ def scheme_problems(
     """
     if scheme.K != inst.K:
         raise InstanceError([f"scheme is for {scheme.K} users, instance for {inst.K}"])
-    ensure_valid(inst)
     lp = _assemble(inst, scheme.index)
     widest = max(abs(rhs) for _row, rhs in lp.eq_rows + lp.ub_rows)
     return lp.check_point(scheme.x, tol / (1.0 + widest))

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import InstanceError, ProblemInstance, ensure_valid
+from .model import InstanceError, ProblemInstance
 from .scheme_lp import SchemeSolution, _span_mask, _submasks, mask_label, members
 
 
@@ -69,7 +69,6 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     :func:`make_library` cannot take, a library above MAX_LIBRARY_MIB
     included, so a caller can refuse them before any other work.
     """
-    ensure_valid(inst)
     if F < 1:
         raise InstanceError([f"file size {F} must be a positive integer"])
     if seed < 0:
@@ -508,7 +507,6 @@ def verify(
     measured load stays within one bit per scheme variable of the
     prediction.
     """
-    ensure_valid(inst)
     if scheme.K != inst.K:
         raise InstanceError(
             [f"scheme is for {scheme.K} users, instance for {inst.K}"]

@@ -15,7 +15,7 @@ import numpy as np
 from hetcache.bounds import BoundReport
 from hetcache.closed_form import t_decomposition
 from hetcache.lp_core import LinearProgram, SolverError, _row_head, solve_lp
-from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance, ensure_valid
+from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance
 from hetcache.scheme_lp import mask_label
 
 FEAS = 1e-7
@@ -315,7 +315,6 @@ def cutset_fixed_enum(inst: ProblemInstance, m=None) -> BoundReport:
     the smallest bitmask so the witness is deterministic.  Visits all
     2^K - 1 subsets.
     """
-    ensure_valid(inst)
     if m is None:
         if not isinstance(inst.constraint, FixedMemories):
             raise InstanceError(["no memory vector given and none on the instance"])
@@ -349,7 +348,6 @@ def cutset_budget_enum(inst: ProblemInstance, m_tot: float | None = None) -> Bou
     one row per nonempty subset pushing z above that cut, the budget row,
     and per-user boxes [0, r_k].  The program has 2^K rows.
     """
-    ensure_valid(inst)
     if m_tot is None:
         if not isinstance(inst.constraint, Budget):
             raise InstanceError(["no budget given and none on the instance"])

@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from hetcache.baselines import baseline_load, oca_split, pca_split
 from hetcache.bounds import BoundReport, cutset_budget, cutset_fixed, cutset_k3
-from hetcache.closed_form import theorem1_load, threshold_allocation
-from hetcache.model import InstanceError, make_rate_profile
+from hetcache.closed_form import t_decomposition, theorem1_load, threshold_allocation
+from hetcache.model import (
+    Budget,
+    FixedMemories,
+    InstanceError,
+    ProblemInstance,
+    make_rate_profile,
+)
 
 from conftest import budget_instance, users_mask
 from test_scheme_lp import fixed_instance
@@ -116,6 +124,17 @@ class TestThreeUserClosedForm:
         with pytest.raises(InstanceError):
             cutset_k3(inst)
 
+    def test_never_negative_past_the_sum_of_rates(self):
+        # 1.3 + 5e-10 is inside the budget band, and there every line of
+        # the closed form is negative
+        inst = budget_instance([0.2, 0.3, 0.8], 1.0)
+        value = cutset_k3(inst, m_tot=1.3 + 5e-10)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert value == cutset_budget(inst, m_tot=1.3 + 5e-10).value
+        # an instance file can carry that budget too
+        assert cutset_k3(budget_instance([0.2, 0.3, 0.8], 1.3 + 5e-10)) == 0.0
+        assert math.copysign(1.0, cutset_k3(inst, m_tot=1.3)) == 1.0
+
 
 class TestAgainstAchievability:
     def test_bound_below_achievable_everywhere(self):
@@ -201,3 +220,42 @@ def test_nan_fails_range_checks(call):
     # NaN compares false, so a range check written as "x < lo or x > hi" lets it through
     with pytest.raises(InstanceError):
         call(budget_instance(FIG, 1.0))
+
+
+RATES = make_rate_profile([0.2, 0.3, 0.8])
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except InstanceError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "m3, ok",
+    [(0.8 + 5e-10, True), (0.8 + 1e-9, True), (-1e-12, True), (0.0, True),
+     (0.8 + 2e-9, False), (-2e-12, False), (NAN, False), (math.inf, False)],
+)
+def test_instances_take_the_memory_band_of_the_range_check(m3, ok):
+    m = (0.1, 0.2, m3)
+    fixed = ProblemInstance(K=3, N=3, rates=RATES, constraint=FixedMemories((0.1, 0.2, 0.6)))
+    assert _accepts(lambda: ProblemInstance(K=3, N=3, rates=RATES,
+                                            constraint=FixedMemories(m))) is ok
+    assert _accepts(lambda: cutset_fixed(fixed, m=m)) is ok
+    assert _accepts(lambda: pca_split(m, RATES)) is ok
+
+
+@pytest.mark.parametrize(
+    "m_tot, ok",
+    [(1.3 + 5e-10, True), (-5e-10, True), (0.0, True),
+     (1.3 + 2e-9, False), (-2e-9, False), (NAN, False), (-math.inf, False)],
+)
+def test_instances_take_the_budget_band_of_the_range_check(m_tot, ok):
+    inst = budget_instance([0.2, 0.3, 0.8], 1.0)
+    assert _accepts(lambda: ProblemInstance(K=3, N=3, rates=RATES,
+                                            constraint=Budget(m_tot))) is ok
+    assert _accepts(lambda: cutset_budget(inst, m_tot=m_tot)) is ok
+    assert _accepts(lambda: cutset_k3(inst, m_tot=m_tot)) is ok
+    assert _accepts(lambda: t_decomposition(m_tot, RATES)) is ok

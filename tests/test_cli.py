@@ -121,6 +121,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "bounds"])
+    @pytest.mark.parametrize("excess, code", [(5e-10, 0), (2e-9, 2)])
+    @pytest.mark.parametrize("field", ["budget", "memories"])
+    def test_memory_band_edges(self, command, excess, code, field, tmp_path, capsys):
+        # a budget may pass the sum of rates, and a cache size its rate, by 1e-9
+        rates = [0.2, 0.3, 0.8]
+        doc = {"K": 3, "N": 3, "rates": rates}
+        doc[field] = sum(rates) + excess if field == "budget" else [0.1, 0.2, 0.8 + excess]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == code
+        err = capsys.readouterr().err
+        assert ("outside [0, " in err) is (code == 2) and "Traceback" not in err
+
     def test_too_large_program_refused_quickly(self, tmp_path, capsys):
         # nine users give 6447 rows, whose basis arrays would need about a
         # GiB: refused with exit 3 before the solver allocates anything

@@ -10,7 +10,6 @@ from hetcache.model import (
     MemoryAllocation,
     ProblemInstance,
     binary_entropy,
-    ensure_valid,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -137,36 +136,35 @@ class TestValidation:
         assert validate_instance(inst) == []
 
     def test_small_library_rejected(self):
-        inst = ProblemInstance(
-            K=3, N=2, rates=make_rate_profile([0.5, 0.7, 1.0]), constraint=Budget(1.0)
-        )
-        problems = validate_instance(inst)
-        assert any("N >= K" in p for p in problems)
+        with pytest.raises(InstanceError, match="N >= K"):
+            ProblemInstance(
+                K=3, N=2, rates=make_rate_profile([0.5, 0.7, 1.0]), constraint=Budget(1.0)
+            )
 
     def test_budget_above_total_rate_rejected(self):
-        inst = ProblemInstance(
-            K=3, N=3, rates=make_rate_profile([0.5, 0.7, 1.0]), constraint=Budget(2.3)
-        )
-        problems = validate_instance(inst)
-        assert any("exceeds sum of rates" in p and "2.2" in p for p in problems)
+        with pytest.raises(InstanceError, match=r"budget 2\.3 outside \[0, 2\.2\]"):
+            ProblemInstance(
+                K=3, N=3, rates=make_rate_profile([0.5, 0.7, 1.0]), constraint=Budget(2.3)
+            )
 
     def test_memory_above_rate_rejected(self):
-        inst = ProblemInstance(
-            K=2,
-            N=2,
-            rates=make_rate_profile([0.5, 1.0]),
-            constraint=FixedMemories((0.6, 0.2)),
-        )
-        problems = validate_instance(inst)
-        assert any("m[1]=0.6 exceeds r[1]=0.5" in p for p in problems)
+        with pytest.raises(InstanceError, match=r"memory m\[1\]=0\.6 outside \[0, 0\.5\]"):
+            ProblemInstance(
+                K=2,
+                N=2,
+                rates=make_rate_profile([0.5, 1.0]),
+                constraint=FixedMemories((0.6, 0.2)),
+            )
 
     def test_all_problems_reported(self):
-        inst = ProblemInstance(
-            K=3, N=2, rates=make_rate_profile([0.5, 0.7, 1.0]), constraint=Budget(5.0)
-        )
-        assert len(validate_instance(inst)) >= 2
-        with pytest.raises(InstanceError):
-            ensure_valid(inst)
+        with pytest.raises(InstanceError) as exc_info:
+            ProblemInstance(
+                K=3, N=2, rates=make_rate_profile([0.5, 0.7, 1.0]), constraint=Budget(5.0)
+            )
+        assert exc_info.value.problems == [
+            "N >= K violated (N=2 < K=3)",
+            "budget 5.0 outside [0, 2.2]",
+        ]
 
 
 class TestMemoryAllocation:
@@ -178,11 +176,10 @@ class TestMemoryAllocation:
         assert alloc.total == pytest.approx(0.9)
 
     def test_check_flags_upper_triangle(self):
-        alloc = MemoryAllocation.from_matrix(
-            [[0.1, 0.2, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        )
-        problems = alloc.check(make_rate_profile([0.5, 0.7, 1.0]))
-        assert any("m[1][2]" in p for p in problems)
+        with pytest.raises(InstanceError, match=r"m\[1\]\[2\]=0\.2 nonzero for layer above"):
+            MemoryAllocation.from_matrix(
+                [[0.1, 0.2, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+            )
 
 
 class TestJson:
