@@ -131,15 +131,16 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
     right-hand side depends on the budget, so along a chain of budgets
     ``program``, built once for these users, is moved instead of rebuilt,
     and the ``basis`` of the report at one budget is a warm ``start`` at
-    another.
+    another.  A ``start`` is used only together with the ``program``
+    whose solve produced it; without that program it is dropped and the
+    solve runs cold.
     """
     _check_program_size(inst.K)
     if m_tot is None:
         if not isinstance(inst.constraint, Budget):
             raise InstanceError(["no budget given and none on the instance"])
         m_tot = inst.constraint.m_tot
-    m_tot = float(m_tot)
-    check_budget(m_tot, inst.rates)
+    m_tot = check_budget(float(m_tot), inst.rates)
 
     lp = budget_program(inst) if program is None else program
     # the same coefficient dicts, so the moved program shares their arrays
@@ -224,17 +225,14 @@ def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:
         if not isinstance(inst.constraint, Budget):
             raise InstanceError(["no budget given and none on the instance"])
         m_tot = inst.constraint.m_tot
-    m_tot = float(m_tot)
+    m_tot = check_budget(float(m_tot), inst.rates)
     r1, r2, r3 = inst.rates.r
     N = inst.N
     total = r1 + r2 + r3
-    check_budget(m_tot, inst.rates)
     half = N // 2
     branches = (
         total - N / (N // 3) * m_tot,
         (half * (r1 + r2) + N * r3) / (N + half) - N * m_tot / (N + half),
         (total - m_tot) / 3.0,
     )
-    # every line is negative on the 1e-9 that check_budget allows above the
-    # sum of rates, and load cannot be: clamp at zero as BoundReport does
-    return max(*branches, 0.0)
+    return max(branches)

@@ -71,8 +71,7 @@ def _unit_steps(rates: RateProfile) -> list[tuple[float, int, int, float]]:
 def t_decomposition(m_tot: float, rates: RateProfile) -> TDecomposition:
     """Spend ``m_tot`` greedily across layers; the unique best-first split."""
     K = rates.K
-    check_budget(m_tot, rates)
-    remaining = min(max(m_tot, 0.0), rates.sum_rates)
+    remaining = check_budget(m_tot, rates)
 
     t = [0.0] * K
     for slope, l, level, cost in _unit_steps(rates):

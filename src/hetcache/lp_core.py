@@ -60,10 +60,10 @@ Design notes, fixed deliberately so results are reproducible run to run:
   values recomputed.  The file runs on along a chain of warm starts that
   hand their factor on (see below), so k never exceeds REFACTOR_EVERY.
   The basis is inverted afresh only on evidence: a fold whose probe
-  fails (|B B^-1 z - z| > 1e-9 |z| for the fixed z_i = 1 + i/m), a start
-  on another A, or a point that fails the feasibility audit.  At the end
-  the reduced costs are recomputed once more; a column that moves to its
-  other bound (basic values recomputed) or a failed audit (basis
+  fails (|B B^-1 z - z| > 1e-9 |z| for the fixed z_i = 1 + i/m) or a
+  point that fails the feasibility audit; a start is never inverted.  At
+  the end the reduced costs are recomputed once more; a column that moves
+  to its other bound (basic values recomputed) or a failed audit (basis
   inverted) sends the dual loop round again, at most three times in all.
 * Memory: the solver holds B0^-1 and one work array of m rows by
   max(m, 2 * REFACTOR_EVERY), which holds the eta file, and B while it is
@@ -80,24 +80,25 @@ Design notes, fixed deliberately so results are reproducible run to run:
   refused with SolverError before anything is allocated.
 * Tolerances: feasibility 1e-8, optimality 1e-8, pivot acceptance 1e-11.
 
-Warm starts.  Every optimal solution carries its final :class:`Basis`.
-Passed back as ``start`` for a program of the same layout whose
-right-hand side moved, as in a budget sweep, that basis is still dual
-feasible, so only a few dual pivots remain.  The basis also carries its
-factor (B0^-1, the eta rows and the steepest-edge weights it ended with)
-and the columns of A they belong to.  B^-1 depends only on A and the
-basic columns, not on costs, bounds or b, so a start on an identical A
-takes the factor over: it shares B0^-1, copies the k eta rows and goes
-on pivoting, and the re-solve costs only its pivots; on any other A the
-basis is inverted.  A start is only read, so one basis can start many
-solves.  Along a right-hand side that moves monotonically, as a sweep's
-memory does, a chain is cheapest started where the cold solve is; for
-the scheme programs that is at full memory, so their chains walk down.
-A start that does not fit (another layout, a repeated column, a
-singular basis, an unbounded slack that prices the wrong way) or that
-ends in a dual ray or numerical trouble is dropped, and the solve reruns
-from the all-logical basis.  So a start never changes a status and never
-raises where a solve without one would not.
+Warm starts.  Every optimal solution carries its final :class:`Basis`,
+which is also its factor: B0^-1, the eta rows and the steepest-edge
+weights it ended with, and the column arrays of the A they belong to.
+A start is taken only on the program it came from, or on one moved from
+it (``dataclasses.replace`` of its rows, as ``scheme_lp.with_memory``
+does), which shares those very arrays; one identity test decides.  Moved
+to another right-hand side, as in a budget sweep, the basis is still
+dual feasible, and since B^-1 depends only on A and the basic columns,
+the start's factor is taken over: the solve shares B0^-1, copies the k
+eta rows and goes on pivoting, so the re-solve costs only its pivots.
+A start is only read, so one basis can start many solves.  Along a
+right-hand side that moves monotonically, as a sweep's memory does, a
+chain is cheapest started where the cold solve is; for the scheme
+programs that is at full memory, so their chains walk down.  A start
+that does not fit (one from a separately built program, even of equal
+A, a repeated column, an unbounded slack that prices the wrong way) or
+that ends in a dual ray or numerical trouble is dropped, and the solve
+reruns from the all-logical basis.  So a start never changes a status
+and never raises where a solve without one would not.
 
 Infeasible is a status, not an exception; SolverError is reserved for
 numerical trouble, iteration limits and programs too large to hold.
@@ -139,39 +140,28 @@ class LpStatus(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-class Factor(NamedTuple):
-    """The basis inverse an optimal solve ended with, and what it is
-    valid for, all read-only: ``binv``, the dense B0^-1, and
-    the eta rows ``eta_u`` and ``eta_v`` of the k pivots since, views of
-    the solve's work array, so that the final basis has
-    B^-1 = binv - eta_u^T eta_v; its steepest-edge ``weights``; and the
-    column-wise nonzeros of the A they belong to."""
-
-    binv: np.ndarray
-    weights: np.ndarray
-    eta_u: np.ndarray
-    eta_v: np.ndarray
-    col_ptr: np.ndarray
-    nz_row: np.ndarray
-    nz_val: np.ndarray
-
-
 class Basis(NamedTuple):
-    """Where an optimal solve ended, reusable as the start of another.
+    """Where an optimal solve ended, reusable as the start of another
+    solve of the same program or of one moved from it; only ever read.
 
     ``cols`` names the basic column of each row and ``at_upper`` flags the
     nonbasic columns resting on their upper bound.  Both index the
-    tableau's column layout: structural variables, then one logical per
-    row, equalities first; ``layout`` is (structural count, equality rows,
-    inequality rows).  ``factor``, set on every optimal solution, lets a
-    start on the same A skip inverting the basis and go on with its eta
-    file; it is only ever read.
+    tableau's columns: structural variables, then one logical per row,
+    equalities first.  ``binv``, the dense B0^-1, and the eta rows
+    ``eta_u`` and ``eta_v`` of the k pivots since, views of the solve's
+    work array, give the basis inverse B^-1 = binv - eta_u^T eta_v;
+    ``weights`` are its steepest-edge weights; and ``columns`` is the
+    column-array tuple of the A they belong to, the very object that
+    ``LinearProgram.coefficients().columns()`` returns.
     """
 
     cols: np.ndarray
     at_upper: np.ndarray
-    layout: tuple
-    factor: Factor | None = None
+    binv: np.ndarray
+    weights: np.ndarray
+    eta_u: np.ndarray
+    eta_v: np.ndarray
+    columns: tuple
 
 
 @dataclass
@@ -194,7 +184,7 @@ class LinearProgram:
     ``eq_rows`` and ``ub_rows`` hold (coefficients, rhs) pairs where the
     coefficients map column index to value.  Bounds must be finite for
     every structural variable; unbounded slack handling is internal.
-    ``names`` is optional and only used by the debug dump and error text.
+    ``names`` is optional and only used in error text.
 
     The coefficient arrays that the audit and the solver read are derived
     from the row dicts once, on first use.  ``dataclasses.replace`` hands
@@ -368,25 +358,9 @@ def _rhs(rows: list[tuple[SparseRow, float]]) -> np.ndarray:
     return np.fromiter(map(_RHS, rows), dtype=float, count=len(rows))
 
 
-def _term(lp: LinearProgram, j: int, v: float) -> str:
-    return f"{v:+g}*{lp.name_of(j)}"
-
-
 def _row_head(lp: LinearProgram, coefs: SparseRow) -> str:
-    terms = [_term(lp, j, v) for j, v in list(coefs.items())[:4]]
+    terms = [f"{v:+g}*{lp.name_of(j)}" for j, v in list(coefs.items())[:4]]
     return " ".join(terms) + (" ..." if len(coefs) > 4 else "")
-
-
-def format_lp(lp: LinearProgram) -> str:
-    """Human-readable dump, one row per line, for debugging."""
-    lines = [f"min {' '.join(_term(lp, j, v) for j, v in enumerate(lp.c) if v != 0.0) or '0'}"]
-    for coefs, rhs in lp.eq_rows:
-        lines.append(f"  {' '.join(_term(lp, j, v) for j, v in sorted(coefs.items()))} == {rhs:g}")
-    for coefs, rhs in lp.ub_rows:
-        lines.append(f"  {' '.join(_term(lp, j, v) for j, v in sorted(coefs.items()))} <= {rhs:g}")
-    for j in range(lp.n_vars):
-        lines.append(f"  {lp.lo[j]:g} <= {lp.name_of(j)} <= {lp.hi[j]:g}")
-    return "\n".join(lines)
 
 
 class _Tableau:
@@ -409,13 +383,12 @@ class _Tableau:
         self.ncols = n + m  # structural then one logical per row
         self.b = _rhs(lp.eq_rows + lp.ub_rows)
         # shared with every program moved from the same rows, and only read
-        (self.col_ptr, self.nz_row, self.nz_val, self.nz_col,
-         self.col_norm2) = lp.coefficients().columns()
+        self.columns = lp.coefficients().columns()
+        self.col_ptr, self.nz_row, self.nz_val, self.nz_col, self.col_norm2 = self.columns
         self.cost = np.concatenate([lp.c, np.zeros(m)])
         self.lo = np.concatenate([lp.lo, np.zeros(m)])
         self.hi = np.concatenate([lp.hi, np.zeros(m_eq), np.full(m_ub, np.inf)])
         self.movable = self.lo < self.hi
-        self.layout = (n, m_eq, m_ub)
         self.iterations = 0
         # One work array holds the eta file, B^-1 = binv0 - eta_u[:k]^T eta_v[:k]
         # with one row pair per pivot, and B while it is inverted, which
@@ -428,32 +401,28 @@ class _Tableau:
     def start_from(self, start: Basis | None):
         """Install ``start``, or the all-logical basis, made dual feasible.
 
-        The start's factor is taken over when it was made for this same A,
-        since B^-1 depends on nothing else; otherwise the basis is inverted.
-        Raises SolverError when ``start`` names no basis of this program
-        or cannot be made dual feasible.
+        A start is taken, with its factor, only when it holds this
+        program's own column arrays, which a program shares with the
+        programs moved from it; B^-1 depends on nothing else.  Raises
+        SolverError when ``start`` comes from another program, names no
+        basis, or cannot be made dual feasible.
         """
-        n, m = self.layout[0], self.m
-        inverse = None
+        m = self.m
         if start is None:
-            cols = np.arange(n, n + m)
+            cols = np.arange(self.ncols - m, self.ncols)
             at_upper = np.zeros(self.ncols, dtype=bool)
             # the identity is its own inverse, with no etas
-            inverse = (np.eye(m), np.ones(m), self.eta_u[:0], self.eta_v[:0])
+            self.binv0, self.weights, self.k = np.eye(m), np.ones(m), 0
         else:
-            cols = np.asarray(start.cols, dtype=int)
-            at_upper = np.asarray(start.at_upper, dtype=bool)
-            if (start.layout != self.layout or cols.shape != (m,)
-                    or at_upper.shape != (self.ncols,)):
-                raise SolverError("start comes from a program of another layout")
+            if start.columns is not self.columns:
+                raise SolverError("start comes from another program")
+            cols, at_upper = start.cols, start.at_upper
             if m and (cols.min() < 0 or cols.max() >= self.ncols or len(set(cols.tolist())) < m):
                 raise SolverError("start does not name one column per row")
-            factor = start.factor
-            if factor is not None and all(
-                    a is b or np.array_equal(a, b)
-                    for a, b in ((factor.col_ptr, self.col_ptr), (factor.nz_row, self.nz_row),
-                                 (factor.nz_val, self.nz_val))):
-                inverse = factor[:4]
+            # only the weights and etas are copied: a start's binv0 is never written
+            self.binv0, self.weights, self.k = start.binv, start.weights.copy(), len(start.eta_u)
+            self.eta_u[:self.k] = start.eta_u
+            self.eta_v[:self.k] = start.eta_v
         self.basis = cols.copy()
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
@@ -465,7 +434,8 @@ class _Tableau:
         self.lo_b = self.lo[self.basis]
         self.hi_b = self.hi[self.basis]
         self.nonbasic_movable = self.movable & ~self.in_basis
-        self.refactor(inverse)
+        self.price()
+        self.solve_basic()
 
     def nonbasic_values(self) -> np.ndarray:
         vals = np.where(self.sign < 0, self.hi, self.lo)
@@ -501,29 +471,20 @@ class _Tableau:
         k = self.k
         return y @ self.binv0 - (self.eta_u[:k] @ y) @ self.eta_v[:k]
 
-    def refactor(self, inverse: tuple | None = None):
+    def refactor(self):
         """Invert the basis afresh, which empties the eta file and resets
         the steepest-edge weights, then re-price and recompute the basic
-        values.  ``inverse``, the binv0, weights and eta rows of this basis
-        known already, replaces the inversion; only its weights and etas
-        are copied, since a start's binv0 is never written."""
+        values."""
         self.binv0 = None  # freed before LAPACK allocates the new inverse
-        if inverse is not None:
-            self.binv0, weights, eta_u, eta_v = inverse
-            self.weights = weights.copy()
-            self.k = len(eta_u)
-            self.eta_u[:self.k] = eta_u
-            self.eta_v[:self.k] = eta_v
-        else:
-            rows, at, vals = self.basic_nonzeros()
-            self.rows_buf.fill(0.0)
-            self.rows_buf[rows, at] = vals
-            try:
-                self.binv0 = np.linalg.inv(self.rows_buf) if self.m else np.zeros((0, 0))
-            except np.linalg.LinAlgError as exc:
-                raise SolverError("singular basis during refactorization") from exc
-            self.weights = np.einsum("ij,ij->i", self.binv0, self.binv0)
-            self.k = 0
+        rows, at, vals = self.basic_nonzeros()
+        self.rows_buf.fill(0.0)
+        self.rows_buf[rows, at] = vals
+        try:
+            self.binv0 = np.linalg.inv(self.rows_buf) if self.m else np.zeros((0, 0))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular basis during refactorization") from exc
+        self.weights = np.einsum("ij,ij->i", self.binv0, self.binv0)
+        self.k = 0
         self.price()
         self.solve_basic()
 
@@ -633,9 +594,8 @@ class _Tableau:
     def final_basis(self) -> Basis:
         # the tableau is dropped after this, so binv0, the weights and the
         # k etas are handed over, read-only, since a start is never written
-        factor = Factor(*_frozen(self.binv0, self.weights, *self.etas[:, :self.k]),
-                        self.col_ptr, self.nz_row, self.nz_val)
-        return Basis(self.basis.copy(), self.sign < 0, self.layout, factor)
+        return Basis(self.basis.copy(), self.sign < 0,
+                     *_frozen(self.binv0, self.weights, *self.etas[:, :self.k]), self.columns)
 
 
 def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
@@ -728,10 +688,10 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
              max_iterations: int | None = None) -> LpSolution:
     """Solve ``lp`` to proven optimality or infeasibility.
 
-    ``start``, the ``basis`` of an earlier optimal solution, warm-starts the
-    solve when it fits ``lp`` (see the module notes) and is otherwise
-    dropped; ``iterations`` then also counts the pivots of the abandoned
-    attempt.  ``max_iterations`` caps the pivots of each attempt.
+    ``start``, the ``basis`` of an earlier optimal solution of ``lp`` or
+    of a program ``lp`` was moved from, warm-starts the solve when it fits
+    (see the module notes) and is otherwise dropped; ``iterations`` then
+    also counts the pivots of the abandoned attempt.  ``max_iterations`` caps the pivots of each attempt.
     Deterministic: the same program and the same start yield the same
     vertex every time.  Raises SolverError on numerical breakdown,
     iteration exhaustion, or a program too large for MAX_BASIS_MIB.

@@ -174,8 +174,9 @@ class ProblemInstance:
     Construction raises :class:`InstanceError` listing every problem
     :func:`validate_instance` finds, so an instance that exists is valid
     and no function checks it again; its budget or cache sizes lie in the
-    ranges of :func:`check_budget` and :func:`check_memories`.  The regime
-    N >= K with worst-case distinct demands is assumed throughout.
+    ranges of :func:`check_budget` and :func:`check_memories`, and a budget
+    is stored as :func:`check_budget` clamps it.  The regime N >= K with
+    worst-case distinct demands is assumed throughout.
     """
 
     K: int
@@ -188,6 +189,9 @@ class ProblemInstance:
         problems = validate_instance(self)
         if problems:
             raise InstanceError(problems)
+        if self.is_budget:
+            object.__setattr__(self, "constraint",
+                               Budget(check_budget(self.constraint.m_tot, self.rates)))
 
     @property
     def is_budget(self) -> bool:
@@ -234,11 +238,15 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
     return problems
 
 
-def check_budget(m_tot: float, rates: RateProfile) -> None:
-    """Refuse a total budget outside [0, sum of rates], widened by 1e-9."""
+def check_budget(m_tot: float, rates: RateProfile) -> float:
+    """``m_tot`` clamped to [0, sum of rates], refused unless it lies in
+    that range widened by 1e-9 for rounding.  Every route reads the
+    clamped budget, so on the band the LP, the closed form and the bounds
+    agree with their values at the ends."""
     total = rates.sum_rates
     if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
         raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
+    return min(max(m_tot, 0.0), total)
 
 
 def check_memories(m, rates: RateProfile) -> tuple[float, ...]:

@@ -6,6 +6,7 @@ import pytest
 from hetcache.baselines import baseline_load, oca_split, pca_split
 from hetcache.bounds import BoundReport, cutset_budget, cutset_fixed, cutset_k3
 from hetcache.closed_form import t_decomposition, theorem1_load, threshold_allocation
+from hetcache.lp_core import solve_lp
 from hetcache.model import (
     Budget,
     FixedMemories,
@@ -13,6 +14,7 @@ from hetcache.model import (
     ProblemInstance,
     make_rate_profile,
 )
+from hetcache.scheme_lp import build_o1
 
 from conftest import budget_instance, users_mask
 from test_scheme_lp import fixed_instance
@@ -125,8 +127,8 @@ class TestThreeUserClosedForm:
             cutset_k3(inst)
 
     def test_never_negative_past_the_sum_of_rates(self):
-        # 1.3 + 5e-10 is inside the budget band, and there every line of
-        # the closed form is negative
+        # 1.3 + 5e-10 is inside the budget band, which reads as the sum of
+        # rates, where no line of the closed form is positive
         inst = budget_instance([0.2, 0.3, 0.8], 1.0)
         value = cutset_k3(inst, m_tot=1.3 + 5e-10)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
@@ -259,3 +261,29 @@ def test_instances_take_the_budget_band_of_the_range_check(m_tot, ok):
     assert _accepts(lambda: cutset_budget(inst, m_tot=m_tot)) is ok
     assert _accepts(lambda: cutset_k3(inst, m_tot=m_tot)) is ok
     assert _accepts(lambda: t_decomposition(m_tot, RATES)) is ok
+
+
+@pytest.mark.parametrize("m_tot, end", [(-5e-10, 0.0), (1.3 + 5e-10, 1.3)])
+def test_budget_band_reads_as_the_end_of_the_range(m_tot, end):
+    # a budget in the rounding band is clamped once, where it is checked:
+    # the LP, both cut-set routes and the closed form give their values at
+    # the end of the range, and no bound exceeds the achieved load
+    other = budget_instance([0.2, 0.3, 0.8], 1.0)
+
+    def routes(b):
+        inst = ProblemInstance(K=3, N=3, rates=RATES, constraint=Budget(b))
+        return {
+            "lp": solve_lp(build_o1(inst)[0]).objective,
+            "cutset_budget": cutset_budget(inst).value,
+            "cutset_budget(m_tot)": cutset_budget(other, m_tot=b).value,
+            "cutset_k3": cutset_k3(inst),
+            "cutset_k3(m_tot)": cutset_k3(other, m_tot=b),
+            "theorem1_load": theorem1_load(b, RATES),
+        }
+
+    band, ends = routes(m_tot), routes(end)
+    for name, value in band.items():
+        assert abs(value - ends[name]) <= 1e-12, name
+        if name.startswith("cutset"):
+            assert value <= band["lp"] + 1e-12, name
+    assert ProblemInstance(K=3, N=3, rates=RATES, constraint=Budget(m_tot)).constraint.m_tot == end

@@ -554,7 +554,8 @@ class TestSweepGrid:
 
 
 class TestChainOrder:
-    """Every warm chain starts at the most memory and walks down."""
+    """Every warm chain starts at the most memory and walks down, moving
+    one program."""
 
     def record(self, monkeypatch, module, name, what):
         seen = []
@@ -601,6 +602,26 @@ class TestChainOrder:
             assert len(totals) == 2 * points
             assert totals[:points] == pytest.approx(printed[::-1], abs=1e-12)
             assert totals[points:] == pytest.approx(printed, abs=1e-12)
+
+    def test_cli_chains_invert_no_basis(self, monkeypatch, tmp_path):
+        # every chain moves one program, so each start is taken with its
+        # factor and no command inverts a basis
+        inverted = self.record(monkeypatch, np.linalg, "inv", lambda a: a.shape)
+        for K in (3, 4, 5):
+            rates = random_rate_list(np.random.default_rng(96 + K), K)
+            for kind, memory in (("budget", 0.4 * sum(rates)),
+                                 ("memories", [0.4 * r for r in rates])):
+                path = write_instance(tmp_path, f"k{K}_{kind}.json", rates, **{kind: memory})
+                scheme = str(tmp_path / f"k{K}_{kind}.scheme.json")
+                commands = [["solve", path, "--out", scheme],
+                            ["verify", path, "--scheme", scheme, "--file-size", "1000"],
+                            ["verify", path, "--file-size", "1000"],
+                            ["compare-baselines", path, "--points", "6"]]
+                if kind == "budget":
+                    commands.append(["sweep", path, "--points", "9"])
+                for argv in commands:
+                    assert main(argv) == 0, argv
+        assert inverted == []
 
     def test_sweep_builds_its_bound_program_once(self, monkeypatch, tmp_path):
         rates = random_rate_list(np.random.default_rng(95), 4)

@@ -6,11 +6,9 @@ import pytest
 
 from hetcache import lp_core
 from hetcache.lp_core import (
-    Basis,
     LinearProgram,
     LpStatus,
     SolverError,
-    format_lp,
     solve_lp,
 )
 from hetcache.model import Budget, FixedMemories, ProblemInstance, make_rate_profile
@@ -266,16 +264,16 @@ class TestEtaFile:
         carried = 0
         for share in (0.7, 0.5, 0.35, 0.2, 0.05):
             program = with_memory(lp, ProblemInstance(4, 4, rates, Budget(share * rates.sum_rates)))
-            saved = [a.tobytes() for a in start.factor[:4]]
+            saved = [a.tobytes() for a in start[2:6]]
             first, second = (solve_lp(program, start=start) for _ in range(2))
             assert first.iterations == second.iterations > 0
             assert first.x.tobytes() == second.x.tobytes()
-            assert [a.tobytes() for a in start.factor[:4]] == saved
-            factor = first.basis.factor
-            binv = factor.binv - factor.eta_u.T @ factor.eta_v
-            assert np.allclose(binv @ A[:, first.basis.cols], np.eye(lp.n_rows), atol=1e-9)
-            if factor.binv is start.factor.binv:
-                assert len(factor.eta_u) == len(start.factor.eta_u) + first.iterations
+            assert [a.tobytes() for a in start[2:6]] == saved
+            basis = first.basis
+            assert np.allclose(carried_inverse(basis) @ A[:, basis.cols], np.eye(lp.n_rows),
+                               atol=1e-9)
+            if basis.binv is start.binv:
+                assert len(basis.eta_u) == len(start.eta_u) + first.iterations
                 carried += 1
             start = first.basis
         assert carried >= 3
@@ -312,19 +310,6 @@ class TestDeterminismAndScaling:
             assert scaled.is_optimal
             assert scaled.objective == pytest.approx(3.5 * base.objective, abs=1e-6)
             assert np.allclose(scaled.x, base.x, atol=1e-9)
-
-
-def test_format_lp_lists_every_row():
-    lp = lp_from_parts(
-        [1.0, -1.0], [({0: 1.0, 1: 1.0}, 1.0)], [({0: 2.0}, 0.5)], [0, 0], [1, 1]
-    )
-    lp.names = ("alpha", "beta")
-    text = format_lp(lp)
-    lines = text.splitlines()
-    assert lines[0].startswith("min")
-    assert any("== 1" in ln for ln in lines)
-    assert any("<= 0.5" in ln for ln in lines)
-    assert sum("alpha" in ln for ln in lines) >= 3
 
 
 def test_too_large_program_refused_before_allocating(monkeypatch):
@@ -365,7 +350,9 @@ def random_rates(rng, K):
 
 
 def chain_against_cold(programs):
-    """Warm-start each program from the previous optimum; compare with cold."""
+    """Warm-start each program from the previous optimum; compare with
+    cold.  Returns the pivots of the optimal points, warm and cold (an
+    infeasible warm solve also pays for its cold rerun)."""
     start = None
     warm_iterations = cold_iterations = 0
     for program in programs:
@@ -375,9 +362,9 @@ def chain_against_cold(programs):
         if warm.is_optimal:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert program.check_point(warm.x) == []
-        start = warm.basis if warm.is_optimal else start
-        warm_iterations += warm.iterations
-        cold_iterations += cold.iterations
+            start = warm.basis
+            warm_iterations += warm.iterations
+            cold_iterations += cold.iterations
     return warm_iterations, cold_iterations
 
 
@@ -420,48 +407,59 @@ class TestWarmStart:
         assert warm < cold
 
     def test_random_rhs_moves_match_cold(self):
-        # Small random programs, right-hand sides shifted after each solve:
-        # statuses must agree, infeasible ones included.
+        # Small random programs, right-hand sides shifted after each solve
+        # and the rows kept, so every start is taken: statuses must agree,
+        # infeasible ones included, and the chains pivot less than cold.
         rng = np.random.default_rng(31)
         seen = set()
+        warm = cold = 0
         for _ in range(40):
-            c, eq, ub, lo, hi = random_box_lp(rng)
-            programs = []
-            for _ in range(4):
-                programs.append(lp_from_parts(c, eq, ub, lo, hi))
-                eq = [(row, b + float(rng.normal(0.0, 1.0))) for row, b in eq]
-                ub = [(row, b + float(rng.normal(0.0, 1.0))) for row, b in ub]
-            chain_against_cold(programs)
+            programs = [lp_from_parts(*random_box_lp(rng))]
+            for _ in range(3):
+                last = programs[-1]
+                programs.append(dataclasses.replace(
+                    last,
+                    eq_rows=[(row, b + float(rng.normal(0.0, 1.0))) for row, b in last.eq_rows],
+                    ub_rows=[(row, b + float(rng.normal(0.0, 1.0))) for row, b in last.ub_rows]))
+            chain = chain_against_cold(programs)
+            warm, cold = warm + chain[0], cold + chain[1]
             seen.update(solve_lp(p).status for p in programs)
         assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+        assert warm < cold
 
-    def test_foreign_start_falls_back_to_cold(self):
+    def test_foreign_start_falls_back_to_cold(self, monkeypatch):
+        # a start from a separately built program is dropped, whether its A
+        # has another layout, is equal, or differs in one coefficient: the
+        # solve is the cold one bit for bit, and nothing is inverted
         rng = np.random.default_rng(4)
         small, _ = build_o1(ProblemInstance(3, 3, random_rates(rng, 3), Budget(0.5)))
         big, _ = build_o1(ProblemInstance(4, 4, random_rates(rng, 4), Budget(0.5)))
-        foreign = solve_lp(small).basis
-        warm = solve_lp(big, start=foreign)
-        cold = solve_lp(big)
-        assert np.array_equal(warm.x, cold.x)
-        assert warm.objective == cold.objective
-        assert warm.iterations == cold.iterations
+        equal = lp_from_parts(big.c, big.eq_rows, big.ub_rows, big.lo, big.hi)
+        rows = [dict(coefs) for coefs, _ in big.eq_rows]
+        i = next(i for i, coefs in enumerate(rows) if len(coefs) > 2)
+        rows[i][next(iter(rows[i]))] *= 1.5
+        changed = lp_from_parts(big.c, [(coefs, b) for coefs, (_, b) in zip(rows, big.eq_rows)],
+                                big.ub_rows, big.lo, big.hi)
+        calls = counting_inverse(monkeypatch)
+        for program, other in ((big, small), (big, equal), (changed, big)):
+            warm = solve_lp(program, start=solve_lp(other).basis)
+            cold = solve_lp(program)
+            assert warm.x.tobytes() == cold.x.tobytes()
+            assert warm.objective == cold.objective
+            assert warm.iterations == cold.iterations
+        assert calls == []
 
     def test_unusable_starts_fall_back_to_cold(self):
-        # a repeated column and a singular basis must give exactly the
-        # all-logical solve; a basis that is optimal for other costs is a
-        # usable start, priced into dual feasibility by its bounds
+        # a start on the same A that names a repeated column must give
+        # exactly the all-logical solve; a basis that is optimal for other
+        # costs is a usable start, priced into dual feasibility by its bounds
         rows = [({0: 1.0, 1: 1.0}, 1.0), ({0: 1.0, 1: 1.0, 2: 1.0}, 1.5)]
         lp = lp_from_parts([1.0, 2.0, 3.0], rows, [], [0, 0, 0], [1, 1, 1])
         cold = solve_lp(lp)
-        layout = cold.basis.layout
-        for start in (
-            Basis(np.array([0, 0]), np.zeros(5, dtype=bool), layout),
-            Basis(np.array([0, 1]), np.zeros(5, dtype=bool), layout),
-        ):
-            warm = solve_lp(lp, start=start)
-            assert np.array_equal(warm.x, cold.x)
-            assert warm.iterations == cold.iterations
-        other_costs = lp_from_parts([3.0, 2.0, -1.0], rows, [], [0, 0, 0], [1, 1, 1])
+        warm = solve_lp(lp, start=cold.basis._replace(cols=np.array([0, 0])))
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.iterations == cold.iterations
+        other_costs = dataclasses.replace(lp, c=np.array([3.0, 2.0, -1.0]))
         warm = solve_lp(lp, start=solve_lp(other_costs).basis)
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert lp.check_point(warm.x) == []
@@ -469,9 +467,11 @@ class TestWarmStart:
         # cannot move to its infinite upper bound
         lp = lp_from_parts([1.0], [], [({0: 1.0}, 0.5)], [0], [1])
         cold = solve_lp(lp)
-        warm = solve_lp(lp, start=Basis(np.array([0]), np.zeros(2, dtype=bool), (1, 0, 1)))
+        start = solve_lp(dataclasses.replace(lp, c=np.array([-1.0]))).basis
+        assert start.cols.tolist() == [0]
+        warm = solve_lp(lp, start=start)
         assert np.array_equal(warm.basis.cols, cold.basis.cols)
-        assert np.array_equal(warm.x, cold.x)
+        assert warm.x.tobytes() == cold.x.tobytes()
 
     def test_infeasible_rhs_reported(self):
         # a budget above the summed rates cannot be placed
@@ -521,40 +521,21 @@ class TestCarriedFactor:
     def test_same_matrix_skips_the_inversion(self, monkeypatch):
         lp, _ = self.budget_program(4, 1)
         start = solve_lp(lp).basis
-        assert start.factor is not None and start.factor.binv.shape == (lp.n_rows,) * 2
+        assert start.binv.shape == (lp.n_rows,) * 2
         calls = counting_inverse(monkeypatch)
         warm = solve_lp(lp, start=start)
         assert warm.iterations == 0 and calls == []
 
-    def test_changed_coefficient_inverts_afresh(self, monkeypatch):
-        # the same layout and basis, but one coefficient of A differs: the
-        # carried inverse belongs to another matrix and must not be used
-        lp, _ = self.budget_program(4, 2)
-        start = solve_lp(lp).basis
-        rows = [dict(coefs) for coefs, _ in lp.eq_rows]
-        i = next(i for i, coefs in enumerate(rows) if len(coefs) > 2)
-        j = next(iter(rows[i]))
-        rows[i][j] *= 1.5
-        changed = lp_from_parts(lp.c, [(coefs, b) for coefs, (_, b) in zip(rows, lp.eq_rows)],
-                                lp.ub_rows, lp.lo, lp.hi)
-        calls = counting_inverse(monkeypatch)
-        warm = solve_lp(changed, start=start)
-        assert calls  # inverted, not copied
-        cold = solve_lp(changed)
-        assert warm.is_optimal and cold.is_optimal
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        assert changed.check_point(warm.x) == []
-
     def test_a_start_is_never_written(self):
         lp, rates = self.budget_program(5, 3)
         start = solve_lp(lp).basis
-        saved = [np.copy(a) for a in start.factor[:2]]
+        saved = [np.copy(a) for a in start[2:4]]
         moved = with_memory(lp, ProblemInstance(5, 5, rates, Budget(0.7 * rates.sum_rates)))
         first = solve_lp(moved, start=start)
         second = solve_lp(moved, start=start)
         assert first.iterations == second.iterations > 0
         assert first.x.tobytes() == second.x.tobytes()
-        for before, after in zip(saved, start.factor[:2]):
+        for before, after in zip(saved, start[2:4]):
             assert before.tobytes() == after.tobytes()
 
     def test_random_walk_audits_clean_and_refactors_on_schedule(self, monkeypatch):
@@ -580,7 +561,7 @@ class TestCarriedFactor:
             assert warm.is_optimal
             assert program.check_point(warm.x) == []
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert 0 <= len(warm.basis.factor.eta_u) < lp_core.REFACTOR_EVERY
+            assert 0 <= len(warm.basis.eta_u) < lp_core.REFACTOR_EVERY
             start = warm.basis
         # the schedule counts along the chain: it crosses REFACTOR_EVERY
         # several times, though no single re-solve comes near it, and each
@@ -620,8 +601,8 @@ def memory_family(K, kind, seed):
     return lp, inst
 
 
-def carried_inverse(factor):
-    return factor.binv - factor.eta_u.T @ factor.eta_v
+def carried_inverse(basis):
+    return basis.binv - basis.eta_u.T @ basis.eta_v
 
 
 class TestFoldedFactor:
@@ -648,10 +629,10 @@ class TestFoldedFactor:
             assert warm.is_optimal and program.check_point(warm.x) == []
             pivots += warm.iterations
             if steps % 5 == 0:
-                binv = carried_inverse(warm.basis.factor)
+                binv = carried_inverse(warm.basis)
                 assert np.abs(binv @ A[:, warm.basis.cols] - np.eye(lp.n_rows)).max() <= 1e-10
                 exact = np.einsum("ij,ij->i", binv, binv)
-                assert np.allclose(warm.basis.factor.weights, exact, rtol=1e-8, atol=0)
+                assert np.allclose(warm.basis.weights, exact, rtol=1e-8, atol=0)
                 sampled.append((program, warm.objective))
             start = warm.basis
             steps += 1
@@ -664,10 +645,10 @@ class TestFoldedFactor:
     def test_weights_are_exact_after_three_folds(self, monkeypatch, kind):
         lp, inst = memory_family(5, kind, 50)
         folds = counting_folds(monkeypatch)
-        factor = solve_lp(with_memory(lp, inst(0.4))).basis.factor
+        basis = solve_lp(with_memory(lp, inst(0.4))).basis
         assert len(folds) >= 3
-        binv = carried_inverse(factor)
-        assert np.allclose(factor.weights, np.einsum("ij,ij->i", binv, binv), rtol=1e-8, atol=0)
+        binv = carried_inverse(basis)
+        assert np.allclose(basis.weights, np.einsum("ij,ij->i", binv, binv), rtol=1e-8, atol=0)
 
     def test_a_failed_probe_inverts_afresh(self, monkeypatch):
         # one entry of the solve's own B0^-1 moved by 1e-6 just before the
@@ -751,7 +732,7 @@ class TestSharedArrays:
         for program in moved:
             assert program.coefficients() is lp.coefficients()
         # the basis carries the very arrays the programs share
-        assert start.factor.nz_val is lp.coefficients().columns()[2]
+        assert start.columns is lp.coefficients().columns()
 
     def test_split_programs_share_the_parents_arrays(self, monkeypatch):
         rates = random_rates(np.random.default_rng(12), 4)
@@ -813,7 +794,7 @@ class TestSharedArrays:
 
     def test_arrays_and_starts_are_read_only(self):
         lp, _ = self.budget_program(3, 15)
-        factor = solve_lp(lp).basis.factor
+        basis = solve_lp(lp).basis
         for a in (*lp.coefficients().rows(), *lp.coefficients().columns(),
-                  factor.binv, factor.weights):
+                  basis.binv, basis.weights):
             assert not a.flags.writeable
