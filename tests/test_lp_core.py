@@ -429,19 +429,14 @@ class TestWarmStart:
 
     def test_foreign_start_falls_back_to_cold(self, monkeypatch):
         # a start from a separately built program is dropped, whether its A
-        # has another layout, is equal, or differs in one coefficient: the
-        # solve is the cold one bit for bit, and nothing is inverted
+        # has another layout or is equal: the solve is the cold one bit for
+        # bit, and nothing is inverted
         rng = np.random.default_rng(4)
         small, _ = build_o1(ProblemInstance(3, 3, random_rates(rng, 3), Budget(0.5)))
         big, _ = build_o1(ProblemInstance(4, 4, random_rates(rng, 4), Budget(0.5)))
         equal = lp_from_parts(big.c, big.eq_rows, big.ub_rows, big.lo, big.hi)
-        rows = [dict(coefs) for coefs, _ in big.eq_rows]
-        i = next(i for i, coefs in enumerate(rows) if len(coefs) > 2)
-        rows[i][next(iter(rows[i]))] *= 1.5
-        changed = lp_from_parts(big.c, [(coefs, b) for coefs, (_, b) in zip(rows, big.eq_rows)],
-                                big.ub_rows, big.lo, big.hi)
         calls = counting_inverse(monkeypatch)
-        for program, other in ((big, small), (big, equal), (changed, big)):
+        for program, other in ((big, small), (big, equal)):
             warm = solve_lp(program, start=solve_lp(other).basis)
             cold = solve_lp(program)
             assert warm.x.tobytes() == cold.x.tobytes()
@@ -525,6 +520,31 @@ class TestCarriedFactor:
         calls = counting_inverse(monkeypatch)
         warm = solve_lp(lp, start=start)
         assert warm.iterations == 0 and calls == []
+
+    def test_changed_coefficient_inverts_afresh(self, monkeypatch):
+        # the same layout and basis, but one coefficient of A differs: the
+        # carried inverse belongs to another matrix and must not be used, so
+        # the start is dropped and the factor is built afresh by the cold
+        # solve, bit for bit, without a call to the inversion
+        lp, _ = self.budget_program(4, 2)
+        start = solve_lp(lp).basis
+        rows = [dict(coefs) for coefs, _ in lp.eq_rows]
+        i = next(i for i, coefs in enumerate(rows) if len(coefs) > 2)
+        j = next(iter(rows[i]))
+        rows[i][j] *= 1.5
+        changed = lp_from_parts(lp.c, [(coefs, b) for coefs, (_, b) in zip(rows, lp.eq_rows)],
+                                lp.ub_rows, lp.lo, lp.hi)
+        calls = counting_inverse(monkeypatch)
+        warm = solve_lp(changed, start=start)
+        cold = solve_lp(changed)
+        assert calls == []
+        assert warm.is_optimal and cold.is_optimal
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.objective == cold.objective
+        assert warm.iterations == cold.iterations
+        assert warm.basis.binv.tobytes() == cold.basis.binv.tobytes()
+        assert warm.basis.binv.tobytes() != start.binv.tobytes()
+        assert changed.check_point(warm.x) == []
 
     def test_a_start_is_never_written(self):
         lp, rates = self.budget_program(5, 3)
