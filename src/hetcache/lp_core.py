@@ -684,6 +684,17 @@ def _optimize(t: _Tableau, lp: LinearProgram, limit: int) -> LpSolution:
     raise SolverError("solution failed feasibility audit: " + "; ".join(problems[:3]))
 
 
+def check_basis_size(m: int) -> None:
+    """Raise SolverError when the solver's four arrays for a program of m
+    rows would exceed MAX_BASIS_MIB."""
+    need_mib = 2 * (m + max(m, 2 * REFACTOR_EVERY)) * m * 8 / 2**20
+    if need_mib > MAX_BASIS_MIB:
+        raise SolverError(
+            f"program has {m} rows: its basis arrays need {need_mib:.0f} MiB, "
+            f"above the {MAX_BASIS_MIB} MiB limit"
+        )
+
+
 def solve_lp(lp: LinearProgram, start: Basis | None = None,
              max_iterations: int | None = None) -> LpSolution:
     """Solve ``lp`` to proven optimality or infeasibility.
@@ -696,13 +707,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     vertex every time.  Raises SolverError on numerical breakdown,
     iteration exhaustion, or a program too large for MAX_BASIS_MIB.
     """
-    m = lp.n_rows
-    need_mib = 2 * (m + max(m, 2 * REFACTOR_EVERY)) * m * 8 / 2**20
-    if need_mib > MAX_BASIS_MIB:
-        raise SolverError(
-            f"program has {m} rows: its basis arrays need {need_mib:.0f} MiB, "
-            f"above the {MAX_BASIS_MIB} MiB limit"
-        )
+    check_basis_size(lp.n_rows)
     problems = lp.validate()
     if problems:
         raise ValueError("malformed program: " + "; ".join(problems))

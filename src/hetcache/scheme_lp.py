@@ -15,8 +15,9 @@ decision variables, all indexed by user subsets:
 * ``unicast[k][l]`` and ``mem[k][l]``: plain per-user remainders and the
   per-user, per-layer cache shares.
 
-:func:`constraint_rows` is the one generator of the rows tying these
-together: placement partitions each layer and charges caches, structure
+One generator, built once per variable index, gives the rows tying these
+together (:func:`constraint_rows` pairs them with an instance's right-hand
+sides): placement partitions each layer and charges caches, structure
 rows make signal sizes consistent for every addressee, completion rows
 guarantee each user can finish every layer it needs, and redundancy rows
 stop a signal from carrying more of a subfile class than was placed.  The
@@ -32,9 +33,9 @@ measure how much the mixing buys.
 A solved scheme is nothing but the joint program's variable index and a
 value for each of its columns (:class:`SchemeSolution`).  Its JSON form
 maps the variable names to the nonzero values, and checking a scheme
-means rebuilding the program it claims to solve and auditing the point
-against it (:func:`scheme_problems`), so there is no second copy of the
-constraint families to drift out of step.
+means auditing the point against the program it claims to solve
+(:func:`scheme_problems`), so there is no second copy of the constraint
+families to drift out of step.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .lp_core import LinearProgram, LpSolution, SolverError, SparseRow
+from .lp_core import LinearProgram, LpSolution, SolverError, SparseRow, check_basis_size
 from .model import (
     InstanceError,
     MemoryAllocation,
@@ -56,8 +57,9 @@ from .model import (
     _json_number,
 )
 
-# column counts grow like 3^K; past eight users the solver refuses the
-# program (lp_core.MAX_BASIS_MIB), and this cap bounds the index build
+# column counts grow like 3^K; past eight users the builders refuse the
+# program from its row count (lp_core.MAX_BASIS_MIB) before building it,
+# and this cap bounds the index build
 MAX_USERS = 10
 
 # distinct variable indexes kept for reuse, least recently used dropped
@@ -119,7 +121,8 @@ class VariableIndex:
     rather than a decision.  ``columns`` maps each name back to its column.
 
     Indexes are shared between every caller that asks for the same one
-    (:func:`make_variable_index`), so the mappings are read-only views.
+    (:func:`make_variable_index`), so the mappings are read-only views,
+    and so are the rows of the program over the index, built on first use.
     """
 
     K: int
@@ -136,6 +139,11 @@ class VariableIndex:
     @property
     def n_vars(self) -> int:
         return len(self.names)
+
+    @functools.cached_property
+    def _rows(self) -> _Rows:
+        """The rows of the program over this index, built on first use."""
+        return _Rows(self)
 
 
 def _check_user_count(K: int) -> None:
@@ -254,6 +262,136 @@ def _build_index(
 # constraint rows
 
 
+class _Rows:
+    """The rows of the program over one index, apart from their right-hand sides.
+
+    The coefficient dicts, the costs and the map from each column to its
+    box depend only on the index, so they are built once per index and
+    shared by every program over it; the right-hand sides and the boxes
+    are set per instance.  No dict is ever changed in place.  ``pairs``
+    lists the (layer, user) of each cache row and, in the same order, of
+    each completion row.  ``program`` also keeps one program per
+    constraint type, which :func:`scheme_problems` moves to each instance
+    it checks, so the arrays of those rows are derived once.
+    """
+
+    def __init__(self, index: VariableIndex):
+        K = index.K
+        alloc = index.alloc
+        self.index = index
+        self.pairs = []
+        placement = []
+        cache = []
+        completion = {}
+        shared = {}
+        for l in index.layers:
+            subs = list(_submasks(_span_mask(l, K)))
+            placement.append({alloc[(l, s)]: 1.0 for s in subs})
+            for k in range(l, K + 1):
+                cached = [alloc[(l, s)] for s in subs if s >> (k - 1) & 1]
+                row: SparseRow = dict.fromkeys(cached, 1.0)
+                if index.layer_mem:
+                    row[index.layer_mem[(k, l)]] = -1.0
+                cache.append(row)
+                self.pairs.append((l, k))
+                completion[(l, k)] = {
+                    index.unicast[(k, l)]: -1.0,
+                    **dict.fromkeys(cached, -1.0),
+                }
+            for smask in subs:
+                if 2 <= smask.bit_count() <= K - l:
+                    for j in members(subs[-1] & ~smask):
+                        shared[(l, smask, j)] = {}
+
+        structure = {}
+        for key, vcol in index.multicast.items():
+            tmask = key[1] if index.per_layer_signals else key
+            for j in members(tmask):
+                structure[(key, j)] = {vcol: 1.0}
+
+        caps = []
+        for (l, tmask, smask), col in index.assign.items():
+            j = (tmask & ~smask).bit_length()
+            signal = (l, tmask) if index.per_layer_signals else tmask
+            structure[(signal, j)][col] = -1.0
+            completion[(l, j)][col] = -1.0
+            if smask & (smask - 1):
+                shared[(l, smask, j)][col] = 1.0
+            else:
+                caps.append({col: 1.0, alloc[(l, smask)]: -1.0})
+        for (l, smask, _j), row in shared.items():
+            row[alloc[(l, smask)]] = -1.0
+
+        self.eq = placement + list(structure.values())
+        self.ub = cache + list(completion.values()) + list(shared.values()) + caps
+        mem = index.layer_mem
+        self.budget_row = {col: 1.0 for col in mem.values()}
+        self.user_rows = [{mem[(k, l)]: 1.0 for l in range(1, k + 1)}
+                          for k in range(1, K + 1)] if mem else []
+
+        c = np.zeros(index.n_vars)
+        c[list(index.multicast.values())] = 1.0
+        c[list(index.unicast.values())] = 1.0
+        c.flags.writeable = False
+        self.c = c
+        # every box is [0, f_l] or, for a signal spanning layers 1..t, [0, r_t]:
+        # column j's upper bound is entry box[j] of (f_1..f_K, r_1..r_K)
+        box = np.zeros(index.n_vars, dtype=np.intp)
+        for family in (alloc, index.assign):
+            for key, col in family.items():
+                box[col] = key[0] - 1
+        for family in (index.unicast, index.layer_mem):
+            for (_k, l), col in family.items():
+                box[col] = l - 1
+        for key, col in index.multicast.items():
+            if index.per_layer_signals:
+                box[col] = key[0] - 1
+            else:
+                box[col] = K + (key & -key).bit_length() - 1
+        self.box = box
+        self._kept: dict = {}
+
+    def rows(self, inst: ProblemInstance, split: MemoryAllocation | None = None):
+        """(equalities, upper bounds) of ``inst``: see :func:`constraint_rows`."""
+        f = inst.rates.f
+        eq_rhs = [f[l - 1] for l in self.index.layers]
+        eq_rhs += [0.0] * (len(self.eq) - len(eq_rhs))
+        if split is None:
+            ub_rhs = [0.0] * len(self.pairs)
+        else:
+            ub_rhs = [float(split.per_layer[k - 1][l - 1]) for l, k in self.pairs]
+        ub_rhs += [-f[l - 1] for l, _k in self.pairs]
+        ub_rhs += [0.0] * (len(self.ub) - len(ub_rhs))
+        return list(zip(self.eq, eq_rhs)), list(zip(self.ub, ub_rhs))
+
+    def program(self, inst: ProblemInstance, split: MemoryAllocation | None = None,
+                kept: bool = False) -> LinearProgram:
+        """The program of ``inst``: the memory rows come last, and only
+        when the cache split is a decision rather than ``split``.
+
+        A program built anew derives its own coefficient arrays, so a
+        start from another build is dropped.  With ``kept`` the program is
+        the one kept for the constraint type moved to ``inst``, whose
+        arrays are derived once.
+        """
+        eqs, ubs = self.rows(inst, split)
+        if split is None:
+            if inst.is_budget:
+                eqs.append((self.budget_row, float(inst.constraint.m_tot)))
+            else:
+                eqs.extend(zip(self.user_rows, map(float, inst.constraint.m)))
+        r = inst.rates
+        hi = np.array([*r.f, *r.r])[self.box]
+        lo = np.zeros(self.index.n_vars)
+        if kept and inst.is_budget in self._kept:
+            return replace(self._kept[inst.is_budget], eq_rows=eqs, ub_rows=ubs, lo=lo, hi=hi)
+        lp = LinearProgram(c=self.c, eq_rows=eqs, ub_rows=ubs, lo=lo, hi=hi,
+                           names=self.index.names)
+        if kept:
+            self._kept[inst.is_budget] = lp
+        return lp
+
+
 def constraint_rows(
     inst: ProblemInstance,
     index: VariableIndex,
@@ -261,7 +399,7 @@ def constraint_rows(
 ):
     """Every row of the program except the memory equalities.
 
-    Returns (equalities, upper_bounds).  Equalities: one placement
+    Returns (equalities, upper bounds).  Equalities: one placement
     partition per layer, then one structure row per (signal, addressee j)
     saying the signal size equals the pieces assigned to j across the
     layers the signal may carry.  Upper bounds: one cache row per (layer,
@@ -272,134 +410,58 @@ def constraint_rows(
     S, summed over all signals that could carry them, cannot exceed the
     class size: a class with two or more cachers gets one shared row per j,
     and a class with a single cacher gets the per-piece cap u <= a instead,
-    since the shared row would already imply every per-piece cap.
+    since the shared row would already imply every per-piece cap.  The
+    split is given exactly when the index has no memory variables.
     """
-    K = inst.K
-    f = inst.rates.f
-    alloc = index.alloc
-    eqs = []
-    ubs = []
-    completion = {}
-    shared = {}
-    for l in index.layers:
-        subs = list(_submasks(_span_mask(l, K)))
-        eqs.append(({alloc[(l, s)]: 1.0 for s in subs}, f[l - 1]))
-        for k in range(l, K + 1):
-            cached = [alloc[(l, s)] for s in subs if s >> (k - 1) & 1]
-            row: SparseRow = dict.fromkeys(cached, 1.0)
-            if fixed_layer_memories is None:
-                row[index.layer_mem[(k, l)]] = -1.0
-                ubs.append((row, 0.0))
-            else:
-                ubs.append((row, float(fixed_layer_memories.per_layer[k - 1][l - 1])))
-            completion[(l, k)] = {
-                index.unicast[(k, l)]: -1.0,
-                **dict.fromkeys(cached, -1.0),
-            }
-        for smask in subs:
-            if 2 <= smask.bit_count() <= K - l:
-                for j in members(subs[-1] & ~smask):
-                    shared[(l, smask, j)] = {}
-
-    structure = {}
-    for key, vcol in index.multicast.items():
-        tmask = key[1] if index.per_layer_signals else key
-        for j in members(tmask):
-            structure[(key, j)] = {vcol: 1.0}
-
-    caps = []
-    for (l, tmask, smask), col in index.assign.items():
-        j = (tmask & ~smask).bit_length()
-        signal = (l, tmask) if index.per_layer_signals else tmask
-        structure[(signal, j)][col] = -1.0
-        completion[(l, j)][col] = -1.0
-        if smask & (smask - 1):
-            shared[(l, smask, j)][col] = 1.0
-        else:
-            caps.append(({col: 1.0, alloc[(l, smask)]: -1.0}, 0.0))
-    for (l, smask, _j), row in shared.items():
-        row[alloc[(l, smask)]] = -1.0
-
-    eqs.extend((row, 0.0) for row in structure.values())
-    ubs.extend((row, -f[l - 1]) for (l, _k), row in completion.items())
-    ubs.extend((row, 0.0) for row in shared.values())
-    ubs.extend(caps)
-    return eqs, ubs
+    return index._rows.rows(inst, fixed_layer_memories)
 
 
 # ---------------------------------------------------------------------------
 # whole programs
 
 
-def _natural_caps(inst: ProblemInstance, index: VariableIndex):
-    """Finite variable boxes; every optimum respects these already."""
-    r = inst.rates
-    lo = [0.0] * index.n_vars
-    hi = [0.0] * index.n_vars
-    for (l, _S), col in index.alloc.items():
-        hi[col] = r.f[l - 1]
-    for (l, _T, _S), col in index.assign.items():
-        hi[col] = r.f[l - 1]
-    for key, col in index.multicast.items():
-        if index.per_layer_signals:
-            hi[col] = r.f[key[0] - 1]
-        else:
-            hi[col] = r.cumulative((key & -key).bit_length())
-    for (_k, l), col in index.unicast.items():
-        hi[col] = r.f[l - 1]
-    for (_k, l), col in index.layer_mem.items():
-        hi[col] = r.f[l - 1]
-    return lo, hi
+def program_rows(K: int) -> tuple[int, int]:
+    """Row counts of the joint and of the intra-restricted K-user program,
+    before their memory rows: a budget adds one, cache sizes one per user.
+
+    Counted in closed form, without building either program.  A layer
+    seen by n users has one placement row; n cache and n completion rows;
+    a shared redundancy row for each class of 2..n-1 cachers and each user
+    outside it, n * 2^(n-1) - n^2 in all; and a cap for each of the
+    n(n - 1) pieces of single-cacher classes.  The joint program adds one
+    structure row per signal T of t >= 2 users and addressee, K * 2^(K-1) - K
+    of them; the intra-restricted one n * 2^(n-1) - n per layer.
+    """
+    _check_user_count(K)
+    common = sum(1 + n + n * (1 << (n - 1)) for n in range(1, K + 1))
+    joint = common + K * (1 << (K - 1)) - K
+    restricted = common + sum(n * (1 << (n - 1)) - n for n in range(1, K + 1))
+    return joint, restricted
 
 
-def _memory_rows(inst: ProblemInstance, index: VariableIndex):
-    """The budget row, or one cache-size row per user."""
-    if inst.is_budget:
-        row: SparseRow = {col: 1.0 for col in index.layer_mem.values()}
-        return [(row, float(inst.constraint.m_tot))]
-    return [
-        (
-            {index.layer_mem[(k, l)]: 1.0 for l in range(1, k + 1)},
-            float(inst.constraint.m[k - 1]),
-        )
-        for k in range(1, inst.K + 1)
-    ]
-
-
-def _assemble(
-    inst: ProblemInstance,
-    index: VariableIndex,
-    fixed_layer_memories: MemoryAllocation | None = None,
-) -> LinearProgram:
-    """The program over ``index``: the memory rows come last, and only
-    when the cache split is a decision rather than ``fixed_layer_memories``."""
-    eqs, ubs = constraint_rows(inst, index, fixed_layer_memories)
-    if fixed_layer_memories is None:
-        eqs.extend(_memory_rows(inst, index))
-
-    c = [0.0] * index.n_vars
-    for col in index.multicast.values():
-        c[col] = 1.0
-    for col in index.unicast.values():
-        c[col] = 1.0
-    lo, hi = _natural_caps(inst, index)
-    return LinearProgram(c=c, eq_rows=eqs, ub_rows=ubs, lo=lo, hi=hi, names=index.names)
+def _refuse_oversized(inst: ProblemInstance, restricted: bool = False) -> None:
+    """Raise SolverError, before any index is built, for a scheme program of
+    ``inst`` too large for the solver (lp_core.MAX_BASIS_MIB)."""
+    rows = program_rows(inst.K)[restricted]
+    check_basis_size(rows + (1 if inst.is_budget else inst.K))
 
 
 def build_o1(inst: ProblemInstance):
     """Budgeted program: the optimizer also chooses every cache share."""
     if not inst.is_budget:
         raise InstanceError(["total-budget program needs a budget-type instance"])
+    _refuse_oversized(inst)
     index = make_variable_index(inst.K)
-    return _assemble(inst, index), index
+    return index._rows.program(inst), index
 
 
 def build_o2(inst: ProblemInstance):
     """Fixed-memory program: per-user totals pinned, split still free."""
     if inst.is_budget:
         raise InstanceError(["fixed-memory program needs per-user cache sizes"])
+    _refuse_oversized(inst)
     index = make_variable_index(inst.K)
-    return _assemble(inst, index), index
+    return index._rows.program(inst), index
 
 
 def build_intra_restricted(inst: ProblemInstance):
@@ -409,8 +471,9 @@ def build_intra_restricted(inst: ProblemInstance):
     so the objective gap to the joint program isolates exactly what
     cross-layer signals buy.
     """
+    _refuse_oversized(inst, restricted=True)
     index = make_variable_index(inst.K, per_layer_signals=True)
-    return _assemble(inst, index), index
+    return index._rows.program(inst), index
 
 
 def with_memory(lp: LinearProgram, inst: ProblemInstance) -> LinearProgram:
@@ -445,7 +508,7 @@ def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
         index = make_variable_index(
             inst.K, layers=(l,), per_layer_signals=True, with_layer_memories=False
         )
-        lp = _assemble(inst, index, fixed_layer_memories=split)
+        lp = index._rows.program(inst, split)
         programs.append((lp, index))
     return programs
 
@@ -615,14 +678,15 @@ def scheme_problems(
 ) -> list[str]:
     """Every row and variable box of ``inst``'s joint program that ``scheme`` breaks.
 
-    The program is rebuilt over the scheme's own index and the point is
-    audited by :meth:`LinearProgram.check_point`, which widens each row's
-    tolerance by 1 + |rhs|; dividing ``tol`` by the widest such factor
-    keeps every test within the absolute ``tol``.  Returns human-readable
-    problem strings, empty when the scheme is consistent.
+    The program over the scheme's own index, the one kept for its
+    constraint type moved to ``inst``, audits the point by
+    :meth:`LinearProgram.check_point`, which widens each row's tolerance
+    by 1 + |rhs|; dividing ``tol`` by the widest such factor keeps every
+    test within the absolute ``tol``.  Returns human-readable problem
+    strings, empty when the scheme is consistent.
     """
     if scheme.K != inst.K:
         raise InstanceError([f"scheme is for {scheme.K} users, instance for {inst.K}"])
-    lp = _assemble(inst, scheme.index)
+    lp = scheme.index._rows.program(inst, kept=True)
     widest = max(abs(rhs) for _row, rhs in lp.eq_rows + lp.ub_rows)
     return lp.check_point(scheme.x, tol / (1.0 + widest))

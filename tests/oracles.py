@@ -16,7 +16,18 @@ from hetcache.bounds import BoundReport
 from hetcache.closed_form import t_decomposition
 from hetcache.lp_core import LinearProgram, SolverError, _row_head, solve_lp
 from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance
-from hetcache.scheme_lp import mask_label
+from hetcache.scheme_lp import mask_label, members
+from hetcache.simulator import (
+    Piece,
+    Signal,
+    SimulationError,
+    TransmissionLog,
+    Unicast,
+    VerificationReport,
+    make_library,
+    place,
+    quantize,
+)
 
 FEAS = 1e-7
 
@@ -256,6 +267,132 @@ def library_per_bit(inst: ProblemInstance, F: int, seed: int) -> tuple:
     return tuple(
         tuple(rng.integers(0, 2, size=n, dtype=np.uint8) for n in lengths)
         for _ in range(inst.N)
+    )
+
+
+def _read_cached(cache, files, k, file_id, l, start, stop):
+    if not cache.holds(k, l, start, stop):
+        raise SimulationError(f"user {k} asked for uncached bits {start}:{stop} of layer {l}")
+    return files[file_id - 1][l - 1][start:stop]
+
+
+def deliver_per_bit(cache, q, demand, files) -> TransmissionLog:
+    """The log ``simulator.deliver`` sends, built from byte-per-bit ``files``
+    (as :func:`library_per_bit` gives them) by concatenation."""
+    signals = []
+    for tmask in sorted(q.signal_pieces):
+        per_user = q.signal_pieces[tmask]
+        constituents = []
+        for j in members(tmask):
+            refs, parts = [], []
+            for l, smask, chunk_start, size in per_user.get(j, ()):
+                start = q.offsets[(l, smask)] + chunk_start
+                refs.append(Piece(j, demand[j - 1], l, smask, start, start + size))
+                parts.append(files[demand[j - 1] - 1][l - 1][start : start + size])
+            bits = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+            constituents.append((refs, bits))
+        length = max(len(bits) for _, bits in constituents)
+        if length == 0:
+            continue
+        payload = np.zeros(length, dtype=np.uint8)
+        pieces = []
+        for refs, bits in constituents:
+            payload[: len(bits)] ^= bits
+            pieces.extend(refs)
+        signals.append(Signal(addressees=tmask, pieces=tuple(pieces), payload=payload))
+    unicasts = []
+    for k in range(1, q.K + 1):
+        refs = [(demand[k - 1], l, start, stop)
+                for l in range(1, k + 1) for start, stop in q.missing.get((k, l), ())]
+        if refs:
+            payload = np.concatenate([files[f - 1][l - 1][a:b] for f, l, a, b in refs])
+            unicasts.append(Unicast(user=k, ranges=tuple(refs), payload=payload))
+    return TransmissionLog(signals=tuple(signals), unicasts=tuple(unicasts))
+
+
+def decode_per_bit(k, cache, log, demand, files) -> list:
+    """User k's problems as a materializing decode finds them.
+
+    Layers 1..k are rebuilt in byte-per-bit arrays that start at the
+    sentinel 255: cached ranges are copied in, then each signal's payload
+    with the other pieces cancelled, then unicast slices, later writes
+    winning.  Sentinels left are missing bits; with no other problem, a
+    rebuilt layer unequal to the file is a content mismatch.
+    """
+    own_file = demand[k - 1]
+    kbit = 1 << (k - 1)
+    out = {l: np.full(len(files[0][l - 1]), 255, dtype=np.uint8) for l in range(1, k + 1)}
+    problems = []
+    for l, _smask, start, stop in cache.ranges[k - 1]:
+        if l <= k:
+            out[l][start:stop] = _read_cached(cache, files, k, own_file, l, start, stop)
+    for sig in log.signals:
+        if not sig.addressees & kbit:
+            continue
+        acc = sig.payload.copy()
+        own = []
+        offset = {}
+        for p in sig.pieces:
+            n = p.stop - p.start
+            pos = offset.get(p.user, 0)
+            offset[p.user] = pos + n
+            if p.user == k:
+                own.append((p, pos))
+            elif not p.subfile_mask & kbit:
+                problems.append(
+                    f"signal to {mask_label(sig.addressees)} carries a piece of "
+                    f"chunk {mask_label(p.subfile_mask)} user {k} cannot cancel"
+                )
+            else:
+                acc[pos : pos + n] ^= _read_cached(
+                    cache, files, k, demand[p.user - 1], p.layer, p.start, p.stop)
+        for p, pos in own:
+            if p.layer <= k:
+                out[p.layer][p.start : p.stop] = acc[pos : pos + p.stop - p.start]
+    for uni in log.unicasts:
+        if uni.user != k:
+            continue
+        pos = 0
+        for file_id, l, start, stop in uni.ranges:
+            if file_id != own_file:
+                problems.append(f"unicast range names file {file_id}, not {own_file}")
+            elif l <= k:
+                out[l][start:stop] = uni.payload[pos : pos + stop - start]
+            pos += stop - start
+    for l in range(1, k + 1):
+        gaps = int(np.count_nonzero(out[l] == 255))
+        if gaps:
+            problems.append(f"layer {l} is missing {gaps} bits")
+    if problems:
+        return problems
+    return [f"layer {l} content mismatch" for l in range(1, k + 1)
+            if not np.array_equal(out[l], files[own_file - 1][l - 1])]
+
+
+def verify_per_bit(inst: ProblemInstance, scheme, F: int, seed: int = 0) -> VerificationReport:
+    """``simulator.verify`` on byte-per-bit files: the library of
+    :func:`library_per_bit`, :func:`deliver_per_bit` and
+    :func:`decode_per_bit`; quantization and the cached ranges are the
+    package's."""
+    files = library_per_bit(inst, F, seed)
+    q = quantize(scheme, F, tuple(len(layer) for layer in files[0]))
+    cache = place(make_library(inst, F, seed), q)
+    demand = tuple(range(1, inst.K + 1))
+    log = deliver_per_bit(cache, q, demand, files)
+    status = tuple("; ".join(decode_per_bit(k, cache, log, demand, files)) or "ok"
+                   for k in range(1, inst.K + 1))
+    measured = log.total_bits / F
+    predicted = scheme.load()
+    bound = scheme.variable_count / F
+    return VerificationReport(
+        ok=all(s == "ok" for s in status) and abs(measured - predicted) <= bound + 1e-12,
+        user_status=status,
+        measured_load=measured,
+        predicted_load=predicted,
+        max_discrepancy=abs(measured - predicted),
+        discrepancy_bound=bound,
+        file_size=int(F),
+        seed=int(seed),
     )
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hetcache import baselines, cli, lp_core
+from hetcache import baselines, cli, lp_core, scheme_lp
 from hetcache.baselines import baseline_load
 from hetcache.bounds import budget_program, cutset_budget
 from hetcache.cli import main
@@ -135,9 +135,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("outside [0, " in err) is (code == 2) and "Traceback" not in err
 
-    def test_too_large_program_refused_quickly(self, tmp_path, capsys):
+    def test_too_large_program_refused_quickly(self, tmp_path, capsys, monkeypatch):
         # nine users give 6447 rows, whose basis arrays would need about a
-        # GiB: refused with exit 3 before the solver allocates anything
+        # GiB: refused with exit 3 from the row count alone, before the
+        # variable index or the solver allocates anything
+        built = []
+        monkeypatch.setattr(scheme_lp, "make_variable_index",
+                            lambda *args, **kwargs: built.append(args))
         rates = [0.1 * k for k in range(1, 10)]
         path = tmp_path / "k9.json"
         path.write_text(json.dumps({"K": 9, "N": 9, "rates": rates, "budget": 1.0}))
@@ -147,6 +151,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: program has 6447 rows" in err and "MiB" in err
         assert "Traceback" not in err
+        assert built == []
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "compare-baselines", "bounds",
                                          "verify"])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hetcache import scheme_lp
+from hetcache import lp_core, scheme_lp
 from hetcache.closed_form import theorem1_load, threshold_allocation
 from hetcache.lp_core import LpSolution, LpStatus, SolverError, solve_lp
 from hetcache.model import (
@@ -170,6 +170,17 @@ class TestVariableIndex:
             make_variable_index(K).n_vars,
             make_variable_index(K, per_layer_signals=True).n_vars,
         )
+
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_closed_form_row_counts(self, K):
+        r = make_rate_profile([0.1 * k for k in range(1, K + 1)])
+        budget = ProblemInstance(K, K, r, Budget(0.5 * r.sum_rates))
+        fixed = ProblemInstance(K, K, r, FixedMemories(tuple(0.5 * x for x in r.r)))
+        joint, restricted = scheme_lp.program_rows(K)
+        assert build_o1(budget)[0].n_rows == joint + 1
+        assert build_o2(fixed)[0].n_rows == joint + K
+        assert build_intra_restricted(budget)[0].n_rows == restricted + 1
+        assert build_intra_restricted(fixed)[0].n_rows == restricted + K
 
     def test_cache_stays_at_its_bound(self):
         # largest first, so the indexes the count test just built are reused
@@ -688,3 +699,29 @@ class TestSchemeAudit:
         )
         with pytest.raises(InstanceError, match="users"):
             scheme_problems(scheme, example_one)
+
+    def test_check_derives_its_row_arrays_once_per_kind(self, monkeypatch):
+        # each check moves one kept program to its instance, and finds what
+        # the program built for that instance finds
+        derived = []
+        real = lp_core._row_arrays
+        monkeypatch.setattr(lp_core, "_row_arrays", lambda dicts: derived.append(1) or real(dicts))
+        checks = 0
+        rng = np.random.default_rng(12)
+        insts = [random_fixed_instance(rng, 4) for _ in range(3)]
+        insts += [budget_instance(sorted(rng.uniform(0.05, 1.0, 4)), b) for b in (0.3, 0.9)]
+        for inst in insts:
+            lp, idx = (build_o1 if inst.is_budget else build_o2)(inst)
+            scheme = extract_scheme(solve_lp(lp), idx)
+            x = scheme.x.copy()
+            x[next(iter(idx.multicast.values()))] += 0.05
+            broken = dataclasses.replace(scheme, x=x)
+            for other in insts:
+                fresh = (build_o1 if other.is_budget else build_o2)(other)[0]
+                widest = max(abs(rhs) for _row, rhs in fresh.eq_rows + fresh.ub_rows)
+                want = fresh.check_point(broken.x, 1e-7 / (1.0 + widest))
+                before = len(derived)
+                assert scheme_problems(broken, other) == want
+                checks += len(derived) - before
+        # 25 checks, at most one derivation per constraint type
+        assert checks <= 2

@@ -1,10 +1,12 @@
 """End-to-end bit-level checks: place, transmit, decode, measure."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hetcache import simulator
 from hetcache.lp_core import solve_lp
 from hetcache.model import InstanceError
 from hetcache.scheme_lp import (
@@ -26,7 +28,13 @@ from hetcache.simulator import (
 )
 
 from conftest import users_mask
-from oracles import audit_delivery, library_per_bit
+from oracles import (
+    audit_delivery,
+    decode_per_bit,
+    deliver_per_bit,
+    library_per_bit,
+    verify_per_bit,
+)
 from test_scheme_lp import fixed_instance
 
 
@@ -74,6 +82,11 @@ def random_fixed(rng, K):
     return fixed_instance(list(r), m, q=8)
 
 
+def layer_bits(lib, file_id, l):
+    """Every bit of one layer, one byte per bit."""
+    return lib.bits(file_id, l, 0, lib.layer_lengths[l - 1])
+
+
 def logs_equal(a, b):
     if len(a.signals) != len(b.signals) or len(a.unicasts) != len(b.unicasts):
         return False
@@ -97,20 +110,20 @@ class TestLibrary:
         assert lib.N == 3
         for j in range(1, 4):
             for l in range(1, 4):
-                assert len(lib.layer(j, l)) == lib.layer_lengths[l - 1]
-                assert set(np.unique(lib.layer(j, l))) <= {0, 1}
+                assert len(layer_bits(lib, j, l)) == lib.layer_lengths[l - 1]
+                assert set(np.unique(layer_bits(lib, j, l))) <= {0, 1}
 
     def test_reproducible_for_same_seed(self):
         a = make_library(ex1_instance(), 1000, seed=42)
         b = make_library(ex1_instance(), 1000, seed=42)
         c = make_library(ex1_instance(), 1000, seed=43)
         assert all(
-            np.array_equal(a.layer(j, l), b.layer(j, l))
+            np.array_equal(layer_bits(a, j, l), layer_bits(b, j, l))
             for j in range(1, 4)
             for l in range(1, 4)
         )
         assert any(
-            not np.array_equal(a.layer(j, l), c.layer(j, l))
+            not np.array_equal(layer_bits(a, j, l), layer_bits(c, j, l))
             for j in range(1, 4)
             for l in range(1, 4)
         )
@@ -131,18 +144,83 @@ class TestLibrary:
     ]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_library_is_the_per_bit_draw(self, seed):
-        for rates, N, F, lengths in self.LAYOUTS:
-            inst = fixed_instance(rates, [0.0] * len(rates), N=N)
-            lib = make_library(inst, F, seed)
-            assert lib.layer_lengths == lengths
-            want = library_per_bit(inst, F, seed)
-            assert len(lib.files) == len(want) == N
-            for got_file, want_file in zip(lib.files, want, strict=True):
-                for got, ref in zip(got_file, want_file, strict=True):
-                    assert got.dtype == np.uint8
-                    assert np.array_equal(got, ref)
-                    assert not np.any(got > 1)
+    def test_library_is_the_per_bit_draw(self, seed, monkeypatch):
+        # the default draw size, and sizes that put draw boundaries inside
+        # layers and between them at many offsets, odd word counts included
+        for draw_words in (simulator.DRAW_WORDS, 2, 6, 50_000):
+            monkeypatch.setattr(simulator, "DRAW_WORDS", draw_words)
+            for rates, N, F, lengths in self.LAYOUTS:
+                if draw_words < 10 and F > 1000:
+                    continue  # millions of tiny draws; the short layout covers them
+                inst = fixed_instance(rates, [0.0] * len(rates), N=N)
+                lib = make_library(inst, F, seed)
+                assert lib.layer_lengths == lengths
+                want = library_per_bit(inst, F, seed)
+                assert len(lib.files) == len(want) == N
+                for got_file, want_file in zip(lib.files, want, strict=True):
+                    for got, ref in zip(got_file, want_file, strict=True):
+                        # packed eight bits to a byte, the padding bits zero
+                        assert got.dtype == np.uint8 and len(got) == (len(ref) + 7) // 8
+                        unpacked = np.unpackbits(got)
+                        assert np.array_equal(unpacked[: len(ref)], ref)
+                        assert not unpacked[len(ref):].any()
+
+    def test_range_reads_match_the_per_bit_draw(self):
+        rates, N, F, _lengths = self.LAYOUTS[0]
+        inst = fixed_instance(rates, [0.0] * len(rates), N=N)
+        lib = make_library(inst, F, seed=3)
+        want = library_per_bit(inst, F, seed=3)
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            j, l = int(rng.integers(1, N + 1)), int(rng.integers(1, len(rates) + 1))
+            n = lib.layer_lengths[l - 1]
+            start, stop = sorted(int(b) for b in rng.integers(0, n + 1, size=2))
+            got = lib.bits(j, l, start, stop)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want[j - 1][l - 1][start:stop])
+        # a range past the end of a layer stops there
+        assert np.array_equal(lib.bits(1, 7, 3, 100), want[0][6][3:])
+
+
+class TestLibraryCap:
+    @staticmethod
+    def largest_admitted(inst):
+        lo, hi = 1, 10**9
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                simulator.library_layout(inst, mid)
+                lo = mid
+            except InstanceError:
+                hi = mid
+        return lo
+
+    def test_cap_bounds_what_verify_allocates(self, monkeypatch):
+        # at the largest file size a 4 MiB cap admits, a verify's traced
+        # peak stays under 4 MiB; all-unicast schemes send the most
+        monkeypatch.setattr(simulator, "MAX_LIBRARY_MIB", 4)
+        rng = np.random.default_rng(6)
+        cases = [(ex1_instance(), EX1_SCHEME)]
+        for K in (3, 5):
+            r = list(np.sort(rng.uniform(0.05, 1.0, size=K)))
+            cases.append((fixed_instance(r, [0.0] * K), None))
+        for inst, scheme in cases:
+            scheme = scheme or solved_scheme(inst)
+            F = self.largest_admitted(inst)
+            assert F > 10**5
+            tracemalloc.start()
+            try:
+                assert verify(inst, scheme, F, seed=1).ok
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 << 20, (inst.K, F, peak)
+
+    def test_many_empty_files_are_refused(self):
+        # every layer counts its array, so empty layers cannot add up unseen
+        inst = fixed_instance([0.01, 0.02, 0.03], [0.0, 0.0, 0.0], N=10**12)
+        with pytest.raises(InstanceError, match="above the 512 MiB limit"):
+            make_library(inst, 1)
 
 
 class TestQuantize:
@@ -240,7 +318,7 @@ class TestDeliver:
         log = deliver(place(lib, q), q, (1, 2, 3))
         sig = log.signals[0]
         by_user = {p.user: p for p in sig.pieces}
-        want = lib.layer(1, 1)[by_user[1].start : by_user[1].stop] ^ lib.layer(3, 1)[
+        want = layer_bits(lib, 1, 1)[by_user[1].start : by_user[1].stop] ^ layer_bits(lib, 3, 1)[
             by_user[3].start : by_user[3].stop
         ]
         assert np.array_equal(sig.payload, want)
@@ -295,10 +373,7 @@ class TestDecode:
 
     def test_every_user_recovers_its_layers(self):
         for k in range(1, 4):
-            lib, _, _, (layers, problems) = self.decoded(k)
-            assert problems == []
-            for l in range(1, k + 1):
-                assert np.array_equal(layers[l], lib.layer(k, l))
+            assert self.decoded(k)[3] == []
 
     def test_full_cache_ignores_log(self):
         inst = fixed_instance(EX1_RATES, EX1_RATES)
@@ -306,9 +381,7 @@ class TestDecode:
         lib = make_library(inst, 1000, seed=0)
         cache = place(lib, quantize(scheme, 1000, layer_lengths=lib.layer_lengths))
         empty = TransmissionLog(signals=(), unicasts=())
-        layers, problems = decode(3, cache, empty, (1, 2, 3))
-        assert problems == []
-        assert all(np.array_equal(layers[l], lib.layer(3, l)) for l in (1, 2, 3))
+        assert decode(3, cache, empty, (1, 2, 3)) == []
 
     def test_corrupted_signal_payload_is_detected(self):
         lib, cache, log, _ = self.decoded(1)
@@ -319,9 +392,7 @@ class TestDecode:
             + log.signals[1:],
             unicasts=log.unicasts,
         )
-        layers, problems = decode(1, cache, bad_log, (1, 2, 3))
-        assert problems == []  # damage is silent until contents are compared
-        assert not np.array_equal(layers[1], lib.layer(1, 1))
+        assert decode(1, cache, bad_log, (1, 2, 3)) == ["layer 1 content mismatch"]
 
     def test_corrupted_unicast_is_detected(self):
         inst = fixed_instance(EX1_RATES, [0.0, 0.0, 0.0])
@@ -337,9 +408,7 @@ class TestDecode:
             unicasts=(dataclasses.replace(log.unicasts[0], payload=payload),)
             + log.unicasts[1:],
         )
-        layers, problems = decode(1, cache, bad, (1, 2, 3))
-        assert problems == []
-        assert not np.array_equal(layers[1], lib.layer(1, 1))
+        assert decode(1, cache, bad, (1, 2, 3)) == ["layer 1 content mismatch"]
 
     def test_uncancelable_piece_is_reported(self):
         lib, cache, log, _ = self.decoded(1)
@@ -354,15 +423,135 @@ class TestDecode:
             signals=(dataclasses.replace(sig, pieces=twisted),) + log.signals[1:],
             unicasts=log.unicasts,
         )
-        _, problems = decode(1, cache, bad, (1, 2, 3))
+        problems = decode(1, cache, bad, (1, 2, 3))
         assert any("cannot cancel" in p for p in problems)
 
     def test_missing_bits_are_reported(self):
         lib, cache, log, _ = self.decoded(3)
         # drop the second signal; user 3 loses its layer-2 piece
         bad = TransmissionLog(signals=log.signals[:1], unicasts=log.unicasts)
-        _, problems = decode(3, cache, bad, (1, 2, 3))
-        assert any("missing" in p for p in problems)
+        assert decode(3, cache, bad, (1, 2, 3)) == ["layer 2 is missing 1000 bits"]
+
+
+def piece_positions(sig):
+    """(piece, payload position) of each piece of a signal."""
+    offset = {}
+    for p in sig.pieces:
+        pos = offset.get(p.user, 0)
+        offset[p.user] = pos + p.stop - p.start
+        yield p, pos
+
+
+class TestAgainstByteOracle:
+    """The packed pipeline against the byte-per-bit one of tests/oracles.py:
+    equal logs and reports, and the same problems on tampered runs."""
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_logs_and_reports_equal_the_oracle(self, K):
+        rng = np.random.default_rng(60 + K)
+        for inst in (random_fixed(rng, K), random_fixed(rng, K)):
+            scheme = solved_scheme(inst)
+            demand = tuple(range(1, K + 1))
+            for F in (1, 7, 999, 10_003):
+                for seed in (0, 3, 11):
+                    lib = make_library(inst, F, seed)
+                    q = quantize(scheme, F, lib.layer_lengths)
+                    cache = place(lib, q)
+                    files = library_per_bit(inst, F, seed)
+                    assert logs_equal(deliver(cache, q, demand),
+                                      deliver_per_bit(cache, q, demand, files))
+                    assert verify(inst, scheme, F, seed) == verify_per_bit(inst, scheme, F, seed)
+
+    F = 10_003
+    SEED = 1
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        # little cache, so that signals and unicasts both carry bits
+        rng = np.random.default_rng(25)
+        r = np.sort(rng.uniform(0.05, 1.0, size=4))
+        inst = fixed_instance(list(r), list(0.3 * r), q=8)
+        lib = make_library(inst, self.F, self.SEED)
+        q = quantize(solved_scheme(inst), self.F, lib.layer_lengths)
+        cache = place(lib, q)
+        log = deliver(cache, q, (1, 2, 3, 4))
+        return cache, log, library_per_bit(inst, self.F, self.SEED)
+
+    @staticmethod
+    def problems(cache, log, files, k):
+        """User k's problems, after checking every user's against the oracle."""
+        demand = (1, 2, 3, 4)
+        for user in demand:
+            want = decode_per_bit(user, cache, log, demand, files)
+            assert decode(user, cache, log, demand) == want
+        return decode(k, cache, log, demand)
+
+    def test_flipped_signal_bit(self, run):
+        cache, log, files = run
+        i, p, pos = next((i, p, pos) for i, sig in enumerate(log.signals)
+                         for p, pos in piece_positions(sig)
+                         if p.start % 8 and p.stop - p.start > 2)
+        payload = log.signals[i].payload.copy()
+        payload[pos + 1] ^= 1
+        signals = list(log.signals)
+        signals[i] = dataclasses.replace(signals[i], payload=payload)
+        bad = dataclasses.replace(log, signals=tuple(signals))
+        assert self.problems(cache, bad, files, p.user) == [
+            f"layer {p.layer} content mismatch"]
+
+    def unaligned_unicast(self, log):
+        for i, uni in enumerate(log.unicasts):
+            pos = 0
+            for j, (_file, l, start, stop) in enumerate(uni.ranges):
+                if start % 8 and stop - start > 2:
+                    return i, j, pos
+                pos += stop - start
+        raise AssertionError("no unicast range starts off a byte boundary")
+
+    def test_flipped_unicast_bit(self, run):
+        cache, log, files = run
+        i, j, pos = self.unaligned_unicast(log)
+        uni = log.unicasts[i]
+        payload = uni.payload.copy()
+        payload[pos + 1] ^= 1
+        unicasts = list(log.unicasts)
+        unicasts[i] = dataclasses.replace(uni, payload=payload)
+        bad = dataclasses.replace(log, unicasts=tuple(unicasts))
+        assert self.problems(cache, bad, files, uni.user) == [
+            f"layer {uni.ranges[j][1]} content mismatch"]
+
+    def test_dropped_unicast_range(self, run):
+        cache, log, files = run
+        i, j, pos = self.unaligned_unicast(log)
+        uni = log.unicasts[i]
+        _file, l, start, stop = uni.ranges[j]
+        payload = np.concatenate([uni.payload[:pos], uni.payload[pos + stop - start:]])
+        unicasts = list(log.unicasts)
+        unicasts[i] = Unicast(uni.user, uni.ranges[:j] + uni.ranges[j + 1:], payload)
+        bad = dataclasses.replace(log, unicasts=tuple(unicasts))
+        assert self.problems(cache, bad, files, uni.user) == [
+            f"layer {l} is missing {stop - start} bits"]
+
+    def test_removed_cached_range(self, run):
+        cache, log, files = run
+        failed = 0
+        for k in range(1, 5):
+            for r in cache.ranges[k - 1]:
+                if not r[2] % 8 or r[0] > k:
+                    continue
+                ranges = list(cache.ranges)
+                ranges[k - 1] = tuple(other for other in ranges[k - 1] if other != r)
+                bad = dataclasses.replace(cache, ranges=tuple(ranges))
+                try:
+                    problems = self.problems(bad, log, files, k)
+                except SimulationError as exc:
+                    # the range cancels a piece: both decodes refuse to read it
+                    with pytest.raises(SimulationError, match=str(exc)):
+                        decode_per_bit(k, bad, log, (1, 2, 3, 4), files)
+                    continue
+                assert problems == [f"layer {r[0]} is missing {r[3] - r[2]} bits"]
+                failed += 1
+        assert failed
 
 
 class TestAudit:
@@ -388,7 +577,7 @@ class TestAudit:
         dupe = Unicast(
             user=1,
             ranges=((1, piece.layer, piece.start, piece.stop),),
-            payload=lib.layer(1, piece.layer)[piece.start : piece.stop].copy(),
+            payload=layer_bits(lib, 1, piece.layer)[piece.start : piece.stop].copy(),
         )
         noisy = TransmissionLog(signals=log.signals, unicasts=(dupe,))
         problems = audit_delivery(cache, noisy)
