@@ -21,7 +21,7 @@ from .model import (
     RateProfile,
     check_memories,
 )
-from .scheme_lp import build_intra_layer, with_split
+from .scheme_lp import build_intra_layer
 
 
 def pca_split(m, rates: RateProfile) -> MemoryAllocation:
@@ -70,29 +70,27 @@ def baseline_loads(inst: ProblemInstance, memories, methods=("oca", "pca")) -> d
     at each cache vector of ``memories``: a list of loads per method, in
     the order of ``memories``.
 
-    The K per-layer programs are built once.  From one split to the next
-    only their cache-share rows move, so each layer's solves run as one
-    warm chain, and the chain snakes: every split of the first method from
-    the largest vector to the smallest, where the cold solve is cheapest
-    at the top, then every split of the next method back up, and so on.
-    At zero memory every split is the same program, so the turn there
-    costs no jump.
+    The K per-layer programs are built at each split.  From one split to
+    the next only their cache-share rows move, and a start fits every
+    program built over the same index and constraint type, so each
+    layer's solves run as one warm chain, and the chain snakes: every
+    split of the first method from the largest vector to the smallest,
+    where the cold solve is cheapest at the top, then every split of the
+    next method back up, and so on.  At zero memory every split is the
+    same program, so the turn there costs no jump.
     """
     for method in methods:
         if method.lower() not in _SPLITS:
             raise ValueError(f"unknown baseline {method!r}; use 'pca' or 'oca'")
     order = sorted(range(len(memories)), key=lambda i: sum(memories[i]), reverse=True)
     loads = {method: [None] * len(memories) for method in methods}
-    programs = None
     starts = [None] * inst.K
     for method in methods:
         for i in order:
             split = _SPLITS[method.lower()](memories[i], inst.rates)
-            if programs is None:
-                programs = build_intra_layer(inst, split)
             total = 0.0
-            for l, (lp, index) in enumerate(programs):
-                sol = solve_lp(with_split(lp, index, split), start=starts[l])
+            for l, (lp, _index) in enumerate(build_intra_layer(inst, split)):
+                sol = solve_lp(lp, start=starts[l])
                 if not sol.is_optimal:
                     raise SolverError(f"per-layer solve ended {sol.status.value}")
                 starts[l] = sol.basis

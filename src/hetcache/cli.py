@@ -35,7 +35,6 @@ from .scheme_lp import (
     extract_scheme,
     mask_label,
     scheme_problems,
-    with_memory,
 )
 from .simulator import library_layout, verify
 
@@ -47,16 +46,9 @@ EXIT_VERIFY = 4
 # most points a sweep or a comparison takes: each one is a solve
 MAX_POINTS = 10_000
 
-
-def _load(path: str):
-    """Load an instance for a subcommand that builds the scheme program."""
-    inst = load_instance(path)
-    if inst.K > 6:
-        print(
-            f"warning: {inst.K} users; program size grows as 3^K, expect long solves",
-            file=sys.stderr,
-        )
-    return inst
+# users from which a scheme program's cold solve is long: about a minute
+# at K=8, against 3-4 s at K=7
+LONG_SOLVE_USERS = 8
 
 
 def _build(inst, mode: str):
@@ -71,17 +63,22 @@ def _solve_chain(subs, mode: str = "joint") -> list[SchemeSolution]:
     """Solve one program at each instance's memory, given in ascending
     order; the schemes come back in that order.
 
-    The instances differ only in their budget or cache sizes, so the
-    program is built once and each solve starts from the optimal basis of
-    the point above it, which leaves only a few dual pivots per point.  The
-    chain walks down from the most memory, where the cold solve is
-    cheapest.
+    The instances differ only in their budget or cache sizes, and a start
+    fits every program built over the same index and constraint type, so
+    each point is built and solved from the optimal basis of the point
+    above it, which leaves only a few dual pivots per point.  The chain
+    walks down from the most memory, where the cold solve is cheapest.
+    Once the first build has passed the size check, a program of
+    LONG_SOLVE_USERS users or more warns that its solves will be long.
     """
-    lp, index = _build(subs[0], mode)
     schemes = [None] * len(subs)
     start = None
     for i in reversed(range(len(subs))):
-        solution = solve_lp(with_memory(lp, subs[i]), start=start)
+        lp, index = _build(subs[i], mode)
+        if start is None and subs[i].K >= LONG_SOLVE_USERS:
+            print(f"warning: {subs[i].K} users; program size grows as 3^K, "
+                  "expect long solves", file=sys.stderr)
+        solution = solve_lp(lp, start=start)
         if not solution.is_optimal:
             raise SolverError(f"solve ended with status {solution.status.value}")
         start = solution.basis
@@ -134,7 +131,7 @@ def _emit(rows: list[dict], header: list[str], args) -> None:
 
 
 def cmd_solve(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     scheme = _solve_scheme(inst, args.mode)
     print(f"load = {scheme.load():.6f}")
     if args.out:
@@ -160,7 +157,7 @@ def _budget_grid(rates, points: int) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     if not inst.is_budget:
         raise InstanceError(["sweep needs a budget instance (total memory free)"])
     rates = inst.rates
@@ -198,7 +195,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     rates = inst.rates
     K = inst.K
     g = args.ratio
@@ -254,7 +251,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     # refuse the library options before a scheme is read or solved
     library_layout(inst, args.file_size, args.seed)
     if args.scheme:

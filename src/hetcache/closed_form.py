@@ -41,9 +41,6 @@ class TDecomposition:
 
     t: tuple[float, ...]
 
-    def budget(self, rates: RateProfile) -> float:
-        return sum(tl * fl for tl, fl in zip(self.t, rates.f))
-
 
 def _unit_steps(rates: RateProfile) -> list[tuple[float, int, int, float]]:
     """All unit raises (slope, layer, from-level, cost) in greedy order.

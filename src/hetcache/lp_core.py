@@ -42,8 +42,7 @@ Design notes, fixed deliberately so results are reproducible run to run:
 * A is stored column-wise and sparse; the pivot row e_r^T B^-1 A, the
   reduced costs and A x_N are sums over its nonzeros, and the entering
   column is B^-1 times a column's few nonzeros.  These arrays are derived
-  once per program and shared by the programs moved from it (see
-  :class:`LinearProgram`).
+  once per program and shared by its copies (see :class:`LinearProgram`).
 * The basis inverse is kept in product form (Dantzig & Orchard-Hays
   1954): B0^-1, a dense m x m inverse, computed afresh or folded (below),
   and an outer-product eta file of the k pivots made since, so that
@@ -83,22 +82,25 @@ Design notes, fixed deliberately so results are reproducible run to run:
 Warm starts.  Every optimal solution carries its final :class:`Basis`,
 which is also its factor: B0^-1, the eta rows and the steepest-edge
 weights it ended with, and the column arrays of the A they belong to.
-A start is taken only on the program it came from, or on one moved from
-it (``dataclasses.replace`` of its rows, as ``scheme_lp.with_memory``
-does), which shares those very arrays; one identity test decides.  Moved
-to another right-hand side, as in a budget sweep, the basis is still
-dual feasible, and since B^-1 depends only on A and the basic columns,
-the start's factor is taken over: the solve shares B0^-1, copies the k
-eta rows and goes on pivoting, so the re-solve costs only its pivots.
-A start is only read, so one basis can start many solves.  Along a
-right-hand side that moves monotonically, as a sweep's memory does, a
-chain is cheapest started where the cold solve is; for the scheme
-programs that is at full memory, so their chains walk down.  A start
-that does not fit (one from a separately built program, even of equal
-A, a repeated column, an unbounded slack that prices the wrong way) or
-that ends in a dual ray or numerical trouble is dropped, and the solve
-reruns from the all-logical basis.  So a start never changes a status
-and never raises where a solve without one would not.
+A start is taken only on a program that holds those very arrays; one
+identity test decides.  ``scheme_lp`` builds each program as a
+``dataclasses.replace`` of one kept per variable index and constraint
+type, so a start fits every program built over the same index and
+constraint type.  Moved to another right-hand side, as in a budget
+sweep, the basis is still dual feasible, and since B^-1 depends only on
+A and the basic columns, the start's factor is taken over: the solve
+shares B0^-1, copies the k eta rows and goes on pivoting, so the
+re-solve costs only its pivots.  A start is only read, so one basis can
+start many solves.  Along a right-hand side that moves monotonically, as
+a sweep's memory does, a chain is cheapest started where the cold solve
+is; for the scheme programs that is at full memory, so their chains walk
+down.  A start that does not fit (one from a program with other arrays,
+even of equal A, a repeated column, an unbounded slack that prices the
+wrong way) or that ends in numerical trouble is dropped, and the solve
+reruns from the all-logical basis.  A warm solve that ends in a dual ray
+stands: the ray proves the program infeasible from any basis, so a rerun
+would only repeat the verdict.  So a start never changes a status and
+never raises where a solve without one would not.
 
 Infeasible is a status, not an exception; SolverError is reserved for
 numerical trouble, iteration limits and programs too large to hold.
@@ -141,8 +143,8 @@ class LpStatus(enum.Enum):
 
 
 class Basis(NamedTuple):
-    """Where an optimal solve ended, reusable as the start of another
-    solve of the same program or of one moved from it; only ever read.
+    """Where an optimal solve ended, reusable as the start of a solve of
+    any program with the same coefficient arrays; only ever read.
 
     ``cols`` names the basic column of each row and ``at_upper`` flags the
     nonbasic columns resting on their upper bound.  Both index the
@@ -188,10 +190,10 @@ class LinearProgram:
 
     The coefficient arrays that the audit and the solver read are derived
     from the row dicts once, on first use.  ``dataclasses.replace`` hands
-    them on, so a program moved to another right-hand side
-    (``scheme_lp.with_memory``, ``with_split``) shares them; rows replaced
-    by rows with other coefficient dicts derive them again.  A coefficient
-    dict is never changed in place.
+    them on, so a copy whose rows hold the same coefficient dicts with
+    other right-hand sides, as every ``scheme_lp`` build is, shares them;
+    rows replaced by rows with other coefficient dicts derive them again.
+    A coefficient dict is never changed in place.
     """
 
     c: np.ndarray
@@ -382,7 +384,7 @@ class _Tableau:
         self.m = m
         self.ncols = n + m  # structural then one logical per row
         self.b = _rhs(lp.eq_rows + lp.ub_rows)
-        # shared with every program moved from the same rows, and only read
+        # shared with every copy of the program, and only read
         self.columns = lp.coefficients().columns()
         self.col_ptr, self.nz_row, self.nz_val, self.nz_col, self.col_norm2 = self.columns
         self.cost = np.concatenate([lp.c, np.zeros(m)])
@@ -402,8 +404,8 @@ class _Tableau:
         """Install ``start``, or the all-logical basis, made dual feasible.
 
         A start is taken, with its factor, only when it holds this
-        program's own column arrays, which a program shares with the
-        programs moved from it; B^-1 depends on nothing else.  Raises
+        program's own column arrays, which a program shares with its
+        copies; B^-1 depends on nothing else.  Raises
         SolverError when ``start`` comes from another program, names no
         basis, or cannot be made dual feasible.
         """
@@ -699,10 +701,12 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
              max_iterations: int | None = None) -> LpSolution:
     """Solve ``lp`` to proven optimality or infeasibility.
 
-    ``start``, the ``basis`` of an earlier optimal solution of ``lp`` or
-    of a program ``lp`` was moved from, warm-starts the solve when it fits
-    (see the module notes) and is otherwise dropped; ``iterations`` then
-    also counts the pivots of the abandoned attempt.  ``max_iterations`` caps the pivots of each attempt.
+    ``start``, the ``basis`` of an earlier optimal solution of a program
+    with the same coefficient arrays, warm-starts the solve when it fits
+    (see the module notes); a warm solve's verdict, optimal or
+    infeasible, stands.  A start that does not fit or ends in numerical
+    trouble is dropped, and ``iterations`` then also counts the pivots of
+    the abandoned attempt.  ``max_iterations`` caps the pivots of each attempt.
     Deterministic: the same program and the same start yield the same
     vertex every time.  Raises SolverError on numerical breakdown,
     iteration exhaustion, or a program too large for MAX_BASIS_MIB.
@@ -717,9 +721,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     if start is not None:
         try:
             t.start_from(start)
-            solution = _optimize(t, lp, limit)
-            if solution.is_optimal:
-                return solution
+            return _optimize(t, lp, limit)
         except SolverError:
             pass  # the all-logical solve below decides, and raises if it must
     t.start_from(None)

@@ -114,10 +114,6 @@ class RateProfile:
     def sum_rates(self) -> float:
         return sum(self.r)
 
-    def cumulative(self, l: int) -> float:
-        """r_l, with r_0 = 0."""
-        return 0.0 if l == 0 else self.r[l - 1]
-
 
 def make_rate_profile(rates: Iterable[float]) -> RateProfile:
     """Build a :class:`RateProfile` from per-user rates, sorted ascending by
@@ -289,10 +285,6 @@ class MemoryAllocation:
     def K(self) -> int:
         return len(self.per_layer)
 
-    @property
-    def total(self) -> float:
-        return sum(self.per_user)
-
     def __post_init__(self):
         problems = []
         for k, row in enumerate(self.per_layer, start=1):
@@ -396,15 +388,6 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     else:
         constraint = FixedMemories(m=tuple(memory))
     return ProblemInstance(K=K, N=N, rates=rates, constraint=constraint, q=q)
-
-
-def instance_to_dict(inst: ProblemInstance) -> dict:
-    data: dict = {"K": inst.K, "N": inst.N, "q": inst.q, "rates": list(inst.rates.r)}
-    if isinstance(inst.constraint, Budget):
-        data["budget"] = inst.constraint.m_tot
-    else:
-        data["memories"] = list(inst.constraint.m)
-    return data
 
 
 def read_json(path: str, what: str):

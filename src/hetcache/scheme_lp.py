@@ -270,9 +270,9 @@ class _Rows:
     shared by every program over it; the right-hand sides and the boxes
     are set per instance.  No dict is ever changed in place.  ``pairs``
     lists the (layer, user) of each cache row and, in the same order, of
-    each completion row.  ``program`` also keeps one program per
-    constraint type, which :func:`scheme_problems` moves to each instance
-    it checks, so the arrays of those rows are derived once.
+    each completion row.  ``program`` keeps one program per constraint
+    type, so a start fits every program built over the same index and
+    constraint type, and the arrays of its rows are derived once.
     """
 
     def __init__(self, index: VariableIndex):
@@ -364,15 +364,17 @@ class _Rows:
         ub_rhs += [0.0] * (len(self.ub) - len(ub_rhs))
         return list(zip(self.eq, eq_rhs)), list(zip(self.ub, ub_rhs))
 
-    def program(self, inst: ProblemInstance, split: MemoryAllocation | None = None,
-                kept: bool = False) -> LinearProgram:
+    def program(self, inst: ProblemInstance,
+                split: MemoryAllocation | None = None) -> LinearProgram:
         """The program of ``inst``: the memory rows come last, and only
         when the cache split is a decision rather than ``split``.
 
-        A program built anew derives its own coefficient arrays, so a
-        start from another build is dropped.  With ``kept`` the program is
-        the one kept for the constraint type moved to ``inst``, whose
-        arrays are derived once.
+        One program is kept per constraint type, and every build is a
+        ``dataclasses.replace`` of it with fresh row lists and boxes, so
+        all builds of one index and type share one set of coefficient
+        arrays, and a start fits every one of them.  The kept program
+        itself is never handed out, so a caller that edits its own cannot
+        unshare the next build.
         """
         eqs, ubs = self.rows(inst, split)
         if split is None:
@@ -380,16 +382,12 @@ class _Rows:
                 eqs.append((self.budget_row, float(inst.constraint.m_tot)))
             else:
                 eqs.extend(zip(self.user_rows, map(float, inst.constraint.m)))
+        if inst.is_budget not in self._kept:
+            self._kept[inst.is_budget] = LinearProgram(
+                c=self.c, eq_rows=list(eqs), ub_rows=list(ubs), names=self.index.names)
         r = inst.rates
-        hi = np.array([*r.f, *r.r])[self.box]
-        lo = np.zeros(self.index.n_vars)
-        if kept and inst.is_budget in self._kept:
-            return replace(self._kept[inst.is_budget], eq_rows=eqs, ub_rows=ubs, lo=lo, hi=hi)
-        lp = LinearProgram(c=self.c, eq_rows=eqs, ub_rows=ubs, lo=lo, hi=hi,
-                           names=self.index.names)
-        if kept:
-            self._kept[inst.is_budget] = lp
-        return lp
+        return replace(self._kept[inst.is_budget], eq_rows=eqs, ub_rows=ubs,
+                       lo=np.zeros(self.index.n_vars), hi=np.array([*r.f, *r.r])[self.box])
 
 
 def constraint_rows(
@@ -476,26 +474,6 @@ def build_intra_restricted(inst: ProblemInstance):
     return index._rows.program(inst), index
 
 
-def with_memory(lp: LinearProgram, inst: ProblemInstance) -> LinearProgram:
-    """``lp`` moved to the budget or cache sizes of ``inst``.
-
-    ``lp`` must come from :func:`build_o1`, :func:`build_o2` or
-    :func:`build_intra_restricted` for an instance with the same users,
-    rates and constraint type as ``inst``.  Those builders emit the memory
-    rows last among the equalities (one budget row, or one row per user),
-    so only those right-hand sides change; every other row, the costs and
-    the bounds are shared with ``lp``, which is what lets an optimal basis
-    of ``lp`` warm-start the new program.
-    """
-    if inst.is_budget:
-        rhs = [float(inst.constraint.m_tot)]
-    else:
-        rhs = [float(m) for m in inst.constraint.m]
-    keep = len(lp.eq_rows) - len(rhs)
-    moved = [(coefs, v) for (coefs, _old), v in zip(lp.eq_rows[keep:], rhs)]
-    return replace(lp, eq_rows=lp.eq_rows[:keep] + moved)
-
-
 def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
     """One independent single-layer program per layer, caches given.
 
@@ -511,22 +489,6 @@ def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
         lp = index._rows.program(inst, split)
         programs.append((lp, index))
     return programs
-
-
-def with_split(lp: LinearProgram, index: VariableIndex, split: MemoryAllocation) -> LinearProgram:
-    """A program of :func:`build_intra_layer` moved to the cache split ``split``.
-
-    ``lp`` and ``index`` are one pair that :func:`build_intra_layer` returned,
-    for an instance with the same users and rates, and ``split`` is a split
-    it accepts.  The program of layer l opens its upper bounds with the
-    cache rows of users l..K, so only those right-hand sides change; every
-    other row, the costs and the bounds are shared with ``lp``, which is
-    what lets an optimal basis of ``lp`` warm-start the new program.
-    """
-    (l,) = index.layers
-    shares = [float(split.per_layer[k - 1][l - 1]) for k in range(l, index.K + 1)]
-    moved = [(coefs, v) for (coefs, _old), v in zip(lp.ub_rows, shares)]
-    return replace(lp, ub_rows=moved + lp.ub_rows[len(shares):])
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +640,7 @@ def scheme_problems(
 ) -> list[str]:
     """Every row and variable box of ``inst``'s joint program that ``scheme`` breaks.
 
-    The program over the scheme's own index, the one kept for its
-    constraint type moved to ``inst``, audits the point by
+    The program of ``inst`` over the scheme's own index audits the point by
     :meth:`LinearProgram.check_point`, which widens each row's tolerance
     by 1 + |rhs|; dividing ``tol`` by the widest such factor keeps every
     test within the absolute ``tol``.  Returns human-readable problem
@@ -687,6 +648,6 @@ def scheme_problems(
     """
     if scheme.K != inst.K:
         raise InstanceError([f"scheme is for {scheme.K} users, instance for {inst.K}"])
-    lp = scheme.index._rows.program(inst, kept=True)
+    lp = scheme.index._rows.program(inst)
     widest = max(abs(rhs) for _row, rhs in lp.eq_rows + lp.ub_rows)
     return lp.check_point(scheme.x, tol / (1.0 + widest))

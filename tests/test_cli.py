@@ -16,7 +16,7 @@ from hetcache.baselines import baseline_load
 from hetcache.bounds import budget_program, cutset_budget
 from hetcache.cli import main
 from hetcache.closed_form import corner_points
-from hetcache.lp_core import solve_lp
+from hetcache.lp_core import SolverError, solve_lp
 from hetcache.scheme_lp import SchemeSolution, build_o1, build_o2, scheme_problems
 from hetcache.model import Budget, FixedMemories, load_instance, make_rate_profile
 
@@ -152,6 +152,30 @@ class TestExitCodes:
         assert "error: program has 6447 rows" in err and "MiB" in err
         assert "Traceback" not in err
         assert built == []
+
+    def test_refused_program_prints_no_size_warning(self, tmp_path, capsys):
+        # nine users are refused from the row count, so no solve is long
+        rates = [0.1 * k for k in range(1, 10)]
+        path = tmp_path / "k9.json"
+        path.write_text(json.dumps({"K": 9, "N": 9, "rates": rates, "budget": 1.0}))
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("solver error: program has 6447 rows")
+
+    @pytest.mark.parametrize("K", [7, 8])
+    def test_size_warning_from_eight_users(self, K, tmp_path, capsys, monkeypatch):
+        # eight users pass the size check and solve for about a minute, so
+        # they warn once, after the build; seven solve in seconds and do not
+        def refuse(lp, start=None):
+            raise SolverError("stubbed solve")
+
+        monkeypatch.setattr(cli, "solve_lp", refuse)
+        rates = [0.1 * k for k in range(1, K + 1)]
+        path = tmp_path / f"k{K}.json"
+        path.write_text(json.dumps({"K": K, "N": K, "rates": rates,
+                                    "memories": [0.3 * r for r in rates]}))
+        assert main(["solve", str(path)]) == 3
+        warning = "warning: 8 users; program size grows as 3^K, expect long solves\n" * (K == 8)
+        assert capsys.readouterr().err == warning + "solver error: stubbed solve\n"
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "compare-baselines", "bounds",
                                          "verify"])
@@ -559,8 +583,8 @@ class TestSweepGrid:
 
 
 class TestChainOrder:
-    """Every warm chain starts at the most memory and walks down, moving
-    one program."""
+    """Every warm chain starts at the most memory and walks down, building
+    each point over one index."""
 
     def record(self, monkeypatch, module, name, what):
         seen = []
@@ -593,20 +617,28 @@ class TestChainOrder:
         # the cache rows are the last K equalities of the joint program
         joint = self.record(monkeypatch, cli, "solve_lp",
                             lambda lp, *_: sum(b for _, b in lp.eq_rows[-K:]))
-        splits = self.record(monkeypatch, baselines, "with_split",
-                             lambda lp, index, split: (index.layers, split.total))
+        splits = []
+        build = baselines.build_intra_layer
+
+        def recorded(inst, split):
+            programs = build(inst, split)
+            splits.append(([index.layers for _lp, index in programs], sum(split.per_user)))
+            return programs
+
+        monkeypatch.setattr(baselines, "build_intra_layer", recorded)
         out = tmp_path / "cmp.csv"
         assert main(["compare-baselines", path, "--points", str(points), "--out", str(out)]) == 0
         printed = [float(row["m_tot"]) for row in read_csv(out)]
         assert joint == pytest.approx(printed[::-1], abs=1e-12)
         assert all(a > b for a, b in zip(joint, joint[1:]))
-        # per layer, a snake: every ordered split from the top, then every
-        # proportional one from the bottom back up
-        for l in range(1, K + 1):
-            totals = [total for layers, total in splits if layers == (l,)]
-            assert len(totals) == 2 * points
-            assert totals[:points] == pytest.approx(printed[::-1], abs=1e-12)
-            assert totals[points:] == pytest.approx(printed, abs=1e-12)
+        # every layer built at each split, and the splits a snake: every
+        # ordered split from the top, then every proportional one from the
+        # bottom back up
+        assert [layers for layers, _total in splits] == [[(l,) for l in range(1, K + 1)]] * (
+            2 * points)
+        totals = [total for _layers, total in splits]
+        assert totals[:points] == pytest.approx(printed[::-1], abs=1e-12)
+        assert totals[points:] == pytest.approx(printed, abs=1e-12)
 
     def test_cli_chains_invert_no_basis(self, monkeypatch, tmp_path):
         # every chain moves one program, so each start is taken with its
@@ -629,6 +661,9 @@ class TestChainOrder:
         assert inverted == []
 
     def test_sweep_builds_its_bound_program_once(self, monkeypatch, tmp_path):
+        # kept scheme programs outlive a test, so the index is built afresh
+        # for the count not to depend on the tests before
+        scheme_lp._build_index.cache_clear()
         rates = random_rate_list(np.random.default_rng(95), 4)
         path = write_instance(tmp_path, "k4.json", rates, budget=0.0)
         inst = load_instance(path)

@@ -41,7 +41,7 @@ class TestGreedySplit:
         x, y, alpha = threshold_form(dec.t, figure_profile)
         assert (x, y) == (2, 1)
         assert alpha == pytest.approx(0.5)
-        assert dec.budget(figure_profile) == pytest.approx(1.25)
+        assert sum(t * f for t, f in zip(dec.t, figure_profile.f)) == pytest.approx(1.25)
 
     def test_zero_budget(self, figure_profile):
         dec = t_decomposition(0.0, figure_profile)
@@ -70,7 +70,7 @@ class TestGreedySplit:
             t = dec.t
             assert all(t[i] >= t[i + 1] - 1e-12 for i in range(K - 1))
             assert all(-1e-12 <= t[l - 1] <= K - l + 1 + 1e-12 for l in range(1, K + 1))
-            assert dec.budget(p) == pytest.approx(m_tot, abs=1e-9)
+            assert sum(tl * fl for tl, fl in zip(t, p.f)) == pytest.approx(m_tot, abs=1e-9)
             n_frac = sum(abs(x - round(x)) > 1e-9 for x in t)
             assert n_frac <= 1
 
@@ -197,7 +197,7 @@ class TestThresholdAllocation:
             p = random_profile(rng, allow_flat=True)
             m_tot = float(rng.uniform(0.0, p.sum_rates))
             alloc = threshold_allocation(m_tot, p)
-            assert alloc.total == pytest.approx(m_tot, abs=1e-10)
+            assert sum(alloc.per_user) == pytest.approx(m_tot, abs=1e-10)
             for k in range(1, p.K + 1):
                 assert alloc.per_user[k - 1] <= p.r[k - 1] + 1e-10
 

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +14,13 @@ from hetcache.lp_core import (
 )
 from hetcache.model import Budget, FixedMemories, ProblemInstance, make_rate_profile
 from hetcache.baselines import pca_split
-from hetcache.scheme_lp import build_intra_layer, build_o1, build_o2, with_memory, with_split
+from hetcache.scheme_lp import _build_index, build_intra_layer, build_o1, build_o2
 from oracles import brute_force_lp, random_box_lp
+
+
+def build(inst):
+    """The joint scheme program of ``inst``, of either constraint type."""
+    return (build_o1 if inst.is_budget else build_o2)(inst)[0]
 
 
 def lp_from_parts(c, eq_rows, ub_rows, lo, hi):
@@ -263,7 +269,7 @@ class TestEtaFile:
         start = solve_lp(lp).basis
         carried = 0
         for share in (0.7, 0.5, 0.35, 0.2, 0.05):
-            program = with_memory(lp, ProblemInstance(4, 4, rates, Budget(share * rates.sum_rates)))
+            program = build(ProblemInstance(4, 4, rates, Budget(share * rates.sum_rates)))
             saved = [a.tobytes() for a in start[2:6]]
             first, second = (solve_lp(program, start=start) for _ in range(2))
             assert first.iterations == second.iterations > 0
@@ -351,20 +357,20 @@ def random_rates(rng, K):
 
 def chain_against_cold(programs):
     """Warm-start each program from the previous optimum; compare with
-    cold.  Returns the pivots of the optimal points, warm and cold (an
-    infeasible warm solve also pays for its cold rerun)."""
+    cold.  Returns the pivots, warm and cold, summed by status; an
+    infeasible warm solve stands on its own dual ray, with no cold rerun."""
     start = None
-    warm_iterations = cold_iterations = 0
+    warm_iterations, cold_iterations = Counter(), Counter()
     for program in programs:
         warm = solve_lp(program, start=start)
         cold = solve_lp(program)
         assert warm.status is cold.status
+        warm_iterations[warm.status] += warm.iterations
+        cold_iterations[cold.status] += cold.iterations
         if warm.is_optimal:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert program.check_point(warm.x) == []
             start = warm.basis
-            warm_iterations += warm.iterations
-            cold_iterations += cold.iterations
     return warm_iterations, cold_iterations
 
 
@@ -383,13 +389,11 @@ class TestWarmStart:
     def test_budget_chain_matches_cold(self, K):
         rng = np.random.default_rng(100 + K)
         rates = random_rates(rng, K)
-        inst = ProblemInstance(K=K, N=K, rates=rates, constraint=Budget(0.0))
-        lp, _ = build_o1(inst)
         # random order, so the chain moves the budget both ways
         budgets = list(rng.uniform(0.0, rates.sum_rates, 5)) + [rates.sum_rates, 0.0]
-        programs = [with_memory(lp, ProblemInstance(K, K, rates, Budget(m))) for m in budgets]
+        programs = [build(ProblemInstance(K, K, rates, Budget(m))) for m in budgets]
         warm, cold = chain_against_cold(programs)
-        assert warm < cold
+        assert warm[LpStatus.OPTIMAL] < cold[LpStatus.OPTIMAL]
 
     @pytest.mark.parametrize("K", [3, 4, 5])
     def test_fixed_ratio_chain_matches_cold(self, K):
@@ -402,17 +406,18 @@ class TestWarmStart:
             ProblemInstance(K, K, rates, FixedMemories(tuple(s * w for w in shape)))
             for s in np.linspace(0.0, s_max, 4)
         ]
-        lp, _ = build_o2(insts[0])
-        warm, cold = chain_against_cold([with_memory(lp, i) for i in insts])
-        assert warm < cold
+        warm, cold = chain_against_cold([build(i) for i in insts])
+        assert warm[LpStatus.OPTIMAL] < cold[LpStatus.OPTIMAL]
 
     def test_random_rhs_moves_match_cold(self):
         # Small random programs, right-hand sides shifted after each solve
         # and the rows kept, so every start is taken: statuses must agree,
         # infeasible ones included, and the chains pivot less than cold.
+        # A warm solve that ends in a dual ray stands, with no cold rerun,
+        # so the infeasible programs pivot less warm than cold too.
         rng = np.random.default_rng(31)
         seen = set()
-        warm = cold = 0
+        warm, cold = Counter(), Counter()
         for _ in range(40):
             programs = [lp_from_parts(*random_box_lp(rng))]
             for _ in range(3):
@@ -421,11 +426,13 @@ class TestWarmStart:
                     last,
                     eq_rows=[(row, b + float(rng.normal(0.0, 1.0))) for row, b in last.eq_rows],
                     ub_rows=[(row, b + float(rng.normal(0.0, 1.0))) for row, b in last.ub_rows]))
-            chain = chain_against_cold(programs)
-            warm, cold = warm + chain[0], cold + chain[1]
+            chain_warm, chain_cold = chain_against_cold(programs)
+            warm.update(chain_warm)
+            cold.update(chain_cold)
             seen.update(solve_lp(p).status for p in programs)
         assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
-        assert warm < cold
+        assert warm[LpStatus.OPTIMAL] < cold[LpStatus.OPTIMAL]
+        assert warm[LpStatus.INFEASIBLE] < cold[LpStatus.INFEASIBLE]
 
     def test_foreign_start_falls_back_to_cold(self, monkeypatch):
         # a start from a separately built program is dropped, whether its A
@@ -550,7 +557,7 @@ class TestCarriedFactor:
         lp, rates = self.budget_program(5, 3)
         start = solve_lp(lp).basis
         saved = [np.copy(a) for a in start[2:4]]
-        moved = with_memory(lp, ProblemInstance(5, 5, rates, Budget(0.7 * rates.sum_rates)))
+        moved = build(ProblemInstance(5, 5, rates, Budget(0.7 * rates.sum_rates)))
         first = solve_lp(moved, start=start)
         second = solve_lp(moved, start=start)
         assert first.iterations == second.iterations > 0
@@ -571,7 +578,7 @@ class TestCarriedFactor:
         pivots = inversions = folded = 0
         for _ in range(60):
             budget = float(np.clip(budget + rng.normal(0.0, 0.6), 0.0, rates.sum_rates))
-            program = with_memory(lp, ProblemInstance(4, 4, rates, Budget(budget)))
+            program = build(ProblemInstance(4, 4, rates, Budget(budget)))
             before = len(calls), len(folds)
             warm = solve_lp(program, start=start)
             inversions += len(calls) - before[0]
@@ -598,7 +605,7 @@ class TestCarriedFactor:
         start = before.basis
         for share in (0.2, 0.9, 0.5):
             start = solve_lp(
-                with_memory(lp, ProblemInstance(5, 5, rates, Budget(share * rates.sum_rates))),
+                build(ProblemInstance(5, 5, rates, Budget(share * rates.sum_rates))),
                 start=start,
             ).basis
         after = solve_lp(lp)
@@ -644,7 +651,7 @@ class TestFoldedFactor:
         pivots = steps = 0
         sampled = []
         while pivots < 2000:
-            program = with_memory(lp, inst(float(rng.uniform(0.0, 1.0))))
+            program = build(inst(float(rng.uniform(0.0, 1.0))))
             warm = solve_lp(program, start=start)
             assert warm.is_optimal and program.check_point(warm.x) == []
             pivots += warm.iterations
@@ -665,7 +672,7 @@ class TestFoldedFactor:
     def test_weights_are_exact_after_three_folds(self, monkeypatch, kind):
         lp, inst = memory_family(5, kind, 50)
         folds = counting_folds(monkeypatch)
-        basis = solve_lp(with_memory(lp, inst(0.4))).basis
+        basis = solve_lp(build(inst(0.4))).basis
         assert len(folds) >= 3
         binv = carried_inverse(basis)
         assert np.allclose(basis.weights, np.einsum("ij,ij->i", binv, binv), rtol=1e-8, atol=0)
@@ -675,7 +682,7 @@ class TestFoldedFactor:
         # first fold: the probe sees it and the basis is inverted, and the
         # solve still ends at the clean solve's optimum, audited
         lp, inst = memory_family(5, "budget", 51)
-        program = with_memory(lp, inst(0.4))
+        program = build(inst(0.4))
         calls = counting_inverse(monkeypatch)
         clean = solve_lp(program)
         assert calls == []
@@ -701,7 +708,7 @@ class TestFoldedFactor:
         # start it allocates its two m x m arrays and little more
         lp, inst = memory_family(6, "budget", 0)
         start = solve_lp(lp).basis
-        program = with_memory(lp, inst(0.6))
+        program = build(inst(0.6))
         folds = counting_folds(monkeypatch)
         tracemalloc.start()
         try:
@@ -732,41 +739,73 @@ def counting_derivations(monkeypatch):
 
 
 class TestSharedArrays:
-    """A program derives its coefficient arrays once, and a program moved
-    to another right-hand side shares them with its parent."""
+    """Every program built over one index and constraint type shares one
+    set of coefficient arrays, derived once per fresh index.  Kept programs
+    outlive a test, so a test that counts derivations first clears the
+    index cache."""
 
     def budget_program(self, K, seed):
         rates = random_rates(np.random.default_rng(seed), K)
         lp, _ = build_o1(ProblemInstance(K, K, rates, Budget(0.4 * rates.sum_rates)))
         return lp, rates
 
-    def test_moved_programs_share_the_parents_arrays(self, monkeypatch):
-        lp, rates = self.budget_program(4, 11)
+    def test_builds_share_one_set_of_arrays(self, monkeypatch):
+        _build_index.cache_clear()
+        rates = random_rates(np.random.default_rng(11), 4)
         built = counting_derivations(monkeypatch)
-        moved = [with_memory(lp, ProblemInstance(4, 4, rates, Budget(s * rates.sum_rates)))
-                 for s in (0.9, 0.5, 0.1)]
+        programs = [build(ProblemInstance(4, 4, rates, Budget(s * rates.sum_rates)))
+                    for s in (0.9, 0.5, 0.1)]
         start = None
-        for program in moved:
+        for program in programs:
             start = solve_lp(program, start=start).basis
-        assert built == {"rows": [lp.n_rows], "columns": [lp.n_rows]}
-        for program in moved:
-            assert program.coefficients() is lp.coefficients()
-        # the basis carries the very arrays the programs share
-        assert start.columns is lp.coefficients().columns()
+        m = programs[0].n_rows
+        assert built == {"rows": [m], "columns": [m]}
+        shared = programs[0].coefficients()
+        for program in programs[1:]:
+            assert program.coefficients() is shared
+        # the final basis carries the very arrays the builds share
+        assert start.columns is shared.columns()
+        # the other constraint type over the same index keeps its own
+        fixed = build(ProblemInstance(4, 4, rates, FixedMemories(tuple(0.5 * r for r in rates.r))))
+        assert fixed.coefficients() is not shared
+        assert solve_lp(fixed).is_optimal
+        assert built["rows"] == built["columns"] == [m, fixed.n_rows]
 
-    def test_split_programs_share_the_parents_arrays(self, monkeypatch):
+    def test_split_builds_share_one_set_of_arrays(self, monkeypatch):
+        _build_index.cache_clear()
         rates = random_rates(np.random.default_rng(12), 4)
         inst = ProblemInstance(4, 4, rates, FixedMemories(tuple(0.5 * r for r in rates.r)))
-        programs = build_intra_layer(inst, pca_split(inst.constraint.m, rates))
         built = counting_derivations(monkeypatch)
-        for share in (0.8, 0.3):
-            split = pca_split(tuple(share * r for r in rates.r), rates)
-            for lp, index in programs:
-                moved = with_split(lp, index, split)
-                assert solve_lp(moved).is_optimal
-                assert moved.coefficients() is lp.coefficients()
-        assert sorted(built["rows"]) == sorted(lp.n_rows for lp, _ in programs)
+        first, second = (build_intra_layer(inst, pca_split(tuple(s * r for r in rates.r), rates))
+                         for s in (0.8, 0.3))
+        for (lp, _), (other, _) in zip(first, second):
+            basis = solve_lp(lp).basis
+            assert other.coefficients() is lp.coefficients()
+            assert solve_lp(other, start=basis).basis.columns is basis.columns
+        assert sorted(built["rows"]) == sorted(lp.n_rows for lp, _ in first)
         assert built["rows"] == built["columns"]
+
+    def test_edited_builds_leave_the_next_build_shared(self):
+        # each build has its eq_rows rebound and then a row of its ub_rows
+        # list replaced in place: it derives arrays of its own, and the
+        # next build still shares those of the builds before the edits,
+        # which it could not if a build were the kept program itself
+        _build_index.cache_clear()
+        rates = random_rates(np.random.default_rng(16), 4)
+
+        def at(share):
+            return build(ProblemInstance(4, 4, rates, Budget(share * rates.sum_rates)))
+
+        builds = [at(0.9), at(0.5)]
+        shared = builds[0].coefficients()
+        for lp in builds:
+            lp.eq_rows = [(dict(coefs), b) for coefs, b in lp.eq_rows]
+            coefs, b = lp.ub_rows[0]
+            lp.ub_rows[0] = (dict(coefs), b + 1.0)
+            assert lp.coefficients() is not shared
+        after = at(0.1)
+        assert after.coefficients() is shared
+        assert solve_lp(after).is_optimal
 
     def test_replaced_rows_derive_afresh(self):
         # one coefficient of the budget row changed after a solve: the
@@ -800,7 +839,7 @@ class TestSharedArrays:
     def test_moved_program_with_bad_rhs_is_refused(self, bad):
         lp, rates = self.budget_program(4, 14)
         start = solve_lp(lp).basis
-        moved = with_memory(lp, ProblemInstance(4, 4, rates, Budget(0.7 * rates.sum_rates)))
+        moved = build(ProblemInstance(4, 4, rates, Budget(0.7 * rates.sum_rates)))
         *rows, (budget_row, _) = moved.eq_rows
         spoiled = dataclasses.replace(moved, eq_rows=rows + [(budget_row, bad)])
         assert spoiled.coefficients() is lp.coefficients()

@@ -11,7 +11,6 @@ from hetcache.model import (
     ProblemInstance,
     binary_entropy,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     make_rate_profile,
     rates_from_distortions,
@@ -19,6 +18,16 @@ from hetcache.model import (
     rho_inverse,
     validate_instance,
 )
+
+
+def instance_to_dict(inst: ProblemInstance) -> dict:
+    """The instance file's fields of ``inst``, as ``instance_from_dict`` reads them."""
+    data: dict = {"K": inst.K, "N": inst.N, "q": inst.q, "rates": list(inst.rates.r)}
+    if inst.is_budget:
+        data["budget"] = inst.constraint.m_tot
+    else:
+        data["memories"] = list(inst.constraint.m)
+    return data
 
 
 class TestRho:
@@ -173,7 +182,7 @@ class TestMemoryAllocation:
             [[0.1, 0.0, 0.0], [0.1, 0.1, 0.0], [0.1, 0.0, 0.5]]
         )
         assert alloc.per_user == (pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.6))
-        assert alloc.total == pytest.approx(0.9)
+        assert sum(alloc.per_user) == pytest.approx(0.9)
 
     def test_check_flags_upper_triangle(self):
         with pytest.raises(InstanceError, match=r"m\[1\]\[2\]=0\.2 nonzero for layer above"):

@@ -701,8 +701,8 @@ class TestSchemeAudit:
             scheme_problems(scheme, example_one)
 
     def test_check_derives_its_row_arrays_once_per_kind(self, monkeypatch):
-        # each check moves one kept program to its instance, and finds what
-        # the program built for that instance finds
+        # each check builds the program of its instance over the scheme's
+        # index, and finds what the program built for that instance finds
         derived = []
         real = lp_core._row_arrays
         monkeypatch.setattr(lp_core, "_row_arrays", lambda dicts: derived.append(1) or real(dicts))
