@@ -7,7 +7,10 @@ cache and the transmitted log.  Everything is deterministic given
 (instance, scheme, file size, seed), so a run doubles as a regression
 fixture.  Library layers are packed, eight bits to a byte, yet hold the
 stream one bounded uint8 draw per bit gives from the same seed
-(:func:`_random_layers` says why).  Payloads hold one byte per bit.
+(:func:`_random_layers` says why); only the layers the demand reads are
+drawn.  Payloads and range reads are packed too: a Python int whose
+highest bit is the first, beside its bit length, so delivery and
+decoding XOR whole words.
 
 Rounding policy: allocation fractions round to the nearest bit with the
 uncached chunk absorbing the slack, signal pieces are capped greedily
@@ -19,8 +22,11 @@ scheme variable accounts for at most one bit of nudge.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +34,8 @@ from .model import InstanceError, ProblemInstance
 from .scheme_lp import SchemeSolution, _span_mask, _submasks, mask_label, members
 
 
-# the most memory a verify may take: the packed library, and one byte per
-# bit of the payloads and of the buffers delivery and decoding hold
+# the most memory a verify may take: the packed library, and the payloads
+# and the buffers delivery and decoding hold, packed too
 MAX_LIBRARY_MIB = 512
 
 # 32-bit words drawn at once; even, so that a layer's segments of this
@@ -51,12 +57,14 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FileLibrary:
-    """N files, each a tuple of packed per-layer bit arrays.
+    """N files, each a tuple of the packed bit arrays of its drawn layers.
 
     Layer l of every file holds ``layer_lengths[l-1]`` bits, eight to a
     byte with the first bit in the top bit of the first byte (the
     ``np.packbits`` order) and the padding bits of the last byte zero.
-    Bits are read only through :meth:`bits`.
+    A file holds only its layers 1..k when user k demands it, and no
+    layer when nobody does: ``files[j-1]`` has one array per drawn
+    layer.  Bits are read only through :meth:`bits`.
     """
 
     F: int
@@ -72,13 +80,22 @@ class FileLibrary:
     def K(self) -> int:
         return len(self.layer_lengths)
 
-    def bits(self, file_id: int, l: int, start: int, stop: int) -> np.ndarray:
-        """Bits ``[start, stop)`` of layer l of file ``file_id``, one uint8
-        per bit; a range past the layer's end stops at its end."""
+    def bits(self, file_id: int, l: int, start: int, stop: int) -> int:
+        """Bits ``[start, stop)`` of layer l of file ``file_id``, packed into
+        an int whose highest of ``stop - start`` bits is bit ``start``; a
+        range past the layer's end stops at its end.  Raises
+        SimulationError for a layer that was not drawn."""
+        layers = self.files[file_id - 1]
+        if l > len(layers):
+            raise SimulationError(f"layer {l} of file {file_id} was not drawn")
         stop = min(stop, self.layer_lengths[l - 1])
-        first = start >> 3
-        packed = self.files[file_id - 1][l - 1][first : (stop + 7) >> 3]
-        return np.unpackbits(packed)[start - 8 * first : stop - 8 * first]
+        if start >= stop:
+            return 0
+        first, last = start >> 3, (stop + 7) >> 3
+        value = int.from_bytes(layers[l - 1][first:last], "big")
+        if start & 7:
+            value &= (1 << (8 * last - start)) - 1
+        return value >> (8 * last - stop)
 
 
 def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, ...]:
@@ -87,11 +104,11 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     Raises InstanceError for a file size, seed or library size that
     :func:`make_library` cannot take, so a caller can refuse them before
     any other work.  A verify above MAX_LIBRARY_MIB is refused: it holds
-    the packed library, LAYER_BYTES more per layer so that many empty
-    files are refused too, and one byte per bit of the payloads, at most
-    the layers each user demands (the sum over l of K - l + 1 times the
-    length of layer l), and of the buffers delivery and decoding hold
-    beside them, at most two more files.
+    at most the packed library of all N files, LAYER_BYTES more per
+    layer so that many empty files are refused too, and the payloads,
+    packed: at most the layers each user demands (the sum over l of
+    K - l + 1 times the length of layer l), and the buffers delivery and
+    decoding hold beside them, at most two more files.
     """
     if F < 1:
         raise InstanceError([f"file size {F} must be a positive integer"])
@@ -103,7 +120,7 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
         lengths, need = (), math.inf
     else:
         need = inst.N * sum(LAYER_BYTES + (n + 7) // 8 for n in lengths)
-        need += sum((inst.K - l + 3) * n for l, n in enumerate(lengths, 1))
+        need += (sum((inst.K - l + 3) * n for l, n in enumerate(lengths, 1)) + 7) // 8
     if need > MAX_LIBRARY_MIB << 20:
         # need is inf or an exact int, perhaps beyond the float range: divide
         # in integers, rounding half to even as "%.0f" would
@@ -116,9 +133,10 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     return lengths
 
 
-def _random_layers(rng: np.random.Generator, lengths) -> list[np.ndarray]:
-    """Packed uniform bits of each length in turn: the very stream that
-    ``rng.integers(0, 2, size=n, dtype=np.uint8)`` gives for each n.
+def _random_layers(bit_generator, layers) -> list[np.ndarray]:
+    """Packed uniform bits of each (first word, length n) in ``layers``, in
+    ascending order of word: the very stream that ``rng.integers(0, 2,
+    size=n, dtype=np.uint8)`` gives for a layer that starts at that word.
 
     numpy draws a bounded uint8 by Lemire's method on successive bytes
     of buffered 32-bit words, low byte first: the bit is (byte * 2) >> 8,
@@ -126,48 +144,70 @@ def _random_layers(rng: np.random.Generator, lengths) -> list[np.ndarray]:
     (255 - 1) % 2 = 0, so no byte is ever rejected.  Each call starts
     with an empty byte buffer and so consumes ceil(n / 4) words.  The
     words are the low, then the high half of each 64-bit output, the
-    high half kept between calls, so the layers, cut into segments of at
-    most DRAW_WORDS words, can share draws of at most DRAW_WORDS words
-    taken from the raw outputs, an unused high half carried over.
+    high half kept between calls.  So the layers, cut into segments of
+    at most DRAW_WORDS words, can share draws of at most DRAW_WORDS words
+    taken from the raw outputs, an unused high half carried over: a gap
+    between segments inside one draw is drawn and dropped, and one
+    between draws is skipped with ``bit_generator.advance`` over the
+    outputs it spans.
     """
-    # (layer, words, bits) of each segment
-    segments = [(i, min(DRAW_WORDS, (n - at + 3) // 4), min(4 * DRAW_WORDS, n - at))
-                for i, n in enumerate(lengths) for at in range(0, max(n, 1), 4 * DRAW_WORDS)]
-    parts: list[list] = [[] for _ in lengths]
-    carried = np.zeros(0, dtype=np.uint8)
+    # (layer, first word, bits) of each segment
+    segments = [(i, word + at // 4, min(4 * DRAW_WORDS, n - at))
+                for i, (word, n) in enumerate(layers) for at in range(0, n, 4 * DRAW_WORDS)]
+    parts: list[list] = [[] for _ in layers]
+    taken = 0  # 64-bit outputs taken from the stream
+    carried, carried_at = np.zeros(0, dtype=np.uint8), 0  # an unused high half, and its word
     first = 0
     while first < len(segments):
-        last, total = first, 0
-        while last < len(segments) and total + segments[last][1] <= DRAW_WORDS:
-            total += segments[last][1]
+        # the segments that end within DRAW_WORDS words of the first one's start
+        w0 = stop = segments[first][1]
+        last = first
+        while (last < len(segments)
+               and segments[last][1] + (segments[last][2] + 3) // 4 - w0 <= DRAW_WORDS):
+            stop = segments[last][1] + (segments[last][2] + 3) // 4
             last += 1
+        if w0 == carried_at:
+            head, skip, begin = carried, 0, taken
+        else:  # a gap: start at the output holding word w0, and skip its low half if odd
+            head, skip, begin = carried[:0], 4 * (w0 % 2), w0 // 2
+            bit_generator.advance(begin - taken)
+        taken = (stop + 1) // 2
+        raw = bit_generator.random_raw(taken - begin)
+        raw &= 0x8080808080808080  # the top bit of each byte; packbits takes nonzero as 1
         # little-endian bytes, so the order does not depend on the host
-        raw = rng.bit_generator.random_raw((4 * total - len(carried) + 7) // 8)
-        tops = raw.astype("<u8", copy=False).view(np.uint8)
-        tops >>= 7
-        tops = np.concatenate([carried, tops]) if len(carried) else tops
-        carried = tops[4 * total :].copy()
-        at = 0
-        for i, words, n in segments[first:last]:
-            parts[i].append(np.packbits(tops[at : at + n]))
-            at += 4 * words
+        tops = raw.astype("<u8", copy=False).view(np.uint8)[skip:]
+        tops = np.concatenate([head, tops]) if len(head) else tops
+        carried, carried_at = tops[4 * (stop - w0) :].copy(), stop
+        for i, word, n in segments[first:last]:
+            parts[i].append(np.packbits(tops[4 * (word - w0) : 4 * (word - w0) + n]))
         first = last
-    return [p[0] if len(p) == 1 else np.concatenate(p) for p in parts]
+    return [np.concatenate(p) if p else np.zeros(0, dtype=np.uint8) for p in parts]
 
 
-def make_library(inst: ProblemInstance, F: int, seed: int = 0) -> FileLibrary:
-    """Draw all N files from one seeded stream, file-major, layer-minor.
+def make_library(inst: ProblemInstance, F: int, seed: int = 0, demand=None) -> FileLibrary:
+    """Draw the layers ``demand`` reads: layers 1..k of the file user k
+    demands, under the worst-case demand d = (1, ..., K) by default.
 
-    Layer l of a file holds the bits ``rng.integers(0, 2, size=n,
-    dtype=np.uint8)`` would give it, drawn and packed by
-    :func:`_random_layers`.  A library :func:`library_layout` refuses is
-    refused before anything is allocated.
+    The N files lie in one seeded stream, file-major and layer-minor, as
+    if every layer were drawn, and layer l of a file holds the bits
+    ``rng.integers(0, 2, size=n, dtype=np.uint8)`` would give it there,
+    drawn and packed by :func:`_random_layers`; the layers between are
+    skipped.  A library :func:`library_layout` refuses is refused before
+    anything is allocated.
     """
     lengths = library_layout(inst, F, seed)
-    layers = _random_layers(np.random.default_rng(seed), lengths * inst.N)
     K = len(lengths)
-    files = tuple(tuple(layers[i : i + K]) for i in range(0, len(layers), K))
-    return FileLibrary(F=int(F), seed=int(seed), layer_lengths=lengths, files=files)
+    demand = _check_demand(range(1, K + 1) if demand is None else demand, K, inst.N)
+    starts = list(itertools.accumulate(((n + 3) // 4 for n in lengths), initial=0))
+    depth = sorted((d - 1, k) for k, d in enumerate(demand, 1))  # (file index, layers drawn)
+    # numpy.random loads here, not when the package is imported
+    layers = iter(_random_layers(np.random.default_rng(seed).bit_generator,
+                                 [(j * starts[-1] + starts[l], lengths[l])
+                                  for j, k in depth for l in range(k)]))
+    files = [()] * inst.N
+    for j, k in depth:
+        files[j] = tuple(itertools.islice(layers, k))
+    return FileLibrary(F=int(F), seed=int(seed), layer_lengths=lengths, files=tuple(files))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +284,10 @@ def quantize(scheme: SchemeSolution, F: int, layer_lengths: tuple[int, ...]) -> 
                      for t, per_user in signal_pieces.items()}
 
     # whatever is not cached and not in any signal goes out as unicast
+    held = {l: [s for s in _submasks(_span_mask(l, K)) if alloc[(l, s)]] for l in range(1, K + 1)}
     missing = {
         (k, l): tuple((offsets[(l, s)] + used.get((l, s, k), 0), offsets[(l, s)] + alloc[(l, s)])
-                      for s in _submasks(_span_mask(l, K))
+                      for s in held[l]
                       if not s >> (k - 1) & 1 and used.get((l, s, k), 0) < alloc[(l, s)])
         for k in range(1, K + 1) for l in range(1, k + 1)
     }
@@ -269,21 +310,32 @@ class CacheContents:
     """Cached ranges per user, plus the library the ranges refer to.
 
     Placement is file-symmetric: a user holds the same ranges of every
-    file.  Reads go through a containment check so that decoding can
-    only ever consume side information the user genuinely stores.
+    file.  Decoding strips a piece from a signal only after
+    :meth:`require` finds it cached, so it can only ever consume side
+    information the user genuinely stores.
     """
 
     library: FileLibrary
     ranges: tuple
 
     def holds(self, k: int, l: int, start: int, stop: int) -> bool:
-        return start >= stop or any(rl == l and rstart <= start and stop <= rstop
-                                    for rl, _smask, rstart, rstop in self.ranges[k - 1])
+        for rstart, rstop in self._by_layer[k - 1].get(l, ()):
+            if rstart <= start and stop <= rstop:
+                return True
+        return start >= stop
 
-    def read(self, k: int, file_id: int, l: int, start: int, stop: int) -> np.ndarray:
+    @functools.cached_property
+    def _by_layer(self) -> list[dict]:
+        """For each user, the (start, stop) ranges it caches of each layer."""
+        index: list[dict] = [{} for _ in self.ranges]
+        for user, ranges in zip(index, self.ranges):
+            for l, _smask, start, stop in ranges:
+                user.setdefault(l, []).append((start, stop))
+        return index
+
+    def require(self, k: int, l: int, start: int, stop: int) -> None:
         if not self.holds(k, l, start, stop):
             raise SimulationError(f"user {k} asked for uncached bits {start}:{stop} of layer {l}")
-        return self.library.bits(file_id, l, start, stop)
 
     def bits_per_file(self, k: int) -> int:
         return sum(stop - start for _, _, start, stop in self.ranges[k - 1])
@@ -295,14 +347,11 @@ def place(library: FileLibrary, q: QuantizedScheme) -> CacheContents:
         raise SimulationError("library and quantized scheme disagree on layout")
     all_ranges = []
     slack = q.K * (1 << q.K)
+    # the chunks that hold bits, by layer, then mask ascending as quantize lays them out
+    chunks = [(l, smask, q.offsets[(l, smask)], n) for (l, smask), n in q.alloc.items() if n > 0]
     for k in range(1, q.K + 1):
-        user_ranges = []
-        for l in range(1, k + 1):
-            for smask in _submasks(_span_mask(l, q.K)):
-                n = q.alloc[(l, smask)]
-                if smask >> (k - 1) & 1 and n > 0:
-                    off = q.offsets[(l, smask)]
-                    user_ranges.append((l, smask, off, off + n))
+        user_ranges = [(l, smask, off, off + n) for l, smask, off, n in chunks
+                       if l <= k and smask >> (k - 1) & 1]
         total = sum(stop - start for _, _, start, stop in user_ranges)
         if total > int(round(q.cache_targets[k - 1])) + slack:
             raise SimulationError(f"user {k} cache holds {total} bits, above its quantized bound")
@@ -314,8 +363,7 @@ def place(library: FileLibrary, q: QuantizedScheme) -> CacheContents:
 # delivery
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """One constituent range of a coded signal, absolute within its layer."""
 
     user: int
@@ -328,16 +376,25 @@ class Piece:
 
 @dataclass(frozen=True)
 class Signal:
+    """A coded multicast of ``length`` bits, packed into ``payload`` with the
+    first bit highest: each addressee's pieces, one after the other at
+    the head of the payload, XORed together."""
+
     addressees: int
     pieces: tuple
-    payload: np.ndarray
+    payload: int
+    length: int
 
 
 @dataclass(frozen=True)
 class Unicast:
+    """The ``(file, layer, start, stop)`` ranges one user still lacks, one
+    after the other in ``payload``, ``length`` bits packed as in Signal."""
+
     user: int
     ranges: tuple
-    payload: np.ndarray
+    payload: int
+    length: int
 
 
 @dataclass(frozen=True)
@@ -347,7 +404,7 @@ class TransmissionLog:
 
     @property
     def total_bits(self) -> int:
-        return sum(len(message.payload) for message in self.signals + self.unicasts)
+        return sum(message.length for message in self.signals + self.unicasts)
 
 
 def _check_demand(demand, K: int, N: int) -> tuple:
@@ -372,19 +429,20 @@ def deliver(placement: CacheContents, q: QuantizedScheme, demand) -> Transmissio
     signals = []
     for tmask in sorted(q.signal_pieces):
         per_user = q.signal_pieces[tmask]
-        # each user's constituent occupies the payload head, piece after
-        # piece; quantize adds a signal only with a piece of positive size
+        # quantize adds a signal only with a piece of positive size
         length = max(sum(piece[-1] for piece in pieces) for pieces in per_user.values())
-        payload = np.zeros(length, dtype=np.uint8)
+        payload = 0
         pieces = []
-        for j in members(tmask):
-            pos = 0
-            for l, smask, chunk_start, size in per_user.get(j, ()):
+        for j in sorted(per_user):
+            file_id = demand[j - 1]
+            head = size = 0
+            for l, smask, chunk_start, n in per_user[j]:
                 start = q.offsets[(l, smask)] + chunk_start
-                pieces.append(Piece(j, demand[j - 1], l, smask, start, start + size))
-                payload[pos : pos + size] ^= library.bits(demand[j - 1], l, start, start + size)
-                pos += size
-        signals.append(Signal(addressees=tmask, pieces=tuple(pieces), payload=payload))
+                pieces.append(Piece(j, file_id, l, smask, start, start + n))
+                head = (head << n) | library.bits(file_id, l, start, start + n)
+                size += n
+            payload ^= head << (length - size)
+        signals.append(Signal(tmask, tuple(pieces), payload, length))
 
     unicasts = []
     for k in range(1, q.K + 1):
@@ -392,8 +450,10 @@ def deliver(placement: CacheContents, q: QuantizedScheme, demand) -> Transmissio
         refs = tuple((own, l, start, stop)
                      for l in range(1, k + 1) for start, stop in q.missing.get((k, l), ()))
         if refs:
-            payload = np.concatenate([library.bits(own, l, a, b) for _f, l, a, b in refs])
-            unicasts.append(Unicast(user=k, ranges=refs, payload=payload))
+            payload = 0
+            for _f, l, a, b in refs:
+                payload = (payload << (b - a)) | library.bits(own, l, a, b)
+            unicasts.append(Unicast(k, refs, payload, sum(b - a for _f, _l, a, b in refs)))
 
     return TransmissionLog(signals=tuple(signals), unicasts=tuple(unicasts))
 
@@ -413,82 +473,87 @@ def _uncovered(length: int, ranges: list) -> int:
     return length - covered
 
 
-def decode(k: int, cache: CacheContents, log: TransmissionLog, demand) -> list[str]:
-    """The problems of user k rebuilding layers 1..k of its file from its
-    cache and the log alone; none when every bit arrives.
+def decode(cache: CacheContents, log: TransmissionLog, demand) -> list[list[str]]:
+    """The problems of each user k rebuilding layers 1..k of its file from
+    its cache and the log alone; none for a user every bit reaches.
 
-    Each range the user recovers, a signal payload with the other pieces
-    cancelled from its cache or a unicast slice, is compared with the
-    library, and the layers are checked covered by interval arithmetic
-    over the cached, signal and unicast ranges.  Pieces it cannot cancel,
-    unicast ranges of another file and uncovered bits are problems; when
-    there are none, so is each layer that a range got wrong.
+    One pass over the log reads each signal piece that some addressee
+    strips once, and XORs it out of the payload: what is left is zero
+    wherever the signal decodes right.  Each addressee must cache the
+    pieces of others it strips, and reads its own layers from the
+    residue at its pieces' places; each unicast range is compared with
+    the library in place.  The layers are checked covered by interval
+    arithmetic over the cached, signal and unicast ranges.  Pieces a
+    user cannot cancel, unicast ranges of another file and uncovered
+    bits are problems; when a user has none, so is each layer that a
+    range got wrong.
     """
     library = cache.library
-    demand = _check_demand(demand, library.K, library.N)
-    own_file = demand[k - 1]
-    kbit = 1 << (k - 1)
-    covered: dict = {l: [] for l in range(1, k + 1)}
-    wrong: set = set()
-    problems: list[str] = []
-
-    for l, _smask, start, stop in cache.ranges[k - 1]:
-        if l <= k:
-            covered[l].append((start, stop))
+    K = library.K
+    demand = _check_demand(demand, K, library.N)
+    problems: list[list[str]] = [[] for _ in range(K)]
+    wrong: list[set] = [set() for _ in range(K)]
+    covered = [{l: [] for l in range(1, k + 1)} for k in range(1, K + 1)]
+    for k in range(1, K + 1):
+        for l, _smask, start, stop in cache.ranges[k - 1]:
+            if l <= k:
+                covered[k - 1][l].append((start, stop))
 
     for sig in log.signals:
-        if not sig.addressees & kbit:
-            continue
-        # each user's constituent occupies the payload head, piece after
-        # piece; the head user k reads, with the other pieces and its own
-        # bits XORed out, is zero where it decodes right
-        residue = sig.payload[: sum(p.stop - p.start for p in sig.pieces if p.user == k)].copy()
-        checked = []
-        offset: dict = {}
-        for p in sig.pieces:
-            n = p.stop - p.start
-            pos = offset.get(p.user, 0)
-            offset[p.user] = pos + n
-            if p.user == k:
-                if p.layer <= k:
-                    covered[p.layer].append((p.start, p.stop))
-                    residue[pos : pos + n] ^= library.bits(own_file, p.layer, p.start, p.stop)
-                    checked.append((p.layer, pos, n))
-            elif p.subfile_mask & kbit:
-                bits = cache.read(k, demand[p.user - 1], p.layer, p.start, p.stop)
-                n = max(0, min(n, len(residue) - pos))
-                residue[pos : pos + n] ^= bits[:n]
-            else:
-                problems.append(
-                    f"signal to {mask_label(sig.addressees)} carries a piece of "
-                    f"chunk {mask_label(p.subfile_mask)} user {k} cannot cancel"
+        addressees, length = sig.addressees, sig.length
+        # each user's pieces fill the payload head, one after the other
+        residue, windows, offset = sig.payload, [], {}
+        for user, _file, layer, smask, start, stop in sig.pieces:
+            n = stop - start
+            pos = offset.get(user, 0)
+            offset[user] = pos + n
+            ubit = 1 << (user - 1)
+            stuck = addressees & ~smask & ~ubit
+            for k in members(stuck) if stuck else ():
+                problems[k - 1].append(
+                    f"signal to {mask_label(addressees)} carries a piece of "
+                    f"chunk {mask_label(smask)} user {k} cannot cancel"
                 )
-        if residue.any():
-            wrong.update(l for l, pos, n in checked if residue[pos : pos + n].any())
+            # the other addressees that strip the piece, lowest user first
+            strippers = rest = addressees & smask & ~ubit
+            while rest:
+                cache.require((rest & -rest).bit_length(), layer, start, stop)
+                rest &= rest - 1
+            own = addressees & ubit and layer <= user
+            if own:
+                covered[user - 1][layer].append((start, stop))
+                windows.append((user, layer, length - pos - n, n))
+            if own or strippers:
+                residue ^= (library.bits(demand[user - 1], layer, start, stop)
+                            << (length - pos - n))
+        if residue:
+            for k, l, shift, n in windows:
+                if (residue >> shift) & ((1 << n) - 1):
+                    wrong[k - 1].add(l)
 
     for uni in log.unicasts:
-        if uni.user != k:
-            continue
-        residue = uni.payload.copy()
-        checked = []
+        k = uni.user
+        own_file = demand[k - 1]
         pos = 0
         for file_id, l, start, stop in uni.ranges:
             n = stop - start
             if file_id != own_file:
-                problems.append(f"unicast range names file {file_id}, not {own_file}")
+                problems[k - 1].append(f"unicast range names file {file_id}, not {own_file}")
             elif l <= k:
-                covered[l].append((start, stop))
-                residue[pos : pos + n] ^= library.bits(own_file, l, start, stop)
-                checked.append((l, pos, n))
+                covered[k - 1][l].append((start, stop))
+                # the range as sent, against the library
+                if ((uni.payload >> (uni.length - pos - n)) & ((1 << n) - 1)
+                        != library.bits(own_file, l, start, stop)):
+                    wrong[k - 1].add(l)
             pos += n
-        if residue.any():
-            wrong.update(l for l, pos, n in checked if residue[pos : pos + n].any())
 
-    for l in range(1, k + 1):
-        gaps = _uncovered(library.layer_lengths[l - 1], covered[l])
-        if gaps:
-            problems.append(f"layer {l} is missing {gaps} bits")
-    return problems or [f"layer {l} content mismatch" for l in sorted(wrong)]
+    for k in range(1, K + 1):
+        for l in range(1, k + 1):
+            gaps = _uncovered(library.layer_lengths[l - 1], covered[k - 1][l])
+            if gaps:
+                problems[k - 1].append(f"layer {l} is missing {gaps} bits")
+    return [found or [f"layer {l} content mismatch" for l in sorted(bad)]
+            for found, bad in zip(problems, wrong)]
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +594,7 @@ def verify(
     placement = place(library, q)
     demand = tuple(range(1, inst.K + 1))
     log = deliver(placement, q, demand)
-    status = ["; ".join(decode(k, placement, log, demand)) or "ok"
-              for k in range(1, inst.K + 1)]
+    status = ["; ".join(problems) or "ok" for problems in decode(placement, log, demand)]
     measured = log.total_bits / F
     predicted = scheme.load()
     discrepancy = abs(measured - predicted)

@@ -10,13 +10,13 @@ files it wrote:
 loads, so two records show what the thread count changes.
 
 The set covers K = 2..5 with two budget and two fixed-memory instances
-per K, seeded, 208 commands: ``solve --out`` (joint and intra),
-``verify --scheme`` of both schemes (F = 1e4 with ``--out``, and 1e6),
+per K, seeded, 272 commands: ``solve --out`` (joint and intra),
+``verify --scheme`` of both schemes (F = 1e4 with ``--out``, 1e6, 1 and 7),
 ``verify`` without a scheme in both modes (F = 5000, ``--out``),
 ``bounds``, ``compare-baselines`` and, for budgets, ``sweep``, each of the
 last three in CSV and JSON.  Beyond the reach of the scheme program it
 runs only ``bounds`` (CSV and JSON), on two budget instances per K = 6..9
-and two fixed-memory instances per K = 6..14: 52 more commands, 260 in
+and two fixed-memory instances per K = 6..14: 52 more commands, 324 in
 all.  Paths are recorded relative to the working directory, so records
 made from two checkouts line up.
 
@@ -26,7 +26,7 @@ lists every command whose exit code differs, whose text differs outside
 its numbers, or whose numbers differ by more than the tolerance, and
 exits 1 if there is any.  At ``--tol 0`` it also lists every text whose
 bytes differ where the numbers parse equal ("1.0" against "1.00"), so "0
-of 260 commands differ beyond 0" means the records are byte-identical.  The file has no ``test_`` prefix, so pytest
+of 324 commands differ beyond 0" means the records are byte-identical.  The file has no ``test_`` prefix, so pytest
 does not collect it.
 """
 
@@ -74,6 +74,9 @@ def commands(name: str, doc: dict) -> list[list[str]]:
         cmds.append(["verify", inst, "--scheme", scheme, "--file-size", "10000",
                      "--out", f"{name}_{mode}.check.json"])
         cmds.append(["verify", inst, "--scheme", scheme, "--file-size", "1000000"])
+        # one-bit and seven-bit files: pieces at odd bit offsets, and rounding
+        for size in ("1", "7"):
+            cmds.append(["verify", inst, "--scheme", scheme, "--file-size", size])
     for mode in ("joint", "intra"):
         cmds.append(["verify", inst, "--mode", mode, "--file-size", "5000",
                      "--out", f"{name}_{mode}.verify.json"])

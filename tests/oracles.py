@@ -270,6 +270,20 @@ def library_per_bit(inst: ProblemInstance, F: int, seed: int) -> tuple:
     )
 
 
+def packed(bits) -> int:
+    """Byte-per-bit ``bits`` as the simulator packs a payload or a range: an
+    int whose highest of ``len(bits)`` bits is the first."""
+    return int("".join("01"[b] for b in bits.tolist()) or "0", 2)
+
+
+def unpacked(value: int, n: int) -> np.ndarray:
+    """The ``n`` bits a packed int holds, one uint8 per bit, first bit first."""
+    text = format(value, f"0{n}b") if n else ""
+    if len(text) != n:
+        raise ValueError(f"{value} has more than {n} bits")
+    return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+
+
 def _read_cached(cache, files, k, file_id, l, start, stop):
     if not cache.holds(k, l, start, stop):
         raise SimulationError(f"user {k} asked for uncached bits {start}:{stop} of layer {l}")
@@ -278,7 +292,7 @@ def _read_cached(cache, files, k, file_id, l, start, stop):
 
 def deliver_per_bit(cache, q, demand, files) -> TransmissionLog:
     """The log ``simulator.deliver`` sends, built from byte-per-bit ``files``
-    (as :func:`library_per_bit` gives them) by concatenation."""
+    (as :func:`library_per_bit` gives them) by concatenation, then packed."""
     signals = []
     for tmask in sorted(q.signal_pieces):
         per_user = q.signal_pieces[tmask]
@@ -299,14 +313,16 @@ def deliver_per_bit(cache, q, demand, files) -> TransmissionLog:
         for refs, bits in constituents:
             payload[: len(bits)] ^= bits
             pieces.extend(refs)
-        signals.append(Signal(addressees=tmask, pieces=tuple(pieces), payload=payload))
+        signals.append(Signal(addressees=tmask, pieces=tuple(pieces), payload=packed(payload),
+                              length=length))
     unicasts = []
     for k in range(1, q.K + 1):
         refs = [(demand[k - 1], l, start, stop)
                 for l in range(1, k + 1) for start, stop in q.missing.get((k, l), ())]
         if refs:
             payload = np.concatenate([files[f - 1][l - 1][a:b] for f, l, a, b in refs])
-            unicasts.append(Unicast(user=k, ranges=tuple(refs), payload=payload))
+            unicasts.append(Unicast(user=k, ranges=tuple(refs), payload=packed(payload),
+                                    length=len(payload)))
     return TransmissionLog(signals=tuple(signals), unicasts=tuple(unicasts))
 
 
@@ -317,7 +333,8 @@ def decode_per_bit(k, cache, log, demand, files) -> list:
     sentinel 255: cached ranges are copied in, then each signal's payload
     with the other pieces cancelled, then unicast slices, later writes
     winning.  Sentinels left are missing bits; with no other problem, a
-    rebuilt layer unequal to the file is a content mismatch.
+    rebuilt layer unequal to the file is a content mismatch.  Payloads are
+    unpacked to one byte per bit first.
     """
     own_file = demand[k - 1]
     kbit = 1 << (k - 1)
@@ -329,7 +346,7 @@ def decode_per_bit(k, cache, log, demand, files) -> list:
     for sig in log.signals:
         if not sig.addressees & kbit:
             continue
-        acc = sig.payload.copy()
+        acc = unpacked(sig.payload, sig.length)
         own = []
         offset = {}
         for p in sig.pieces:
@@ -352,12 +369,13 @@ def decode_per_bit(k, cache, log, demand, files) -> list:
     for uni in log.unicasts:
         if uni.user != k:
             continue
+        payload = unpacked(uni.payload, uni.length)
         pos = 0
         for file_id, l, start, stop in uni.ranges:
             if file_id != own_file:
                 problems.append(f"unicast range names file {file_id}, not {own_file}")
             elif l <= k:
-                out[l][start:stop] = uni.payload[pos : pos + stop - start]
+                out[l][start:stop] = payload[pos : pos + stop - start]
             pos += stop - start
     for l in range(1, k + 1):
         gaps = int(np.count_nonzero(out[l] == 255))

@@ -752,3 +752,11 @@ def test_module_entry_point(ex1_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "load = 0.200000\n"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 6 MB of resident memory; only a library
+    # draw loads it
+    code = "import sys, hetcache.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

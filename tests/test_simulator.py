@@ -33,6 +33,8 @@ from oracles import (
     decode_per_bit,
     deliver_per_bit,
     library_per_bit,
+    packed,
+    unpacked,
     verify_per_bit,
 )
 from test_scheme_lp import fixed_instance
@@ -84,23 +86,8 @@ def random_fixed(rng, K):
 
 def layer_bits(lib, file_id, l):
     """Every bit of one layer, one byte per bit."""
-    return lib.bits(file_id, l, 0, lib.layer_lengths[l - 1])
-
-
-def logs_equal(a, b):
-    if len(a.signals) != len(b.signals) or len(a.unicasts) != len(b.unicasts):
-        return False
-    for s, t in zip(a.signals, b.signals):
-        if s.addressees != t.addressees or s.pieces != t.pieces:
-            return False
-        if not np.array_equal(s.payload, t.payload):
-            return False
-    for s, t in zip(a.unicasts, b.unicasts):
-        if s.user != t.user or s.ranges != t.ranges:
-            return False
-        if not np.array_equal(s.payload, t.payload):
-            return False
-    return True
+    n = lib.layer_lengths[l - 1]
+    return unpacked(lib.bits(file_id, l, 0, n), n)
 
 
 class TestLibrary:
@@ -109,7 +96,7 @@ class TestLibrary:
         assert lib.layer_lengths == (2, 1, 5)
         assert lib.N == 3
         for j in range(1, 4):
-            for l in range(1, 4):
+            for l in range(1, j + 1):  # user j demands file j
                 assert len(layer_bits(lib, j, l)) == lib.layer_lengths[l - 1]
                 assert set(np.unique(layer_bits(lib, j, l))) <= {0, 1}
 
@@ -120,12 +107,12 @@ class TestLibrary:
         assert all(
             np.array_equal(layer_bits(a, j, l), layer_bits(b, j, l))
             for j in range(1, 4)
-            for l in range(1, 4)
+            for l in range(1, j + 1)
         )
         assert any(
             not np.array_equal(layer_bits(a, j, l), layer_bits(c, j, l))
             for j in range(1, 4)
-            for l in range(1, 4)
+            for l in range(1, j + 1)
         )
 
     def test_rejects_nonpositive_size(self):
@@ -146,24 +133,81 @@ class TestLibrary:
     @pytest.mark.parametrize("seed", range(4))
     def test_library_is_the_per_bit_draw(self, seed, monkeypatch):
         # the default draw size, and sizes that put draw boundaries inside
-        # layers and between them at many offsets, odd word counts included
+        # layers and between them at many offsets, odd word counts included;
+        # the worst-case demand draws a prefix of each of the first K files,
+        # the others put gaps at odd and even words between drawn layers
         for draw_words in (simulator.DRAW_WORDS, 2, 6, 50_000):
             monkeypatch.setattr(simulator, "DRAW_WORDS", draw_words)
             for rates, N, F, lengths in self.LAYOUTS:
                 if draw_words < 10 and F > 1000:
                     continue  # millions of tiny draws; the short layout covers them
-                inst = fixed_instance(rates, [0.0] * len(rates), N=N)
-                lib = make_library(inst, F, seed)
-                assert lib.layer_lengths == lengths
+                K = len(rates)
+                inst = fixed_instance(rates, [0.0] * K, N=N)
                 want = library_per_bit(inst, F, seed)
-                assert len(lib.files) == len(want) == N
-                for got_file, want_file in zip(lib.files, want, strict=True):
-                    for got, ref in zip(got_file, want_file, strict=True):
-                        # packed eight bits to a byte, the padding bits zero
-                        assert got.dtype == np.uint8 and len(got) == (len(ref) + 7) // 8
-                        unpacked = np.unpackbits(got)
-                        assert np.array_equal(unpacked[: len(ref)], ref)
-                        assert not unpacked[len(ref):].any()
+                for demand in (None, tuple(range(N, N - K, -1)), tuple(range(2, 2 * K + 1, 2))):
+                    if demand and max(demand) > N:
+                        continue
+                    lib = make_library(inst, F, seed, demand)
+                    assert lib.layer_lengths == lengths
+                    depth = {d: k for k, d in enumerate(demand or range(1, K + 1), 1)}
+                    assert len(lib.files) == len(want) == N
+                    for j, (got_file, want_file) in enumerate(zip(lib.files, want), 1):
+                        # user k's file has layers 1..k, a file nobody demands none
+                        assert len(got_file) == depth.get(j, 0)
+                        for got, ref in zip(got_file, want_file):
+                            # packed eight bits to a byte, the padding bits zero
+                            assert got.dtype == np.uint8 and len(got) == (len(ref) + 7) // 8
+                            bits = np.unpackbits(got)
+                            assert np.array_equal(bits[: len(ref)], ref)
+                            assert not bits[len(ref):].any()
+
+    def test_any_layers_drawn_are_the_per_bit_draw(self, monkeypatch):
+        # short random layouts, any layers drawn: gaps of odd and even word
+        # counts, empty layers, and draws that end inside a 64-bit output
+        rng = np.random.default_rng(5)
+        for draw_words in (2, 6, simulator.DRAW_WORDS):
+            monkeypatch.setattr(simulator, "DRAW_WORDS", draw_words)
+            for _ in range(40):
+                lengths = [int(n) for n in rng.integers(0, 60, size=8)]
+                drawn = sorted(int(i) for i in rng.choice(8, size=int(rng.integers(1, 9)),
+                                                          replace=False))
+                ref = np.random.default_rng(7)
+                want = [ref.integers(0, 2, size=n, dtype=np.uint8) for n in lengths]
+                words = np.cumsum([0] + [(n + 3) // 4 for n in lengths])
+                got = simulator._random_layers(np.random.default_rng(7).bit_generator,
+                                               [(int(words[i]), lengths[i]) for i in drawn])
+                for i, layer in zip(drawn, got, strict=True):
+                    bits = np.unpackbits(layer)
+                    assert len(layer) == (lengths[i] + 7) // 8
+                    assert np.array_equal(bits[: lengths[i]], want[i])
+                    assert not bits[lengths[i]:].any()
+
+    def test_undrawn_layers_cannot_be_read(self):
+        rates, N, F, _lengths = self.LAYOUTS[0]
+        inst = fixed_instance(rates, [0.0] * len(rates), N=N)
+        lib = make_library(inst, F, seed=0)
+        for j, l in ((1, 2), (3, 4), (6, 7), (8, 1), (9, 1)):
+            with pytest.raises(SimulationError, match=f"layer {l} of file {j} was not drawn"):
+                lib.bits(j, l, 0, 1)
+        # user 2 demands file 8, user 1 file 9
+        lib = make_library(inst, F, seed=0, demand=(9, 8, 7, 6, 5, 4, 3))
+        assert lib.bits(8, 2, 0, 1) == library_per_bit(inst, F, 0)[7][1][0]
+        with pytest.raises(SimulationError, match="layer 2 of file 9 was not drawn"):
+            lib.bits(9, 2, 0, 1)
+
+    def test_verify_draws_only_the_demanded_layers(self, monkeypatch):
+        # K=4: layers 1..k of file k, 1 + 2 + 3 + 4 = 10 of the 6 * 4 layers
+        drawn = []
+
+        def spy(*args, **kwargs):
+            lib = make_library(*args, **kwargs)
+            drawn.append([len(layers) for layers in lib.files])
+            return lib
+
+        monkeypatch.setattr(simulator, "make_library", spy)
+        inst = fixed_instance([0.1, 0.3, 0.4, 0.9], [0.05, 0.1, 0.1, 0.2], N=6)
+        assert verify(inst, solved_scheme(inst), 10_000, seed=2).ok
+        assert drawn == [[1, 2, 3, 4, 0, 0]]
 
     def test_range_reads_match_the_per_bit_draw(self):
         rates, N, F, _lengths = self.LAYOUTS[0]
@@ -172,14 +216,16 @@ class TestLibrary:
         want = library_per_bit(inst, F, seed=3)
         rng = np.random.default_rng(0)
         for _ in range(300):
-            j, l = int(rng.integers(1, N + 1)), int(rng.integers(1, len(rates) + 1))
+            # user j demands file j, and reads its layers 1..j
+            j = int(rng.integers(1, len(rates) + 1))
+            l = int(rng.integers(1, j + 1))
             n = lib.layer_lengths[l - 1]
             start, stop = sorted(int(b) for b in rng.integers(0, n + 1, size=2))
             got = lib.bits(j, l, start, stop)
-            assert got.dtype == np.uint8
-            assert np.array_equal(got, want[j - 1][l - 1][start:stop])
+            assert isinstance(got, int)
+            assert np.array_equal(unpacked(got, stop - start), want[j - 1][l - 1][start:stop])
         # a range past the end of a layer stops there
-        assert np.array_equal(lib.bits(1, 7, 3, 100), want[0][6][3:])
+        assert lib.bits(7, 7, 3, 100) == packed(want[6][6][3:])
 
 
 class TestLibraryCap:
@@ -296,7 +342,7 @@ class TestPlace:
         lib = make_library(ex1_instance(), 10_000, seed=0)
         cache = place(lib, quantize(EX1_SCHEME, 10_000, layer_lengths=lib.layer_lengths))
         with pytest.raises(SimulationError, match="uncached"):
-            cache.read(1, 1, 3, 0, 10)
+            cache.require(1, 3, 0, 10)
 
 
 class TestDeliver:
@@ -308,7 +354,7 @@ class TestDeliver:
             users_mask(1, 3),
             users_mask(2, 3),
         ]
-        assert all(len(s.payload) == 1000 for s in log.signals)
+        assert all(s.length == 1000 for s in log.signals)
         assert log.unicasts == ()
         assert log.total_bits == 2000
 
@@ -321,7 +367,7 @@ class TestDeliver:
         want = layer_bits(lib, 1, 1)[by_user[1].start : by_user[1].stop] ^ layer_bits(lib, 3, 1)[
             by_user[3].start : by_user[3].stop
         ]
-        assert np.array_equal(sig.payload, want)
+        assert np.array_equal(unpacked(sig.payload, sig.length), want)
 
     def test_rejects_bad_demands(self):
         lib = make_library(ex1_instance(), 100, seed=0)
@@ -355,12 +401,12 @@ class TestDeliver:
     def test_bit_identical_across_runs(self):
         inst = random_fixed(np.random.default_rng(3), 4)
         scheme = solved_scheme(inst)
-        lib = make_library(inst, 10_000, seed=9)
-        q = quantize(scheme, 10_000, layer_lengths=lib.layer_lengths)
         demand = (2, 4, 1, 3)
+        lib = make_library(inst, 10_000, seed=9, demand=demand)
+        q = quantize(scheme, 10_000, layer_lengths=lib.layer_lengths)
         first = deliver(place(lib, q), q, demand)
         second = deliver(place(lib, q), q, demand)
-        assert logs_equal(first, second)
+        assert first == second
 
 
 class TestDecode:
@@ -369,7 +415,7 @@ class TestDecode:
         q = quantize(EX1_SCHEME, F, layer_lengths=lib.layer_lengths)
         cache = place(lib, q)
         log = deliver(cache, q, demand)
-        return lib, cache, log, decode(k, cache, log, demand)
+        return lib, cache, log, decode(cache, log, demand)[k - 1]
 
     def test_every_user_recovers_its_layers(self):
         for k in range(1, 4):
@@ -381,18 +427,17 @@ class TestDecode:
         lib = make_library(inst, 1000, seed=0)
         cache = place(lib, quantize(scheme, 1000, layer_lengths=lib.layer_lengths))
         empty = TransmissionLog(signals=(), unicasts=())
-        assert decode(3, cache, empty, (1, 2, 3)) == []
+        assert decode(cache, empty, (1, 2, 3)) == [[], [], []]
 
     def test_corrupted_signal_payload_is_detected(self):
         lib, cache, log, _ = self.decoded(1)
-        payload = log.signals[0].payload.copy()
-        payload[0] ^= 1
+        sig = log.signals[0]
+        payload = sig.payload ^ 1 << sig.length - 1  # the first bit
         bad_log = TransmissionLog(
-            signals=(dataclasses.replace(log.signals[0], payload=payload),)
-            + log.signals[1:],
+            signals=(dataclasses.replace(sig, payload=payload),) + log.signals[1:],
             unicasts=log.unicasts,
         )
-        assert decode(1, cache, bad_log, (1, 2, 3)) == ["layer 1 content mismatch"]
+        assert decode(cache, bad_log, (1, 2, 3))[0] == ["layer 1 content mismatch"]
 
     def test_corrupted_unicast_is_detected(self):
         inst = fixed_instance(EX1_RATES, [0.0, 0.0, 0.0])
@@ -401,20 +446,19 @@ class TestDecode:
         q = quantize(scheme, 1000, layer_lengths=lib.layer_lengths)
         cache = place(lib, q)
         log = deliver(cache, q, (1, 2, 3))
-        payload = log.unicasts[0].payload.copy()
-        payload[3] ^= 1
+        uni = log.unicasts[0]
+        payload = uni.payload ^ 1 << uni.length - 4  # the fourth bit
         bad = TransmissionLog(
             signals=(),
-            unicasts=(dataclasses.replace(log.unicasts[0], payload=payload),)
-            + log.unicasts[1:],
+            unicasts=(dataclasses.replace(uni, payload=payload),) + log.unicasts[1:],
         )
-        assert decode(1, cache, bad, (1, 2, 3)) == ["layer 1 content mismatch"]
+        assert decode(cache, bad, (1, 2, 3))[0] == ["layer 1 content mismatch"]
 
     def test_uncancelable_piece_is_reported(self):
         lib, cache, log, _ = self.decoded(1)
         sig = log.signals[0]
         twisted = tuple(
-            dataclasses.replace(p, subfile_mask=users_mask(2))
+            p._replace(subfile_mask=users_mask(2))
             if p.user != 1
             else p
             for p in sig.pieces
@@ -423,14 +467,14 @@ class TestDecode:
             signals=(dataclasses.replace(sig, pieces=twisted),) + log.signals[1:],
             unicasts=log.unicasts,
         )
-        problems = decode(1, cache, bad, (1, 2, 3))
+        problems = decode(cache, bad, (1, 2, 3))[0]
         assert any("cannot cancel" in p for p in problems)
 
     def test_missing_bits_are_reported(self):
         lib, cache, log, _ = self.decoded(3)
         # drop the second signal; user 3 loses its layer-2 piece
         bad = TransmissionLog(signals=log.signals[:1], unicasts=log.unicasts)
-        assert decode(3, cache, bad, (1, 2, 3)) == ["layer 2 is missing 1000 bits"]
+        assert decode(cache, bad, (1, 2, 3))[2] == ["layer 2 is missing 1000 bits"]
 
 
 def piece_positions(sig):
@@ -458,8 +502,7 @@ class TestAgainstByteOracle:
                     q = quantize(scheme, F, lib.layer_lengths)
                     cache = place(lib, q)
                     files = library_per_bit(inst, F, seed)
-                    assert logs_equal(deliver(cache, q, demand),
-                                      deliver_per_bit(cache, q, demand, files))
+                    assert deliver(cache, q, demand) == deliver_per_bit(cache, q, demand, files)
                     assert verify(inst, scheme, F, seed) == verify_per_bit(inst, scheme, F, seed)
 
     F = 10_003
@@ -479,20 +522,25 @@ class TestAgainstByteOracle:
 
     @staticmethod
     def problems(cache, log, files, k):
-        """User k's problems, after checking every user's against the oracle."""
+        """User k's problems, after checking every user's against the oracle;
+        where the oracle refuses to read an uncached range, so must decode."""
         demand = (1, 2, 3, 4)
-        for user in demand:
-            want = decode_per_bit(user, cache, log, demand, files)
-            assert decode(user, cache, log, demand) == want
-        return decode(k, cache, log, demand)
+        try:
+            want = [decode_per_bit(user, cache, log, demand, files) for user in demand]
+        except SimulationError as exc:
+            with pytest.raises(SimulationError, match=str(exc)):
+                decode(cache, log, demand)
+            raise
+        assert decode(cache, log, demand) == want
+        return want[k - 1]
 
     def test_flipped_signal_bit(self, run):
         cache, log, files = run
         i, p, pos = next((i, p, pos) for i, sig in enumerate(log.signals)
                          for p, pos in piece_positions(sig)
                          if p.start % 8 and p.stop - p.start > 2)
-        payload = log.signals[i].payload.copy()
-        payload[pos + 1] ^= 1
+        sig = log.signals[i]
+        payload = sig.payload ^ 1 << sig.length - pos - 2  # bit pos + 1
         signals = list(log.signals)
         signals[i] = dataclasses.replace(signals[i], payload=payload)
         bad = dataclasses.replace(log, signals=tuple(signals))
@@ -512,8 +560,7 @@ class TestAgainstByteOracle:
         cache, log, files = run
         i, j, pos = self.unaligned_unicast(log)
         uni = log.unicasts[i]
-        payload = uni.payload.copy()
-        payload[pos + 1] ^= 1
+        payload = uni.payload ^ 1 << uni.length - pos - 2  # bit pos + 1
         unicasts = list(log.unicasts)
         unicasts[i] = dataclasses.replace(uni, payload=payload)
         bad = dataclasses.replace(log, unicasts=tuple(unicasts))
@@ -525,9 +572,11 @@ class TestAgainstByteOracle:
         i, j, pos = self.unaligned_unicast(log)
         uni = log.unicasts[i]
         _file, l, start, stop = uni.ranges[j]
-        payload = np.concatenate([uni.payload[:pos], uni.payload[pos + stop - start:]])
+        bits = unpacked(uni.payload, uni.length)
+        payload = np.concatenate([bits[:pos], bits[pos + stop - start:]])
         unicasts = list(log.unicasts)
-        unicasts[i] = Unicast(uni.user, uni.ranges[:j] + uni.ranges[j + 1:], payload)
+        unicasts[i] = Unicast(uni.user, uni.ranges[:j] + uni.ranges[j + 1:], packed(payload),
+                              len(payload))
         bad = dataclasses.replace(log, unicasts=tuple(unicasts))
         assert self.problems(cache, bad, files, uni.user) == [
             f"layer {l} is missing {stop - start} bits"]
@@ -554,6 +603,84 @@ class TestAgainstByteOracle:
         assert failed
 
 
+def with_message(log, kind, i, **changes):
+    """``log`` with message i of ``kind`` ("signals" or "unicasts") changed."""
+    messages = list(getattr(log, kind))
+    messages[i] = dataclasses.replace(messages[i], **changes)
+    return dataclasses.replace(log, **{kind: tuple(messages)})
+
+
+def cut_bits(value, length, pos, n):
+    """A packed ``value`` of ``length`` bits without its bits [pos, pos + n)."""
+    tail = length - pos - n
+    return (value >> (tail + n) << tail) | (value & ((1 << tail) - 1))
+
+
+class TestCorruptionParity:
+    """One corruption at a time of the log both pipelines send: the packed
+    verify and verify_per_bit must give the same report."""
+
+    @staticmethod
+    def corrupted(log, N, rng):
+        """One log per kind of corruption the log admits, at a random place:
+        a flipped signal or unicast bit, a dropped signal piece or unicast
+        range, a unicast range renamed to another file."""
+        def pick(n):
+            return int(rng.integers(n))
+
+        out = []
+        if log.signals:
+            i = pick(len(log.signals))
+            sig = log.signals[i]
+            out.append(with_message(log, "signals", i,
+                                    payload=sig.payload ^ 1 << pick(sig.length)))
+            i = pick(len(log.signals))
+            sig = log.signals[i]
+            m = pick(len(sig.pieces))
+            out.append(with_message(log, "signals", i, pieces=sig.pieces[:m] + sig.pieces[m + 1:]))
+        if log.unicasts:
+            i = pick(len(log.unicasts))
+            uni = log.unicasts[i]
+            out.append(with_message(log, "unicasts", i,
+                                    payload=uni.payload ^ 1 << pick(uni.length)))
+            m = pick(len(uni.ranges))
+            pos = sum(stop - start for _f, _l, start, stop in uni.ranges[:m])
+            file_id, l, start, stop = uni.ranges[m]
+            out.append(with_message(log, "unicasts", i,
+                                    ranges=uni.ranges[:m] + uni.ranges[m + 1:],
+                                    payload=cut_bits(uni.payload, uni.length, pos, stop - start),
+                                    length=uni.length - (stop - start)))
+            renamed = (file_id % N + 1, l, start, stop)
+            out.append(with_message(log, "unicasts", i,
+                                    ranges=uni.ranges[:m] + (renamed,) + uni.ranges[m + 1:]))
+        return out
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_reports_equal_the_per_bit_verify(self, K, monkeypatch):
+        import oracles
+
+        rng = np.random.default_rng(80 + K)
+        failed = 0
+        for _ in range(2):
+            # little cache, so that signals and unicasts both carry bits
+            r = np.sort(rng.uniform(0.05, 1.0, size=K))
+            inst = fixed_instance(list(r), list(rng.uniform(0.1, 0.6) * r), q=8)
+            scheme = solved_scheme(inst)
+            demand = tuple(range(1, K + 1))
+            for F in (1, 7, 10_000):
+                lib = make_library(inst, F, seed=F)
+                q = quantize(scheme, F, lib.layer_lengths)
+                log = deliver(place(lib, q), q, demand)
+                for bad in self.corrupted(log, inst.N, rng):
+                    monkeypatch.setattr(simulator, "deliver", lambda *_args, bad=bad: bad)
+                    monkeypatch.setattr(oracles, "deliver_per_bit", lambda *_args, bad=bad: bad)
+                    report = verify(inst, scheme, F, seed=F)
+                    assert report == verify_per_bit(inst, scheme, F, seed=F)
+                    failed += not report.ok
+                monkeypatch.undo()
+        assert failed
+
+
 class TestAudit:
     def test_clean_on_optimal_schemes(self):
         rng = np.random.default_rng(17)
@@ -577,7 +704,8 @@ class TestAudit:
         dupe = Unicast(
             user=1,
             ranges=((1, piece.layer, piece.start, piece.stop),),
-            payload=layer_bits(lib, 1, piece.layer)[piece.start : piece.stop].copy(),
+            payload=lib.bits(1, piece.layer, piece.start, piece.stop),
+            length=piece.stop - piece.start,
         )
         noisy = TransmissionLog(signals=log.signals, unicasts=(dupe,))
         problems = audit_delivery(cache, noisy)
