@@ -9,6 +9,16 @@ approximated: each layer's restricted program is solved to optimality,
 so the loads reported here lower-bound anything a real separation-based
 scheme could do, and the measured gap to the joint optimum is therefore
 conservative.
+
+One exact rule keeps those programs small.  A user whose share of layer l
+is empty can be served only by signals that carry nothing for any other
+addressee: a partner's piece would have to sit in a class that this user
+caches, and the structure rows give every addressee of a signal the same
+number of bits.  So that user costs exactly f_l, by unicast.  A user whose
+share is the whole layer demands nothing of it.  Both leave the layer's
+program, and the layer's load is f_l per empty user plus the optimum over
+the users that remain; a layer where no share lies strictly between empty
+and full needs no program at all.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from .model import (
     RateProfile,
     check_memories,
 )
-from .scheme_lp import build_intra_layer
+from .scheme_lp import build_layer_program
 
 
 def pca_split(m, rates: RateProfile) -> MemoryAllocation:
@@ -65,35 +75,62 @@ def oca_split(m, rates: RateProfile) -> MemoryAllocation:
 _SPLITS = {"pca": pca_split, "oca": oca_split}
 
 
+def _layer_shares(split: MemoryAllocation, l: int):
+    """The shares of layer l held by users l..K, in user order."""
+    return [row[l - 1] for row in split.per_layer[l - 1:]]
+
+
+def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
+    """One single-layer program per layer that some user caches in part.
+
+    Layer l's program holds only the users whose share of it lies strictly
+    between 0 and f_l, in user order, on the index of that user count
+    (:func:`scheme_lp.build_layer_program`), so layers with as many such
+    users share one index.  Users with an empty or a full share are out
+    of it by the module's reduction rule; :func:`baseline_loads` adds
+    f_l for each empty one.
+    """
+    f = inst.rates.f
+    programs = []
+    for l in range(1, inst.K + 1):
+        partial = [share for share in _layer_shares(split, l) if 0.0 < share < f[l - 1]]
+        if partial:
+            programs.append(build_layer_program(f[l - 1], partial))
+    return programs
+
+
 def baseline_loads(inst: ProblemInstance, memories, methods=("oca", "pca")) -> dict:
     """Load of each named split, followed by optimal per-layer delivery,
     at each cache vector of ``memories``: a list of loads per method, in
     the order of ``memories``.
 
-    The K per-layer programs are built at each split.  From one split to
-    the next only their cache-share rows move, and a start fits every
-    program built over the same index and constraint type, so each
-    layer's solves run as one warm chain, and the chain snakes: every
+    At each split the load is f_l for every user with an empty share of
+    layer l, plus the optimum of each program of :func:`build_intra_layer`
+    (the module's reduction rule).  From one split to the next only the
+    cache-share rows of a program move, and a start fits every program
+    built over the same index, so the programs of each user count run as
+    one warm chain, whatever their layer, and the chains snake: every
     split of the first method from the largest vector to the smallest,
     where the cold solve is cheapest at the top, then every split of the
-    next method back up, and so on.  At zero memory every split is the
-    same program, so the turn there costs no jump.
+    next method back up, and so on.
     """
     for method in methods:
         if method.lower() not in _SPLITS:
             raise ValueError(f"unknown baseline {method!r}; use 'pca' or 'oca'")
+    f = inst.rates.f
     order = sorted(range(len(memories)), key=lambda i: sum(memories[i]), reverse=True)
     loads = {method: [None] * len(memories) for method in methods}
-    starts = [None] * inst.K
+    starts = {}  # the last optimal basis of each user count
     for method in methods:
         for i in order:
             split = _SPLITS[method.lower()](memories[i], inst.rates)
-            total = 0.0
-            for l, (lp, _index) in enumerate(build_intra_layer(inst, split)):
-                sol = solve_lp(lp, start=starts[l])
+            total = sum((f[l - 1] for l in range(1, inst.K + 1)
+                         for share in _layer_shares(split, l) if share <= 0.0), 0.0)
+            for lp, index in build_intra_layer(inst, split):
+                sol = solve_lp(lp, start=starts.get(index.K))
                 if not sol.is_optimal:
                     raise SolverError(f"per-layer solve ended {sol.status.value}")
-                starts[l] = sol.basis
+                starts[index.K] = sol.basis
                 total += sol.objective
             loads[method][i] = total
         order.reverse()

@@ -215,14 +215,22 @@ def cmd_compare(args) -> int:
         s = s_max * i / (points - 1)
         m = tuple(s * shape[k - 1] for k in range(1, K + 1))
         subs.append(dataclasses.replace(inst, constraint=FixedMemories(m=m)))
-    schemes = _solve_chain(subs)
+    # an empty cache is served by unicast alone and a full one needs
+    # nothing (the reduction rule of the baselines module), so where every
+    # cache is one or the other the load is the empty users' rates, unsolved
+    partial = [any(0.0 < mk < rk for mk, rk in zip(sub.constraint.m, rates.r))
+               for sub in subs]
+    schemes = iter(_solve_chain([sub for sub, p in zip(subs, partial) if p]))
+    joint = [next(schemes).load() if p
+             else sum((rk for mk, rk in zip(sub.constraint.m, rates.r) if mk <= 0.0), 0.0)
+             for sub, p in zip(subs, partial)]
     baselines = baseline_loads(inst, [sub.constraint.m for sub in subs])
 
     def one(i: int) -> dict:
         sub = subs[i]
         return {
             "m_tot": sum(sub.constraint.m),
-            "joint_o2": schemes[i].load(),
+            "joint_o2": joint[i],
             "pca": baselines["pca"][i],
             "oca": baselines["oca"][i],
             "cutset_fixed": cutset_fixed(sub).value,

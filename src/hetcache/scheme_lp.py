@@ -63,9 +63,10 @@ from .model import (
 MAX_USERS = 10
 
 # distinct variable indexes kept for reuse, least recently used dropped
-# first: a K=4 or K=5 command uses at most six (the joint index and one
-# per layer), and the cache is bounded because a K=10 index holds
-# 274 435 columns, about 60 MB
+# first.  A K-user command uses the joint index and, in compare-baselines,
+# one single-layer index per user count up to K: so comparisons at K=4 and
+# K=5 in turn use seven between them and rebuild none.  The cache is
+# bounded because a K=10 index holds 274 435 columns, about 60 MB
 INDEX_CACHE_SIZE = 8
 
 
@@ -270,9 +271,10 @@ class _Rows:
     shared by every program over it; the right-hand sides and the boxes
     are set per instance.  No dict is ever changed in place.  ``pairs``
     lists the (layer, user) of each cache row and, in the same order, of
-    each completion row.  ``program`` keeps one program per constraint
-    type, so a start fits every program built over the same index and
-    constraint type, and the arrays of its rows are derived once.
+    each completion row.  One program is kept per constraint type (a
+    budget, cache sizes, or a split given as data), so a start fits every
+    program built over the same index and constraint type, and the arrays
+    of its rows are derived once.
     """
 
     def __init__(self, index: VariableIndex):
@@ -351,23 +353,19 @@ class _Rows:
         self.box = box
         self._kept: dict = {}
 
-    def rows(self, inst: ProblemInstance, split: MemoryAllocation | None = None):
-        """(equalities, upper bounds) of ``inst``: see :func:`constraint_rows`."""
-        f = inst.rates.f
+    def rows(self, f, shares=None):
+        """(equalities, upper bounds) at layer widths ``f`` = (f_1, f_2, ...)
+        and, when the split is data, the cache ``shares`` of the (layer,
+        user) pairs of ``pairs``, in that order: see :func:`constraint_rows`."""
         eq_rhs = [f[l - 1] for l in self.index.layers]
         eq_rhs += [0.0] * (len(self.eq) - len(eq_rhs))
-        if split is None:
-            ub_rhs = [0.0] * len(self.pairs)
-        else:
-            ub_rhs = [float(split.per_layer[k - 1][l - 1]) for l, k in self.pairs]
+        ub_rhs = [0.0] * len(self.pairs) if shares is None else list(shares)
         ub_rhs += [-f[l - 1] for l, _k in self.pairs]
         ub_rhs += [0.0] * (len(self.ub) - len(ub_rhs))
         return list(zip(self.eq, eq_rhs)), list(zip(self.ub, ub_rhs))
 
-    def program(self, inst: ProblemInstance,
-                split: MemoryAllocation | None = None) -> LinearProgram:
-        """The program of ``inst``: the memory rows come last, and only
-        when the cache split is a decision rather than ``split``.
+    def _program(self, kind, eqs, ubs, hi) -> LinearProgram:
+        """A build of the program kept for constraint type ``kind``.
 
         One program is kept per constraint type, and every build is a
         ``dataclasses.replace`` of it with fresh row lists and boxes, so
@@ -376,18 +374,27 @@ class _Rows:
         itself is never handed out, so a caller that edits its own cannot
         unshare the next build.
         """
-        eqs, ubs = self.rows(inst, split)
-        if split is None:
-            if inst.is_budget:
-                eqs.append((self.budget_row, float(inst.constraint.m_tot)))
-            else:
-                eqs.extend(zip(self.user_rows, map(float, inst.constraint.m)))
-        if inst.is_budget not in self._kept:
-            self._kept[inst.is_budget] = LinearProgram(
+        if kind not in self._kept:
+            self._kept[kind] = LinearProgram(
                 c=self.c, eq_rows=list(eqs), ub_rows=list(ubs), names=self.index.names)
+        return replace(self._kept[kind], eq_rows=eqs, ub_rows=ubs,
+                       lo=np.zeros(self.index.n_vars), hi=hi)
+
+    def program(self, inst: ProblemInstance) -> LinearProgram:
+        """The program of ``inst``, its memory rows last."""
         r = inst.rates
-        return replace(self._kept[inst.is_budget], eq_rows=eqs, ub_rows=ubs,
-                       lo=np.zeros(self.index.n_vars), hi=np.array([*r.f, *r.r])[self.box])
+        eqs, ubs = self.rows(r.f)
+        if inst.is_budget:
+            eqs.append((self.budget_row, float(inst.constraint.m_tot)))
+        else:
+            eqs.extend(zip(self.user_rows, map(float, inst.constraint.m)))
+        return self._program(inst.is_budget, eqs, ubs, np.array([*r.f, *r.r])[self.box])
+
+    def layer_program(self, f_l: float, shares) -> LinearProgram:
+        """The single-layer program of a layer of width ``f_l``, each user's
+        cache share given: every box is [0, f_l]."""
+        eqs, ubs = self.rows((f_l,), shares)
+        return self._program(None, eqs, ubs, np.full(self.index.n_vars, f_l))
 
 
 def constraint_rows(
@@ -411,7 +418,11 @@ def constraint_rows(
     since the shared row would already imply every per-piece cap.  The
     split is given exactly when the index has no memory variables.
     """
-    return index._rows.rows(inst, fixed_layer_memories)
+    rows = index._rows
+    shares = None
+    if fixed_layer_memories is not None:
+        shares = [float(fixed_layer_memories.per_layer[k - 1][l - 1]) for l, k in rows.pairs]
+    return rows.rows(inst.rates.f, shares)
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +485,18 @@ def build_intra_restricted(inst: ProblemInstance):
     return index._rows.program(inst), index
 
 
-def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
-    """One independent single-layer program per layer, caches given.
+def build_layer_program(f_l: float, shares):
+    """The single-layer program of ``len(shares)`` users who all want one
+    layer of width ``f_l``, user k's cache share of it ``shares[k - 1]``.
 
-    Layer l sees only users l..K, its own placement variables, and its
-    own signals; adding the objectives gives the load of a scheme that
-    treats layers separately under the supplied split.
+    Its own placement classes and its own signals, over the index of that
+    user count: every call with as many users shares one index, one set of
+    coefficient arrays, and so a warm start.
     """
-    programs = []
-    for l in range(1, inst.K + 1):
-        index = make_variable_index(
-            inst.K, layers=(l,), per_layer_signals=True, with_layer_memories=False
-        )
-        lp = index._rows.program(inst, split)
-        programs.append((lp, index))
-    return programs
+    index = make_variable_index(
+        len(shares), layers=(1,), per_layer_signals=True, with_layer_memories=False
+    )
+    return index._rows.layer_program(float(f_l), map(float, shares)), index
 
 
 # ---------------------------------------------------------------------------

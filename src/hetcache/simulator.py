@@ -104,11 +104,15 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     Raises InstanceError for a file size, seed or library size that
     :func:`make_library` cannot take, so a caller can refuse them before
     any other work.  A verify above MAX_LIBRARY_MIB is refused: it holds
-    at most the packed library of all N files, LAYER_BYTES more per
-    layer so that many empty files are refused too, and the payloads,
-    packed: at most the layers each user demands (the sum over l of
-    K - l + 1 times the length of layer l), and the buffers delivery and
-    decoding hold beside them, at most two more files.
+    the layers :func:`make_library` draws, packed, at most layers 1..k of
+    one file per user k (K - l + 1 copies of layer l), LAYER_BYTES more
+    per drawn layer, and one pointer per file, so that many files are
+    refused too; and the payloads, packed: at most the layers each user
+    demands, as many bits again, and the buffers delivery and decoding
+    hold beside them.  Those are the ints that a range read or a compare
+    makes on its way, at most four of one layer's length (measured: 0.94
+    of the cap at the largest admitted F, with equal rates), so four more
+    files are counted.
     """
     if F < 1:
         raise InstanceError([f"file size {F} must be a positive integer"])
@@ -119,8 +123,9 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     except OverflowError:  # f * F beyond the float range
         lengths, need = (), math.inf
     else:
-        need = inst.N * sum(LAYER_BYTES + (n + 7) // 8 for n in lengths)
-        need += (sum((inst.K - l + 3) * n for l, n in enumerate(lengths, 1)) + 7) // 8
+        need = 8 * inst.N + sum((inst.K - l + 1) * (LAYER_BYTES + (n + 7) // 8)
+                                for l, n in enumerate(lengths, 1))
+        need += (sum((inst.K - l + 5) * n for l, n in enumerate(lengths, 1)) + 7) // 8
     if need > MAX_LIBRARY_MIB << 20:
         # need is inf or an exact int, perhaps beyond the float range: divide
         # in integers, rounding half to even as "%.0f" would

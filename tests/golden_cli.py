@@ -10,15 +10,17 @@ files it wrote:
 loads, so two records show what the thread count changes.
 
 The set covers K = 2..5 with two budget and two fixed-memory instances
-per K, seeded, 272 commands: ``solve --out`` (joint and intra),
+per K, seeded, 288 commands: ``solve --out`` (joint and intra),
 ``verify --scheme`` of both schemes (F = 1e4 with ``--out``, 1e6, 1 and 7),
 ``verify`` without a scheme in both modes (F = 5000, ``--out``),
 ``bounds``, ``compare-baselines`` and, for budgets, ``sweep``, each of the
-last three in CSV and JSON.  Beyond the reach of the scheme program it
-runs only ``bounds`` (CSV and JSON), on two budget instances per K = 6..9
-and two fixed-memory instances per K = 6..14: 52 more commands, 324 in
-all.  Paths are recorded relative to the working directory, so records
-made from two checkouts line up.
+last three in CSV and JSON, and ``compare-baselines --points 2``.  Beyond
+the reach of the scheme program it runs only ``bounds`` (CSV and JSON),
+on two budget instances per K = 6..9 and two fixed-memory instances per
+K = 6..14: 52 more commands.  Three hand-made instances whose caches
+are empty or full beyond the zero point (``REDUCED``) add 9
+``compare-baselines`` commands, 349 in all.  Paths are recorded relative
+to the working directory, so records made from two checkouts line up.
 
     python tests/golden_cli.py --compare before.json after.json --tol 1e-9
 
@@ -26,7 +28,7 @@ lists every command whose exit code differs, whose text differs outside
 its numbers, or whose numbers differ by more than the tolerance, and
 exits 1 if there is any.  At ``--tol 0`` it also lists every text whose
 bytes differ where the numbers parse equal ("1.0" against "1.00"), so "0
-of 324 commands differ beyond 0" means the records are byte-identical.  The file has no ``test_`` prefix, so pytest
+of 349 commands differ beyond 0" means the records are byte-identical.  The file has no ``test_`` prefix, so pytest
 does not collect it.
 """
 
@@ -85,7 +87,27 @@ def commands(name: str, doc: dict) -> list[list[str]]:
         cmds.append(["compare-baselines", inst, "--points", "6", "--format", fmt])
         if "budget" in doc:
             cmds.append(["sweep", inst, "--points", "9", "--format", fmt])
+    # only the empty point and the top one
+    cmds.append(["compare-baselines", inst, "--points", "2"])
     return cmds
+
+
+# compare-baselines where caches are empty or full beyond the zero point:
+# equal rates leave zero-width layers, and at ratio 0.5 the top point of
+# "two_full" fills users 2 and 3 exactly and that of "all_full" every user
+REDUCED = {
+    "equal_rates": ([0.5, 0.5, 0.7, 0.7], "0.8"),
+    "two_full": ([0.3, 0.4, 0.8], "0.5"),
+    "all_full": ([0.2, 0.4, 0.8], "0.5"),
+}
+
+
+def reduced_commands(name: str) -> list[list[str]]:
+    inst = f"{name}.json"
+    ratio = REDUCED[name][1]
+    return [["compare-baselines", inst, "--points", "2", "--ratio", ratio],
+            ["compare-baselines", inst, "--points", "6", "--ratio", ratio],
+            ["compare-baselines", inst, "--points", "6", "--ratio", ratio, "--format", "json"]]
 
 
 def bound_commands(name: str) -> list[list[str]]:
@@ -101,6 +123,9 @@ def cases():
         for name, doc in instances(K):
             if K <= 9 or "memories" in doc:
                 yield name, doc, bound_commands(name)
+    for name, (rates, _ratio) in REDUCED.items():
+        doc = {"K": len(rates), "N": len(rates), "rates": rates, "memories": [0.0] * len(rates)}
+        yield name, doc, reduced_commands(name)
 
 
 def record() -> dict:

@@ -15,8 +15,14 @@ import numpy as np
 from hetcache.bounds import BoundReport
 from hetcache.closed_form import t_decomposition
 from hetcache.lp_core import LinearProgram, SolverError, _row_head, solve_lp
-from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance
-from hetcache.scheme_lp import mask_label, members
+from hetcache.model import (
+    Budget,
+    FixedMemories,
+    InstanceError,
+    MemoryAllocation,
+    ProblemInstance,
+)
+from hetcache.scheme_lp import constraint_rows, make_variable_index, mask_label, members
 from hetcache.simulator import (
     Piece,
     Signal,
@@ -168,6 +174,33 @@ def check_point_loop(lp: LinearProgram, x, tol: float) -> list[str]:
         if not lhs <= rhs + tol * (1.0 + abs(rhs)):
             problems.append(f"ub row {i}: {lhs} > {rhs} in {_row_head(lp, coefs)}")
     return problems
+
+
+def intra_layer_programs(inst: ProblemInstance, split: MemoryAllocation) -> list:
+    """The K per-layer programs of ``split`` with no user taken out: layer
+    l over every one of users l..K, whatever their shares, on the K-user
+    index of that layer alone."""
+    programs = []
+    for l in range(1, inst.K + 1):
+        index = make_variable_index(
+            inst.K, layers=(l,), per_layer_signals=True, with_layer_memories=False
+        )
+        eqs, ubs = constraint_rows(inst, index, split)
+        lp = LinearProgram(c=index._rows.c, eq_rows=eqs, ub_rows=ubs,
+                           hi=np.full(index.n_vars, inst.rates.f[l - 1]), names=index.names)
+        programs.append((lp, index))
+    return programs
+
+
+def intra_layer_load(inst: ProblemInstance, split: MemoryAllocation) -> float:
+    """The summed optima of :func:`intra_layer_programs`, each solved cold."""
+    total = 0.0
+    for lp, _index in intra_layer_programs(inst, split):
+        sol = solve_lp(lp)
+        if not sol.is_optimal:
+            raise SolverError(f"per-layer solve ended {sol.status.value}")
+        total += sol.objective
+    return total
 
 
 def envelope_load(corners, m_tot):

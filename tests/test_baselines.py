@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from hetcache.baselines import baseline_load, oca_split, pca_split
+from hetcache.baselines import (
+    baseline_load,
+    baseline_loads,
+    build_intra_layer,
+    oca_split,
+    pca_split,
+)
 from hetcache.model import InstanceError, make_rate_profile
 from hetcache.lp_core import solve_lp
 from hetcache.scheme_lp import build_o2, extract_scheme
 
+from oracles import intra_layer_load
 from test_scheme_lp import fixed_instance
 
 
@@ -178,3 +185,41 @@ class TestBaselineLoad:
         joint = self.joint_load(inst)
         assert baseline_load("pca", inst) == pytest.approx(joint, abs=1e-8)
         assert baseline_load("oca", inst) == pytest.approx(joint, abs=1e-8)
+
+
+def reduction_cases():
+    """(instance, two cache vectors) per draw: K = 2..6, most draws at small
+    K, N from K to 2K.  The first vector has exact empty and exact full
+    caches among random ones, the second is it scaled by a half; one draw
+    in three repeats a rate, so its layer has zero width."""
+    rng = np.random.default_rng(2024)
+    for K, draws in ((2, 20), (3, 15), (4, 10), (5, 4), (6, 2)):
+        for _ in range(draws):
+            r = sorted(float(x) for x in rng.uniform(0.05, 1.0, K))
+            if rng.random() < 1 / 3:
+                j = int(rng.integers(1, K))
+                r[j] = r[j - 1]
+            m = [(0.0, rk, float(rng.uniform(0.0, rk)))[int(rng.integers(3))] for rk in r]
+            inst = fixed_instance(r, m, N=int(rng.integers(K, 2 * K + 1)))
+            yield inst, [tuple(m), tuple(0.5 * mk for mk in m)]
+
+
+class TestReductionRule:
+    """Users with an empty or a full share leave the per-layer programs."""
+
+    def test_loads_equal_the_unreduced_programs(self):
+        splits = 0
+        for inst, memories in reduction_cases():
+            loads = baseline_loads(inst, memories)
+            for method, split_fn in (("pca", pca_split), ("oca", oca_split)):
+                for m, load in zip(memories, loads[method]):
+                    expected = intra_layer_load(inst, split_fn(m, inst.rates))
+                    assert abs(load - expected) <= 1e-12, (inst, m, method)
+                    splits += 1
+        assert splits >= 200
+
+    def test_empty_and_full_caches_need_no_program(self):
+        inst = fixed_instance(FIG, [0.0, 0.7, 0.0])
+        for split_fn in (pca_split, oca_split):
+            assert build_intra_layer(inst, split_fn(inst.constraint.m, inst.rates)) == []
+        assert baseline_load("pca", inst) == baseline_load("oca", inst) == 0.5 + 1.0

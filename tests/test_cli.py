@@ -622,23 +622,86 @@ class TestChainOrder:
 
         def recorded(inst, split):
             programs = build(inst, split)
-            splits.append(([index.layers for _lp, index in programs], sum(split.per_user)))
+            splits.append(([index.K for _lp, index in programs], split))
             return programs
 
         monkeypatch.setattr(baselines, "build_intra_layer", recorded)
         out = tmp_path / "cmp.csv"
         assert main(["compare-baselines", path, "--points", str(points), "--out", str(out)]) == 0
         printed = [float(row["m_tot"]) for row in read_csv(out)]
-        assert joint == pytest.approx(printed[::-1], abs=1e-12)
+        # the zero-memory point is solved in closed form, off the chain
+        assert joint == pytest.approx(printed[:0:-1], abs=1e-12)
         assert all(a > b for a, b in zip(joint, joint[1:]))
-        # every layer built at each split, and the splits a snake: every
-        # ordered split from the top, then every proportional one from the
-        # bottom back up
-        assert [layers for layers, _total in splits] == [[(l,) for l in range(1, K + 1)]] * (
-            2 * points)
-        totals = [total for _layers, total in splits]
+        # each split builds one program per layer that a user caches in
+        # part, over those users only, and the splits snake: every ordered
+        # split from the top, then every proportional one from the bottom
+        # back up
+        f = load_instance(path).rates.f
+        for counts, split in splits:
+            partial = [sum(0.0 < row[l - 1] < f[l - 1] for row in split.per_layer[l - 1:])
+                       for l in range(1, K + 1)]
+            assert counts == [n for n in partial if n]
+        assert splits[0][0] and splits[points - 1][0] == []
+        totals = [sum(split.per_user) for _counts, split in splits]
         assert totals[:points] == pytest.approx(printed[::-1], abs=1e-12)
         assert totals[points:] == pytest.approx(printed, abs=1e-12)
+
+    def test_compare_solves_nothing_at_zero_memory(self, monkeypatch, tmp_path):
+        # where every cache is empty the joint load is the summed rates, by
+        # unicast, and no program is built or solved for it
+        K = 4
+        rates = random_rate_list(np.random.default_rng(97), K)
+        path = write_instance(tmp_path, "k4.json", rates, memories=[0.0] * K)
+        zero = dataclasses.replace(load_instance(path), constraint=FixedMemories((0.0,) * K))
+        solved = solve_lp(build_o2(zero)[0]).objective
+        solve = cli.solve_lp
+
+        def stub(caches):
+            def no_zero_point(lp, *args, **kwargs):
+                assert any(b > 0.0 for _, b in caches(lp)), "solved at zero memory"
+                return solve(lp, *args, **kwargs)
+            return no_zero_point
+
+        # the joint program's cache sizes are its last K equalities, and a
+        # per-layer program's shares lead its upper-bound rows
+        monkeypatch.setattr(cli, "solve_lp", stub(lambda lp: lp.eq_rows[-K:]))
+        monkeypatch.setattr(baselines, "solve_lp", stub(lambda lp: lp.ub_rows))
+        for points in (2, 5):
+            out = tmp_path / f"cmp{points}.csv"
+            assert main(["compare-baselines", path, "--points", str(points),
+                         "--out", str(out)]) == 0
+            row = read_csv(out)[0]
+            assert float(row["m_tot"]) == 0.0
+            assert float(row["joint_o2"]) == sum(rates)
+            for column in ("joint_o2", "pca", "oca"):
+                assert abs(float(row[column]) - solved) <= 1e-12
+
+    def test_compare_prints_floats_where_every_cache_is_full(self, tmp_path):
+        # at ratio 0.5 the top point fills every cache exactly: no program
+        # is left, and the loads still print as floats
+        path = write_instance(tmp_path, "full.json", [0.2, 0.4, 0.8], memories=[0.0] * 3)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-baselines", path, "--points", "2", "--ratio", "0.5",
+                     "--out", str(out)]) == 0
+        top = read_csv(out)[-1]
+        assert [top[c] for c in ("joint_o2", "pca", "oca")] == ["0.0"] * 3
+
+    def test_compare_job_fits_the_index_cache(self, tmp_path):
+        # twelve K=4 then six K=5 comparisons need the two joint indexes
+        # and one single-layer index per user count 1..5, which
+        # INDEX_CACHE_SIZE holds, so a second pass builds none of them
+        rng = np.random.default_rng(98)
+        paths = [write_instance(tmp_path, f"cmp{i}.json", random_rate_list(rng, K),
+                                memories=[0.0] * K)
+                 for i, K in enumerate((4,) * 12 + (5,) * 6)]
+        ratios = np.linspace(0.6, 0.95, len(paths))
+        for attempt in range(2):
+            before = scheme_lp._build_index.cache_info().misses
+            for path, ratio in zip(paths, ratios):
+                assert main(["compare-baselines", path, "--points", "3",
+                             "--ratio", repr(float(ratio))]) == 0
+            misses = scheme_lp._build_index.cache_info().misses - before
+        assert misses == 0
 
     def test_cli_chains_invert_no_basis(self, monkeypatch, tmp_path):
         # every chain moves one program, so each start is taken with its

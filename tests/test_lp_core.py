@@ -13,8 +13,8 @@ from hetcache.lp_core import (
     solve_lp,
 )
 from hetcache.model import Budget, FixedMemories, ProblemInstance, make_rate_profile
-from hetcache.baselines import pca_split
-from hetcache.scheme_lp import _build_index, build_intra_layer, build_o1, build_o2
+from hetcache.baselines import build_intra_layer, pca_split
+from hetcache.scheme_lp import _build_index, build_o1, build_o2
 from oracles import brute_force_lp, random_box_lp
 
 

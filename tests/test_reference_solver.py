@@ -12,15 +12,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hetcache.baselines import oca_split, pca_split
+from hetcache.baselines import baseline_loads, build_intra_layer, oca_split, pca_split
 from hetcache.lp_core import LpStatus, solve_lp
 from hetcache.model import Budget, FixedMemories, ProblemInstance, make_rate_profile
 from hetcache.scheme_lp import (
-    build_intra_layer,
     build_intra_restricted,
     build_o1,
     build_o2,
 )
+
+from oracles import intra_layer_programs
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -71,8 +72,10 @@ def programs(K, seed):
     yield "intra fixed", build_intra_restricted(fixed)[0]
     for name, split_fn in (("pca", pca_split), ("oca", oca_split)):
         split = split_fn(fixed.constraint.m, rates)
-        for l, (layer_lp, _index) in enumerate(build_intra_layer(fixed, split), 1):
-            yield f"{name} layer {l}", layer_lp
+        for i, (layer_lp, index) in enumerate(build_intra_layer(fixed, split), 1):
+            yield f"{name} program {i} of {index.K} users", layer_lp
+        for l, (layer_lp, _index) in enumerate(intra_layer_programs(fixed, split), 1):
+            yield f"{name} unreduced layer {l}", layer_lp
 
 
 CASES = [(K, seed) for K in (2, 3, 4) for seed in range(4)] + [(5, 0), (5, 1)]
@@ -100,21 +103,26 @@ def test_six_users_match_highs():
 
 @pytest.mark.parametrize("K, seed", [(3, 0), (4, 1), (5, 2)])
 def test_warm_baseline_chains_match_highs(K, seed):
-    # each layer's program built at the PCA and then the OCA split of five
-    # cache vectors in fixed ratio, every solve warm-started from the one
-    # before of its layer, as compare-baselines runs them
+    # the programs at the PCA and then the OCA split of five cache vectors
+    # in fixed ratio, every solve warm-started from the one before of its
+    # user count, as compare-baselines runs them; and each split's load
+    # against HiGHS on the K unreduced layer programs
     rng = np.random.default_rng(seed)
     rates = make_rate_profile(sorted(rng.uniform(0.05, 1.0, K)))
     shape = [0.8 ** (K - k) for k in range(1, K + 1)]
     s_max = min(r / w for r, w in zip(rates.r, shape))
     memories = [tuple(s * w for w in shape) for s in np.linspace(0.0, s_max, 5)]
     inst = ProblemInstance(K, K, rates, FixedMemories(memories[0]))
-    splits = [fn(m, rates) for fn in (pca_split, oca_split) for m in memories]
-    starts = [None] * K
-    for split in splits:
-        for l, (program, _index) in enumerate(build_intra_layer(inst, split)):
-            sol = solve_lp(program, start=starts[l])
-            status, objective = highs(program)
-            assert sol.status is LpStatus(status)
-            assert sol.objective == pytest.approx(objective, abs=1e-8)
-            starts[l] = sol.basis
+    loads = baseline_loads(inst, memories, ("pca", "oca"))
+    starts = {}
+    for method, fn in (("pca", pca_split), ("oca", oca_split)):
+        for m, load in zip(memories, loads[method]):
+            split = fn(m, rates)
+            for program, index in build_intra_layer(inst, split):
+                sol = solve_lp(program, start=starts.get(index.K))
+                status, objective = highs(program)
+                assert sol.status is LpStatus(status)
+                assert sol.objective == pytest.approx(objective, abs=1e-8)
+                starts[index.K] = sol.basis
+            unreduced = sum(highs(lp)[1] for lp, _index in intra_layer_programs(inst, split))
+            assert load == pytest.approx(unreduced, abs=1e-8)

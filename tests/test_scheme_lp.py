@@ -14,12 +14,13 @@ from hetcache.model import (
     ProblemInstance,
     make_rate_profile,
 )
+from hetcache.baselines import build_intra_layer
 from hetcache.model import MemoryAllocation
 from hetcache.scheme_lp import (
     INDEX_CACHE_SIZE,
     SchemeSolution,
-    build_intra_layer,
     build_intra_restricted,
+    build_layer_program,
     build_o1,
     build_o2,
     constraint_rows,
@@ -310,8 +311,7 @@ class TestConstraintRows:
         elif kind == "restricted":
             programs = [build_intra_restricted(inst)]
         else:
-            split = MemoryAllocation.from_matrix([[0.0] * K for _ in range(K)])
-            programs = build_intra_layer(inst, split)
+            programs = [build_layer_program(0.2, [0.1] * n) for n in range(1, K + 1)]
         for lp, idx in programs:
             for col in idx.assign.values():
                 eq = [c[col] for c, _ in lp.eq_rows if col in c]
@@ -459,7 +459,12 @@ class TestIntraRestriction:
             for k in range(1, 4)
         ]
         split = MemoryAllocation.from_matrix(rows)
-        total = sum(
+        # a user with an empty share of a layer is out of its program and
+        # costs that layer by unicast
+        f = example_one.rates.f
+        empty = sum(f[l - 1] for k, row in enumerate(rows, 1) for l in range(1, k + 1)
+                    if row[l - 1] <= 0.0)
+        total = empty + sum(
             solve_objective(prog) for prog in build_intra_layer(example_one, split)
         )
         assert total == pytest.approx(sol.objective, abs=1e-8)

@@ -247,9 +247,12 @@ class TestLibraryCap:
         monkeypatch.setattr(simulator, "MAX_LIBRARY_MIB", 4)
         rng = np.random.default_rng(6)
         cases = [(ex1_instance(), EX1_SCHEME)]
-        for K in (3, 5):
+        # the cap counts the drawn layers, not all N files
+        for K, N in ((3, 3), (5, 5), (3, 300)):
             r = list(np.sort(rng.uniform(0.05, 1.0, size=K)))
-            cases.append((fixed_instance(r, [0.0] * K), None))
+            cases.append((fixed_instance(r, [0.0] * K, N=N), None))
+        # one layer as long as a file makes the longest reads
+        cases.append((fixed_instance([0.9] * 3, [0.0] * 3), None))
         for inst, scheme in cases:
             scheme = scheme or solved_scheme(inst)
             F = self.largest_admitted(inst)
