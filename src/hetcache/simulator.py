@@ -5,12 +5,11 @@ into integer bit counts, fills caches, XORs real signals together, and
 has every user decode its demanded layers from nothing but its own
 cache and the transmitted log.  Everything is deterministic given
 (instance, scheme, file size, seed), so a run doubles as a regression
-fixture.  Library layers are packed, eight bits to a byte, yet hold the
-stream one bounded uint8 draw per bit gives from the same seed
-(:func:`_random_layers` says why); only the layers the demand reads are
-drawn.  Payloads and range reads are packed too: a Python int whose
-highest bit is the first, beside its bit length, so delivery and
-decoding XOR whole words.
+fixture.  The library is one seeded stream of 64-bit outputs, and a
+layer is the bytes of its whole outputs, eight bits to a byte; only the
+layers the demand reads are drawn.  Payloads and range reads are packed
+too: a Python int whose highest bit is the first, beside its bit
+length, so delivery and decoding XOR whole words.
 
 Rounding policy: allocation fractions round to the nearest bit with the
 uncached chunk absorbing the slack, signal pieces are capped greedily
@@ -38,12 +37,9 @@ from .scheme_lp import SchemeSolution, _span_mask, _submasks, mask_label, member
 # and the buffers delivery and decoding hold, packed too
 MAX_LIBRARY_MIB = 512
 
-# 32-bit words drawn at once; even, so that a layer's segments of this
-# many words pack into whole bytes
-DRAW_WORDS = 1 << 14
-
-# what a layer costs beside its bits: its array and, at the peak of the
-# draw, the bookkeeping (about 330 bytes with numpy 2.4)
+# what a layer's view, or a drawn file's buffer, costs beside its bits
+# (the buffer is two arrays, its outputs and their bytes; an array is
+# about 115 bytes with numpy 2.4)
 LAYER_BYTES = 512
 
 
@@ -61,10 +57,11 @@ class FileLibrary:
 
     Layer l of every file holds ``layer_lengths[l-1]`` bits, eight to a
     byte with the first bit in the top bit of the first byte (the
-    ``np.packbits`` order) and the padding bits of the last byte zero.
-    A file holds only its layers 1..k when user k demands it, and no
-    layer when nobody does: ``files[j-1]`` has one array per drawn
-    layer.  Bits are read only through :meth:`bits`.
+    ``np.packbits`` order) and the padding bits of the last byte zero:
+    the leading bytes of its 64-bit outputs in little-endian order (see
+    :func:`make_library`).  A file holds only its layers 1..k when user
+    k demands it, and no layer when nobody does: ``files[j-1]`` has one
+    array per drawn layer.  Bits are read only through :meth:`bits`.
     """
 
     F: int
@@ -104,9 +101,10 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     Raises InstanceError for a file size, seed or library size that
     :func:`make_library` cannot take, so a caller can refuse them before
     any other work.  A verify above MAX_LIBRARY_MIB is refused: it holds
-    the layers :func:`make_library` draws, packed, at most layers 1..k of
-    one file per user k (K - l + 1 copies of layer l), LAYER_BYTES more
-    per drawn layer, and one pointer per file, so that many files are
+    the layers :func:`make_library` draws, each padded to whole 64-bit
+    outputs, at most layers 1..k of one file per user k (K - l + 1
+    copies of layer l), LAYER_BYTES more per drawn layer and per drawn
+    file's buffer, and one pointer per file, so that many files are
     refused too; and the payloads, packed: at most the layers each user
     demands, as many bits again, and the buffers delivery and decoding
     hold beside them.  Those are the ints that a range read or a compare
@@ -123,8 +121,9 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     except OverflowError:  # f * F beyond the float range
         lengths, need = (), math.inf
     else:
-        need = 8 * inst.N + sum((inst.K - l + 1) * (LAYER_BYTES + (n + 7) // 8)
-                                for l, n in enumerate(lengths, 1))
+        need = 8 * inst.N + inst.K * LAYER_BYTES
+        need += sum((inst.K - l + 1) * (LAYER_BYTES + 8 * ((n + 63) // 64))
+                    for l, n in enumerate(lengths, 1))
         need += (sum((inst.K - l + 5) * n for l, n in enumerate(lengths, 1)) + 7) // 8
     if need > MAX_LIBRARY_MIB << 20:
         # need is inf or an exact int, perhaps beyond the float range: divide
@@ -138,80 +137,41 @@ def library_layout(inst: ProblemInstance, F: int, seed: int = 0) -> tuple[int, .
     return lengths
 
 
-def _random_layers(bit_generator, layers) -> list[np.ndarray]:
-    """Packed uniform bits of each (first word, length n) in ``layers``, in
-    ascending order of word: the very stream that ``rng.integers(0, 2,
-    size=n, dtype=np.uint8)`` gives for a layer that starts at that word.
-
-    numpy draws a bounded uint8 by Lemire's method on successive bytes
-    of buffered 32-bit words, low byte first: the bit is (byte * 2) >> 8,
-    the byte's top bit, and with a range of 2 the rejection threshold is
-    (255 - 1) % 2 = 0, so no byte is ever rejected.  Each call starts
-    with an empty byte buffer and so consumes ceil(n / 4) words.  The
-    words are the low, then the high half of each 64-bit output, the
-    high half kept between calls.  So the layers, cut into segments of
-    at most DRAW_WORDS words, can share draws of at most DRAW_WORDS words
-    taken from the raw outputs, an unused high half carried over: a gap
-    between segments inside one draw is drawn and dropped, and one
-    between draws is skipped with ``bit_generator.advance`` over the
-    outputs it spans.
-    """
-    # (layer, first word, bits) of each segment
-    segments = [(i, word + at // 4, min(4 * DRAW_WORDS, n - at))
-                for i, (word, n) in enumerate(layers) for at in range(0, n, 4 * DRAW_WORDS)]
-    parts: list[list] = [[] for _ in layers]
-    taken = 0  # 64-bit outputs taken from the stream
-    carried, carried_at = np.zeros(0, dtype=np.uint8), 0  # an unused high half, and its word
-    first = 0
-    while first < len(segments):
-        # the segments that end within DRAW_WORDS words of the first one's start
-        w0 = stop = segments[first][1]
-        last = first
-        while (last < len(segments)
-               and segments[last][1] + (segments[last][2] + 3) // 4 - w0 <= DRAW_WORDS):
-            stop = segments[last][1] + (segments[last][2] + 3) // 4
-            last += 1
-        if w0 == carried_at:
-            head, skip, begin = carried, 0, taken
-        else:  # a gap: start at the output holding word w0, and skip its low half if odd
-            head, skip, begin = carried[:0], 4 * (w0 % 2), w0 // 2
-            bit_generator.advance(begin - taken)
-        taken = (stop + 1) // 2
-        raw = bit_generator.random_raw(taken - begin)
-        raw &= 0x8080808080808080  # the top bit of each byte; packbits takes nonzero as 1
-        # little-endian bytes, so the order does not depend on the host
-        tops = raw.astype("<u8", copy=False).view(np.uint8)[skip:]
-        tops = np.concatenate([head, tops]) if len(head) else tops
-        carried, carried_at = tops[4 * (stop - w0) :].copy(), stop
-        for i, word, n in segments[first:last]:
-            parts[i].append(np.packbits(tops[4 * (word - w0) : 4 * (word - w0) + n]))
-        first = last
-    return [np.concatenate(p) if p else np.zeros(0, dtype=np.uint8) for p in parts]
-
-
 def make_library(inst: ProblemInstance, F: int, seed: int = 0, demand=None) -> FileLibrary:
     """Draw the layers ``demand`` reads: layers 1..k of the file user k
     demands, under the worst-case demand d = (1, ..., K) by default.
 
-    The N files lie in one seeded stream, file-major and layer-minor, as
-    if every layer were drawn, and layer l of a file holds the bits
-    ``rng.integers(0, 2, size=n, dtype=np.uint8)`` would give it there,
-    drawn and packed by :func:`_random_layers`; the layers between are
-    skipped.  A library :func:`library_layout` refuses is refused before
-    anything is allocated.
+    The N files lie in one seeded stream of 64-bit outputs, file-major
+    and layer-minor, as if every layer were drawn: a layer of n bits
+    takes ceil(n / 64) whole outputs, and its bytes are theirs in
+    little-endian order, so a file's bits do not depend on which other
+    files are drawn.  Each demanded file, in ascending order, skips the
+    outputs before it with ``bit_generator.advance``, a jump rather than
+    a draw, and takes those of its layers 1..k in one ``random_raw``
+    call; each layer is a view of that buffer.  A library
+    :func:`library_layout` refuses is refused before anything is
+    allocated.
     """
     lengths = library_layout(inst, F, seed)
     K = len(lengths)
     demand = _check_demand(range(1, K + 1) if demand is None else demand, K, inst.N)
-    starts = list(itertools.accumulate(((n + 3) // 4 for n in lengths), initial=0))
-    depth = sorted((d - 1, k) for k, d in enumerate(demand, 1))  # (file index, layers drawn)
+    # where each layer starts in its file, in outputs, and the file's length
+    starts = list(itertools.accumulate(((n + 63) // 64 for n in lengths), initial=0))
     # numpy.random loads here, not when the package is imported
-    layers = iter(_random_layers(np.random.default_rng(seed).bit_generator,
-                                 [(j * starts[-1] + starts[l], lengths[l])
-                                  for j, k in depth for l in range(k)]))
+    bit_generator = np.random.default_rng(seed).bit_generator
     files = [()] * inst.N
-    for j, k in depth:
-        files[j] = tuple(itertools.islice(layers, k))
+    taken = 0  # 64-bit outputs taken from the stream
+    for j, k in sorted((d - 1, k) for k, d in enumerate(demand, 1)):  # (file index, layers)
+        bit_generator.advance(j * starts[-1] - taken)
+        taken = j * starts[-1] + starts[k]
+        # little-endian bytes, so the order does not depend on the host
+        buffer = bit_generator.random_raw(starts[k]).astype("<u8", copy=False).view(np.uint8)
+        layers = [buffer[8 * starts[l] : 8 * starts[l] + (n + 7) // 8]
+                  for l, n in enumerate(lengths[:k])]
+        for layer, n in zip(layers, lengths):
+            if n % 8:  # zero the padding bits of the last byte
+                layer[-1] &= 0xFF << (8 - n % 8) & 0xFF
+        files[j] = tuple(layers)
     return FileLibrary(F=int(F), seed=int(seed), layer_lengths=lengths, files=tuple(files))
 
 
@@ -341,9 +301,6 @@ class CacheContents:
     def require(self, k: int, l: int, start: int, stop: int) -> None:
         if not self.holds(k, l, start, stop):
             raise SimulationError(f"user {k} asked for uncached bits {start}:{stop} of layer {l}")
-
-    def bits_per_file(self, k: int) -> int:
-        return sum(stop - start for _, _, start, stop in self.ranges[k - 1])
 
 
 def place(library: FileLibrary, q: QuantizedScheme) -> CacheContents:

@@ -7,7 +7,13 @@ files it wrote:
     PYTHONPATH=src python tests/golden_cli.py --out golden.json
 
 ``--threads N`` runs BLAS and OpenMP at N threads instead, set before numpy
-loads, so two records show what the thread count changes.
+loads, so two records show what the thread count changes.  The one-thread
+record is checked in, gzipped, as ``tests/golden/record.json.gz``, and
+``tests/test_golden_cli.py`` compares a fresh run with it at ``--tol 0``;
+
+    PYTHONPATH=src python tests/golden_cli.py --update
+
+rewrites it.  A path that ends in ``.gz`` is read and written gzipped.
 
 The set covers K = 2..5 with two budget and two fixed-memory instances
 per K, seeded, 288 commands: ``solve --out`` (joint and intra),
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gzip
 import io
 import json
 import os
@@ -45,6 +52,7 @@ import tempfile
 from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RECORD = Path(__file__).resolve().parent / "golden" / "record.json.gz"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
 
 
@@ -172,9 +180,13 @@ def differences(a: dict, b: dict, tol: float) -> list[str]:
     return found
 
 
+def load(path) -> dict:
+    data = Path(path).read_bytes()
+    return json.loads(gzip.decompress(data) if str(path).endswith(".gz") else data)
+
+
 def compare(path_a: str, path_b: str, tol: float) -> int:
-    a = json.loads(Path(path_a).read_text())
-    b = json.loads(Path(path_b).read_text())
+    a, b = load(path_a), load(path_b)
     bad = 0
     for argv in sorted(set(a) | set(b)):
         if argv not in a or argv not in b:
@@ -191,6 +203,8 @@ def compare(path_a: str, path_b: str, tol: float) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the record of every command here")
+    parser.add_argument("--update", action="store_true",
+                        help="rewrite the checked-in record, tests/golden/record.json.gz")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two records instead of running")
     parser.add_argument("--tol", type=float, default=0.0,
@@ -200,8 +214,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare, args.tol)
+    if args.update:
+        args.out = RECORD
     if not args.out:
-        parser.error("give --out or --compare")
+        parser.error("give --out, --update or --compare")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     for var in THREAD_VARS:  # before numpy loads: the thread count can move the vertex
@@ -209,7 +225,9 @@ def main(argv=None) -> int:
     out = Path(args.out).resolve()
     with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
         results = record()
-    out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    text = (json.dumps(results, indent=1, sort_keys=True) + "\n").encode()
+    # no timestamp in the gzip header, so an unchanged record keeps its bytes
+    out.write_bytes(gzip.compress(text, mtime=0) if out.suffix == ".gz" else text)
     print(f"{len(results)} commands recorded in {out}")
     return 0
 

@@ -289,17 +289,22 @@ def simplified_budget_solve(m_tot, rates):
 
 
 def library_per_bit(inst: ProblemInstance, F: int, seed: int) -> tuple:
-    """The N files as one bounded uint8 draw per bit gives them.
+    """The N files, one uint8 per bit, as the whole seeded stream gives them.
 
-    One ``integers(0, 2, dtype=uint8)`` call per layer, file-major and
-    layer-minor, from one seeded stream: the library ``make_library``
-    must reproduce bit for bit.
+    One ``random_raw`` call draws every 64-bit output of every file,
+    file-major and layer-minor, with no output skipped; ``np.unpackbits``
+    cuts the little-endian bytes into bits, and a layer of n bits keeps
+    the first n bits of its ceil(n / 64) outputs: the library
+    ``make_library`` must reproduce bit for bit.
     """
     lengths = tuple(int(round(f * F)) for f in inst.rates.f)
-    rng = np.random.default_rng(seed)
+    words = [(n + 63) // 64 for n in lengths]
+    raw = np.random.default_rng(seed).bit_generator.random_raw(inst.N * sum(words))
+    bits = np.unpackbits(raw.astype("<u8").view(np.uint8)).reshape(inst.N, 64 * sum(words))
+    starts = 64 * np.cumsum([0] + words)
     return tuple(
-        tuple(rng.integers(0, 2, size=n, dtype=np.uint8) for n in lengths)
-        for _ in range(inst.N)
+        tuple(row[start : start + n] for start, n in zip(starts.tolist(), lengths))
+        for row in bits
     )
 
 

@@ -1,5 +1,10 @@
-"""The golden-record comparison of tests/golden_cli.py: at zero tolerance,
-"no difference" must mean equal bytes."""
+"""The golden record of tests/golden_cli.py: at zero tolerance, "no
+difference" must mean equal bytes, and the CLI must keep the checked-in
+record."""
+
+import os
+import subprocess
+import sys
 
 
 def test_zero_tolerance_reports_respelled_numbers():
@@ -16,3 +21,18 @@ def test_zero_tolerance_reports_respelled_numbers():
     # a file written only by the second run counts too
     assert differences(a, dict(a, files={"x.json": "{}"}), 0.0) == ["x.json: text differs"]
     assert differences(a, a, 0.0) == []
+
+
+def test_the_cli_keeps_the_golden_record(tmp_path, capsys):
+    # a fresh one-thread run, byte for byte; after a change that means to
+    # move the output, `python tests/golden_cli.py --update` re-records
+    from golden_cli import RECORD, THREAD_VARS, compare
+
+    root = RECORD.parents[2]
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    now = tmp_path / "now.json"
+    proc = subprocess.run([sys.executable, "tests/golden_cli.py", "--out", str(now)],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert compare(str(RECORD), str(now), 0.0) == 0, capsys.readouterr().out

@@ -1,6 +1,7 @@
 """End-to-end bit-level checks: place, transmit, decode, measure."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -119,10 +120,9 @@ class TestLibrary:
         with pytest.raises(InstanceError, match="file size"):
             make_library(ex1_instance(), 0)
 
-    # (rates, N, F, layer lengths): a length that is not a multiple of four
-    # leaves bytes of its last 32-bit word unused, an odd word count leaves
-    # half of a 64-bit PCG64 output for the next layer, and an empty layer
-    # draws nothing
+    # (rates, N, F, layer lengths): a length that is not a multiple of 64
+    # leaves bits of its last output unused, an odd output count puts the
+    # next layer at an odd output, and an empty layer draws nothing
     LAYOUTS = [
         ([0.0, 0.001, 0.003, 0.006, 0.010, 0.015, 0.022], 9, 1000, (0, 1, 2, 3, 4, 5, 7)),
         ([0.123457, 0.823458, 0.999999], 4, 10**6, (123457, 700001, 176541)),
@@ -130,57 +130,83 @@ class TestLibrary:
          (3, 123457, 1, 5, 700001, 0, 7)),
     ]
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_library_is_the_per_bit_draw(self, seed, monkeypatch):
-        # the default draw size, and sizes that put draw boundaries inside
-        # layers and between them at many offsets, odd word counts included;
-        # the worst-case demand draws a prefix of each of the first K files,
-        # the others put gaps at odd and even words between drawn layers
-        for draw_words in (simulator.DRAW_WORDS, 2, 6, 50_000):
-            monkeypatch.setattr(simulator, "DRAW_WORDS", draw_words)
-            for rates, N, F, lengths in self.LAYOUTS:
-                if draw_words < 10 and F > 1000:
-                    continue  # millions of tiny draws; the short layout covers them
-                K = len(rates)
-                inst = fixed_instance(rates, [0.0] * K, N=N)
-                want = library_per_bit(inst, F, seed)
-                for demand in (None, tuple(range(N, N - K, -1)), tuple(range(2, 2 * K + 1, 2))):
-                    if demand and max(demand) > N:
-                        continue
-                    lib = make_library(inst, F, seed, demand)
-                    assert lib.layer_lengths == lengths
-                    depth = {d: k for k, d in enumerate(demand or range(1, K + 1), 1)}
-                    assert len(lib.files) == len(want) == N
-                    for j, (got_file, want_file) in enumerate(zip(lib.files, want), 1):
-                        # user k's file has layers 1..k, a file nobody demands none
-                        assert len(got_file) == depth.get(j, 0)
-                        for got, ref in zip(got_file, want_file):
-                            # packed eight bits to a byte, the padding bits zero
-                            assert got.dtype == np.uint8 and len(got) == (len(ref) + 7) // 8
-                            bits = np.unpackbits(got)
-                            assert np.array_equal(bits[: len(ref)], ref)
-                            assert not bits[len(ref):].any()
+    @staticmethod
+    def assert_drawn(lib, demand, want):
+        """``lib`` holds layers 1..k of file d_k as ``want`` has them, and no
+        other layer."""
+        depth = {d: k for k, d in enumerate(demand, 1)}
+        assert len(lib.files) == len(want)
+        for j, (got_file, want_file) in enumerate(zip(lib.files, want), 1):
+            # user k's file has layers 1..k, a file nobody demands none
+            assert len(got_file) == depth.get(j, 0)
+            for got, ref in zip(got_file, want_file):
+                # packed eight bits to a byte, the padding bits zero
+                assert got.dtype == np.uint8 and len(got) == (len(ref) + 7) // 8
+                bits = np.unpackbits(got)
+                assert np.array_equal(bits[: len(ref)], ref)
+                assert not bits[len(ref):].any()
 
-    def test_any_layers_drawn_are_the_per_bit_draw(self, monkeypatch):
-        # short random layouts, any layers drawn: gaps of odd and even word
-        # counts, empty layers, and draws that end inside a 64-bit output
+    @pytest.mark.parametrize("seed", range(4))
+    def test_library_is_the_per_bit_draw(self, seed):
+        # the worst-case demand draws a prefix of each of the first K files,
+        # the others skip whole files and layers between drawn ones
+        for rates, N, F, lengths in self.LAYOUTS:
+            K = len(rates)
+            inst = fixed_instance(rates, [0.0] * K, N=N)
+            want = library_per_bit(inst, F, seed)
+            assert len(want) == N
+            for demand in (None, tuple(range(N, N - K, -1)), tuple(range(2, 2 * K + 1, 2))):
+                if demand and max(demand) > N:
+                    continue
+                lib = make_library(inst, F, seed, demand)
+                assert lib.layer_lengths == lengths
+                self.assert_drawn(lib, demand or range(1, K + 1), want)
+
+    def test_any_demand_draws_the_stream(self):
+        # random layouts and demands at F = 1, 7 and 10^4; at 10^4 the layers
+        # have no bits, 64w bits (whole outputs), 8w + 3 bits or any count
         rng = np.random.default_rng(5)
-        for draw_words in (2, 6, simulator.DRAW_WORDS):
-            monkeypatch.setattr(simulator, "DRAW_WORDS", draw_words)
-            for _ in range(40):
-                lengths = [int(n) for n in rng.integers(0, 60, size=8)]
-                drawn = sorted(int(i) for i in rng.choice(8, size=int(rng.integers(1, 9)),
-                                                          replace=False))
-                ref = np.random.default_rng(7)
-                want = [ref.integers(0, 2, size=n, dtype=np.uint8) for n in lengths]
-                words = np.cumsum([0] + [(n + 3) // 4 for n in lengths])
-                got = simulator._random_layers(np.random.default_rng(7).bit_generator,
-                                               [(int(words[i]), lengths[i]) for i in drawn])
-                for i, layer in zip(drawn, got, strict=True):
-                    bits = np.unpackbits(layer)
-                    assert len(layer) == (lengths[i] + 7) // 8
-                    assert np.array_equal(bits[: lengths[i]], want[i])
-                    assert not bits[lengths[i]:].any()
+        gaps, kinds = set(), set()
+        for trial in range(90):
+            K = int(rng.integers(1, 7))
+            N = K + int(rng.integers(0, 4))
+            F = (1, 7, 10_000)[trial % 3]
+            if F == 10_000:
+                lengths = [int(rng.choice([0, 64 * w, 8 * w + 3, rng.integers(1, 200)]))
+                           for w in rng.integers(1, 4, size=K)]
+                rates = [n / F for n in np.cumsum(lengths).tolist()]
+            else:
+                rates = np.sort(rng.uniform(0.0, 1.0, size=K)).tolist()
+            inst = fixed_instance(rates, [0.0] * K, N=N)
+            seed = int(rng.integers(0, 100))
+            demand = tuple(int(d) for d in rng.permutation(N)[:K] + 1)
+            lib = make_library(inst, F, seed, demand)
+            if F == 10_000:
+                assert lib.layer_lengths == tuple(lengths)
+            self.assert_drawn(lib, demand, library_per_bit(inst, F, seed))
+            # the outputs skipped before each drawn file, and the layers drawn
+            starts = np.cumsum([0] + [(n + 63) // 64 for n in lib.layer_lengths]).tolist()
+            end = 0
+            for j, k in sorted((d - 1, k) for k, d in enumerate(demand, 1)):
+                gaps.add((j * starts[-1] - end) % 2 if j * starts[-1] > end else None)
+                end = j * starts[-1] + starts[k]
+                kinds.update("empty" if n == 0 else "whole" if n % 64 == 0 else n % 8
+                             for n in lib.layer_lengths[:k])
+        assert {0, 1} <= gaps
+        assert {"empty", "whole", 3} <= kinds
+
+    def test_a_layer_is_the_same_under_every_demand(self):
+        # a file's bits do not depend on which other files are drawn
+        inst = fixed_instance([0.064, 0.131, 0.261], [0.0] * 3, N=5)
+        seen: dict = {}
+        for demand in itertools.permutations(range(1, 6), 3):
+            lib = make_library(inst, 1000, seed=8, demand=demand)
+            for j, layers in enumerate(lib.files, 1):
+                for l, layer in enumerate(layers, 1):
+                    seen.setdefault((j, l), set()).add(layer.tobytes())
+        assert lib.layer_lengths == (64, 67, 130)
+        assert sorted(seen) == [(j, l) for j in range(1, 6) for l in range(1, 4)]
+        assert all(len(variants) == 1 for variants in seen.values())
 
     def test_undrawn_layers_cannot_be_read(self):
         rates, N, F, _lengths = self.LAYOUTS[0]
@@ -314,7 +340,7 @@ class TestPlace:
         q = quantize(EX1_SCHEME, 10, layer_lengths=lib.layer_lengths)
         cache = place(lib, q)
         # one layer-1 bit in the {3} chunk, the whole 5-bit layer 3
-        assert cache.bits_per_file(3) == 6
+        assert sum(stop - start for _, _, start, stop in cache.ranges[2]) == 6
         layers = sorted((l, stop - start) for l, _, start, stop in cache.ranges[2])
         assert layers == [(1, 1), (3, 5)]
 
@@ -323,7 +349,8 @@ class TestPlace:
         scheme = solved_scheme(inst)
         lib = make_library(inst, 100, seed=0)
         cache = place(lib, quantize(scheme, 100, layer_lengths=lib.layer_lengths))
-        assert all(cache.bits_per_file(k) == 0 for k in range(1, 4))
+        assert all(sum(stop - start for _, _, start, stop in cache.ranges[k - 1]) == 0
+                   for k in range(1, 4))
 
     def test_full_cache_holds_needed_layers(self):
         inst = fixed_instance(EX1_RATES, EX1_RATES)
@@ -332,7 +359,7 @@ class TestPlace:
         cache = place(lib, quantize(scheme, 1000, layer_lengths=lib.layer_lengths))
         for k in range(1, 4):
             needed = sum(lib.layer_lengths[: k])
-            assert cache.bits_per_file(k) == needed
+            assert sum(stop - start for _, _, start, stop in cache.ranges[k - 1]) == needed
 
     def test_overflow_is_a_fault(self):
         lib = make_library(ex1_instance(), 10_000, seed=0)
