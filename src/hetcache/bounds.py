@@ -23,6 +23,7 @@ package and certify how much of the gap is real.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -52,8 +53,8 @@ class BoundReport:
     ``raw_value`` keeps the unclamped number for diagnostics.  The
     attaining witness is the maximizing user subset for fixed caches, as
     a bitmask with bit k-1 for user k, or the minimizing memory split for
-    a budget.  ``basis`` is the optimal basis of the budget program, to
-    start the bound at another budget from.
+    a budget.  ``basis`` is the optimal basis of the budget program: a
+    start for the budget bound of any instance with the same K and N.
     """
 
     value: float
@@ -122,18 +123,13 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
 
 
 def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
-                  start: Basis | None = None,
-                  program: LinearProgram | None = None) -> BoundReport:
+                  start: Basis | None = None) -> BoundReport:
     """Budget version: minimize the best cut over admissible splits.
 
     The program is :func:`budget_program`'s, moved to the budget
-    ``m_tot`` (the instance's own when None).  Only the budget row's
-    right-hand side depends on the budget, so along a chain of budgets
-    ``program``, built once for these users, is moved instead of rebuilt,
-    and the ``basis`` of the report at one budget is a warm ``start`` at
-    another.  A ``start`` is used only together with the ``program``
-    whose solve produced it; without that program it is dropped and the
-    solve runs cold.
+    ``m_tot`` (the instance's own when None).  Every program with the same
+    K and N shares one set of coefficient arrays, so the ``basis`` of any
+    such report, at any rates and budget, is a warm ``start`` here.
     """
     _check_program_size(inst.K)
     if m_tot is None:
@@ -142,10 +138,8 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
         m_tot = inst.constraint.m_tot
     m_tot = check_budget(float(m_tot), inst.rates)
 
-    lp = budget_program(inst) if program is None else program
-    # the same coefficient dicts, so the moved program shares their arrays
-    ((budget_row, _),) = lp.eq_rows
-    sol = solve_lp(replace(lp, eq_rows=[(budget_row, m_tot)]), start=start)
+    lp = budget_program(inst)
+    sol = solve_lp(replace(lp, eq_rows=[(lp.eq_rows[0][0], m_tot)]), start=start)
     if not sol.is_optimal:
         raise SolverError(f"cut-set program ended {sol.status.value}")
     raw = float(sol.objective)
@@ -168,48 +162,57 @@ def budget_program(inst: ProblemInstance) -> LinearProgram:
     the one equality, and the boxes m_k in [0, r_k] complete the program:
     K^2 - 1 rows and K^2 - K - 2 columns for K >= 3, against 2^K rows for
     one row per subset.
-    """
-    K, N = inst.K, inst.N
-    r = inst.rates.r
-    r_max = max(r)
-    total = inst.rates.sum_rates
-    zcol = K
-    # the size-1 cuts r_k - m_k are nonnegative and no cut exceeds the total
-    lo = [0.0] * (K + 1)
-    hi = list(r) + [total + 1.0]
-    names = [f"m[{k}]" for k in range(1, K + 1)] + ["z"]
 
-    ubs = []
+    No coefficient depends on the rates: every program is a copy of one
+    kept per K and N, with the instance's right-hand sides (minus the rates
+    each row sums) and boxes, so all of them share their coefficient arrays.
+    """
+    K, r = inst.K, inst.rates.r
+    kept, coefs = _budget_rows(K, inst.N)
+    r_max = max(r)
+    # the size-1 cuts r_k - m_k are nonnegative and no cut exceeds the total
+    lo, hi = [0.0] * (K + 1), [*r, inst.rates.sum_rates + 1.0]
+    for coef in coefs:
+        # y_k ranges over [r_k (1 - c_s), r_k]; the optimal threshold is
+        # the s-th largest y_k, and each excess max(0, y_k - t_s), so
+        # these boxes hold an optimum
+        t_lo = (1.0 - coef) * r_max
+        lo += [t_lo] + [0.0] * K
+        hi += [r_max] + [rk - t_lo for rk in r]
+    ubs = [(row, -sum(r[k] for k in row if k < K)) for row, _ in kept.ub_rows]
+    return replace(kept, eq_rows=list(kept.eq_rows), ub_rows=ubs, lo=lo, hi=hi)
+
+
+@functools.lru_cache(maxsize=8)
+def _budget_rows(K: int, N: int) -> tuple[LinearProgram, tuple[float, ...]]:
+    """The budget program for K users and N files at zero right-hand sides,
+    kept and never handed out, and c_s of each size with a threshold."""
+    zcol = K
+    names = [f"m[{k}]" for k in range(1, K + 1)] + ["z"]
+    coefs, ubs = [], []
     for size in range(1, K + 1):
         coef = N / (N // size)
         if math.comb(K, size) <= K:
             for users in itertools.combinations(range(K), size):
                 row = {k: -coef for k in users}
                 row[zcol] = -1.0
-                ubs.append((row, -sum(r[k] for k in users)))
+                ubs.append((row, 0.0))
         else:
-            # y_k ranges over [r_k (1 - c_s), r_k]; the optimal threshold is
-            # the s-th largest y_k, and each excess max(0, y_k - t_s), so
-            # these boxes hold an optimum
-            t_lo = (1.0 - coef) * r_max
             tcol = len(names)
-            lo.append(t_lo)
-            hi.append(r_max)
-            names.append(f"t[{size}]")
+            coefs.append(coef)
+            names += [f"t[{size}]"] + [f"e[{size}][{k + 1}]" for k in range(K)]
             top = {tcol: float(size), zcol: -1.0}
             for k in range(K):
-                ecol = len(names)
-                lo.append(0.0)
-                hi.append(r[k] - t_lo)
-                names.append(f"e[{size}][{k + 1}]")
-                top[ecol] = 1.0
-                ubs.append(({k: -coef, tcol: -1.0, ecol: -1.0}, -r[k]))
+                top[tcol + 1 + k] = 1.0
+                ubs.append(({k: -coef, tcol: -1.0, tcol + 1 + k: -1.0}, 0.0))
             ubs.append((top, 0.0))
 
     c = [0.0] * len(names)
     c[zcol] = 1.0
     eq = [({k: 1.0 for k in range(K)}, 0.0)]
-    return LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi, names=tuple(names))
+    kept = LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, names=tuple(names))
+    kept.c.flags.writeable = False
+    return kept, tuple(coefs)
 
 
 def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:

@@ -23,7 +23,7 @@ import sys
 
 # perfbench/tracing.py wraps cli.baseline_load, so it stays importable here
 from .baselines import baseline_load, baseline_loads  # noqa: F401
-from .bounds import budget_program, cutset_budget, cutset_fixed, cutset_k3
+from .bounds import cutset_budget, cutset_fixed, cutset_k3
 from .closed_form import corner_points, theorem1_load, threshold_allocation
 from .lp_core import SolverError, solve_lp
 from .model import Budget, FixedMemories, InstanceError, load_instance, read_json
@@ -164,13 +164,10 @@ def cmd_sweep(args) -> int:
     subs = [dataclasses.replace(inst, constraint=Budget(m_tot=m))
             for m in _budget_grid(rates, _points(args))]
     schemes = _solve_chain(subs)
-    # the bound program, too, is built once and moves only its budget,
-    # from the top down
-    program = budget_program(inst)
     cutsets = [None] * len(subs)
     start = None
     for i in reversed(range(len(subs))):
-        report = cutset_budget(subs[i], start=start, program=program)
+        report = cutset_budget(subs[i], start=start)
         start = report.basis
         cutsets[i] = report.value
 

@@ -70,31 +70,6 @@ def rho(distortion: float, q: int = 2) -> float:
     return math.log2(q) - binary_entropy(distortion) - distortion * math.log2(q - 1)
 
 
-def rho_inverse(rate: float, q: int = 2) -> float:
-    """Distortion achievable at description rate ``rate``: the inverse of
-    :func:`rho` on [0, 1 - 1/q].
-
-    Bisection on the strictly decreasing rho; the result D satisfies
-    |rho(D) - rate| <= 1e-10.
-    """
-    if q < 2:
-        raise ValueError(f"alphabet size q={q} must be at least 2")
-    if rate < 0.0 or rate > math.log2(q):
-        raise ValueError(f"rate {rate} outside [0, log2(q)={math.log2(q)}] for q={q}")
-    lo, hi = 0.0, 1.0 - 1.0 / q  # rho(lo) = log2 q, rho(hi) = 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if rho(mid, q) > rate:
-            lo = mid
-        else:
-            hi = mid
-    d = lo if abs(rho(lo, q) - rate) <= abs(rho(hi, q) - rate) else hi
-    assert abs(rho(d, q) - rate) <= 1e-10
-    return d
-
-
 @dataclass(frozen=True)
 class RateProfile:
     """Non-decreasing per-user rates r and the layer widths f they induce.

@@ -616,6 +616,9 @@ def extract_scheme(solution: LpSolution, index: VariableIndex) -> SchemeSolution
     if negative.size:
         col = int(negative[0])
         raise SolverError(f"variable {index.names[col]} = {x[col]:.3e} in an optimum")
+    # clamping raises the load by the signals and unicasts it lifts to zero
+    cost = [*index.multicast.values(), *index.unicast.values()]
+    lifted = -float(np.minimum(x[cost], 0.0).sum())
     x = np.where(x > 0.0, x, 0.0)
 
     joint = index
@@ -636,7 +639,7 @@ def extract_scheme(solution: LpSolution, index: VariableIndex) -> SchemeSolution
         objective=float(solution.objective),
         variable_count=index.n_vars,
     )
-    if abs(scheme.objective - scheme.load()) > 1e-8:
+    if abs(scheme.objective + lifted - scheme.load()) > 1e-8:
         raise SolverError(
             f"objective {scheme.objective} disagrees with summed load {scheme.load()}"
         )

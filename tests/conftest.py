@@ -1,5 +1,6 @@
 import pytest
 
+from hetcache import lp_core
 from hetcache.model import (
     Budget,
     FixedMemories,
@@ -44,3 +45,23 @@ def budget_instance(rates, m_tot, N=None, q=2):
 @pytest.fixture
 def budget_instance_factory():
     return budget_instance
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """A list that records, for every start the solver is handed, whether
+    it was taken (True) or dropped for a cold solve (False)."""
+    seen = []
+    start_from = lp_core._Tableau.start_from
+
+    def recorded(self, start):
+        taken = False
+        try:
+            start_from(self, start)
+            taken = True
+        finally:
+            if start is not None:
+                seen.append(taken)
+
+    monkeypatch.setattr(lp_core._Tableau, "start_from", recorded)
+    return seen

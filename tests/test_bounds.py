@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hetcache import bounds
 from hetcache.baselines import baseline_load, oca_split, pca_split
-from hetcache.bounds import BoundReport, cutset_budget, cutset_fixed, cutset_k3
+from hetcache.bounds import BoundReport, budget_program, cutset_budget, cutset_fixed, cutset_k3
 from hetcache.closed_form import t_decomposition, theorem1_load, threshold_allocation
 from hetcache.lp_core import solve_lp
 from hetcache.model import (
@@ -181,8 +182,18 @@ class TestGuards:
         with pytest.raises(InstanceError):
             cutset_k3(inst, m_tot=-0.5)
 
-    def test_warm_chain_matches_cold(self):
-        # the sweep chains the bound program over ascending budgets
+    def test_warm_chain_matches_cold(self, monkeypatch, starts):
+        # the sweep chains the bound program over budgets: every start is
+        # taken, and the chain pivots less than the cold solves
+        pivots = {True: 0, False: 0}
+        solve = bounds.solve_lp
+
+        def counted(lp, start=None):
+            sol = solve(lp, start=start)
+            pivots[start is not None] += sol.iterations
+            return sol
+
+        monkeypatch.setattr(bounds, "solve_lp", counted)
         r = [0.1, 0.25, 0.4, 0.7, 0.9]
         start = None
         for m_tot in np.linspace(0.0, sum(r), 9):
@@ -192,6 +203,22 @@ class TestGuards:
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
             assert warm.basis is not None
             start = warm.basis
+        assert starts == [True] * 8
+        assert pivots[True] < pivots[False]
+
+    def test_a_start_fits_every_program_of_its_user_and_file_count(self, starts):
+        # the rows hold no rate, so programs at other rates share their
+        # arrays, and a start from one is a start for the other: it never
+        # carries the other instance's bound
+        a = budget_instance([0.1, 0.25, 0.4, 0.7, 0.9], 1.0)
+        b = budget_instance([0.3, 0.35, 0.5, 0.6, 1.0], 1.0)
+        assert budget_program(a).coefficients() is budget_program(b).coefficients()
+        for x, y in ((a, b), (b, a)):
+            warm = cutset_budget(x, start=cutset_budget(y).basis)
+            assert warm.value == pytest.approx(cutset_budget(x).value, abs=1e-9)
+        assert starts == [True, True]
+        assert budget_program(budget_instance(FIG, 1.0, N=4)).coefficients() is not (
+            budget_program(budget_instance(FIG, 1.0)).coefficients())
 
     def test_report_fields(self):
         rep = cutset_budget(budget_instance(FIG, 0.4))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hetcache import baselines, cli, lp_core, scheme_lp
+from hetcache import baselines, bounds, cli, lp_core, scheme_lp
 from hetcache.baselines import baseline_load
 from hetcache.bounds import budget_program, cutset_budget
 from hetcache.cli import main
@@ -602,12 +602,12 @@ class TestChainOrder:
         path = write_instance(tmp_path, "k4.json", rates, budget=0.0)
         # the budget row is the last equality of the scheme program
         budgets = self.record(monkeypatch, cli, "solve_lp", lambda lp, *_: lp.eq_rows[-1][1])
-        bounds = self.record(monkeypatch, cli, "cutset_budget",
-                             lambda inst, *_: inst.constraint.m_tot)
+        bound_budgets = self.record(monkeypatch, cli, "cutset_budget",
+                                    lambda inst, *_: inst.constraint.m_tot)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", path, "--points", "5", "--out", str(out)]) == 0
         printed = [float(row["m_tot"]) for row in read_csv(out)]
-        assert budgets == bounds == printed[::-1]
+        assert budgets == bound_budgets == printed[::-1]
         assert budgets[0] == load_instance(path).rates.sum_rates
 
     def test_compare_chains_walk_down(self, monkeypatch, tmp_path):
@@ -723,10 +723,22 @@ class TestChainOrder:
                     assert main(argv) == 0, argv
         assert inverted == []
 
+    def test_cli_chains_take_every_start(self, tmp_path, starts):
+        # a start that does not fit its program is dropped for a cold solve
+        # without a word, so only a count shows it
+        rates = random_rate_list(np.random.default_rng(98), 4)
+        budget = write_instance(tmp_path, "budget.json", rates, budget=0.0)
+        fixed = write_instance(tmp_path, "fixed.json", rates, memories=[0.0] * 4)
+        assert main(["sweep", budget, "--points", "6"]) == 0
+        swept = len(starts)
+        assert main(["compare-baselines", fixed, "--points", "6"]) == 0
+        assert 0 < swept < len(starts) and all(starts)
+
     def test_sweep_builds_its_bound_program_once(self, monkeypatch, tmp_path):
-        # kept scheme programs outlive a test, so the index is built afresh
-        # for the count not to depend on the tests before
+        # kept scheme and bound programs outlive a test, so both are built
+        # afresh for the count not to depend on the tests before
         scheme_lp._build_index.cache_clear()
+        bounds._budget_rows.cache_clear()
         rates = random_rate_list(np.random.default_rng(95), 4)
         path = write_instance(tmp_path, "k4.json", rates, budget=0.0)
         inst = load_instance(path)

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from hetcache.model import (
     make_rate_profile,
     rates_from_distortions,
     rho,
-    rho_inverse,
     validate_instance,
 )
 
@@ -56,37 +54,6 @@ class TestRho:
             assert np.all(np.diff(vals) < 0.0)
             chords = 0.5 * (vals[:-2] + vals[2:])
             assert np.all(vals[1:-1] <= chords + 1e-12)
-
-
-class TestRhoInverse:
-    def test_half_rate_binary(self):
-        # Bisection oracle for 1 - H(D) = 0.5, run independently of the
-        # library routine and frozen here.
-        d = rho_inverse(0.5, 2)
-        assert d == pytest.approx(0.1100278644383595, abs=1e-12)
-        assert abs(rho(d, 2) - 0.5) <= 1e-10
-
-    def test_endpoints(self):
-        assert rho_inverse(1.0, 2) == pytest.approx(0.0, abs=1e-12)
-        # rho is flat to machine precision near D = 1/2, so the inverse can
-        # only locate the endpoint to ~1e-8 in D; the rate-side contract
-        # still holds exactly.
-        d = rho_inverse(0.0, 2)
-        assert d == pytest.approx(0.5, abs=1e-6)
-        assert abs(rho(d, 2)) <= 1e-10
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(7)
-        for q in (2, 3, 8):
-            for r in rng.uniform(0.0, math.log2(q), 40):
-                d = rho_inverse(float(r), q)
-                assert abs(rho(d, q) - r) <= 1e-9
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            rho_inverse(-0.1, 2)
-        with pytest.raises(ValueError):
-            rho_inverse(1.5, 2)
 
 
 class TestRateProfile:

@@ -512,6 +512,25 @@ class TestExtraction:
         scheme = extract_scheme(sol, idx)
         assert np.all(scheme.x >= 0.0)
 
+    def test_clamped_signals_raise_the_load_by_as_much(self):
+        # at a budget near the solver's feasibility tolerance, signals end a
+        # few 1e-9 below zero: clamping them is no disagreement of the load
+        # with the objective, but a load off the objective still is
+        idx = make_variable_index(3)
+        x = np.zeros(idx.n_vars)
+        x[list(idx.multicast.values())] = -5e-9
+        scheme = extract_scheme(LpSolution(LpStatus.OPTIMAL, x, float(x.sum())), idx)
+        assert scheme.load() == 0.0
+        with pytest.raises(SolverError):
+            extract_scheme(LpSolution(LpStatus.OPTIMAL, x, float(x.sum()) - 1e-6), idx)
+
+    def test_budget_at_the_feasibility_tolerance(self):
+        inst = budget_instance([0.25, 0.25, 0.5, 1.0, 1.0], 1e-8)
+        lp, idx = build_o1(inst)
+        sol = solve_lp(lp)
+        assert sol.x.min() < -1e-9
+        assert scheme_problems(extract_scheme(sol, idx), inst) == []
+
     def test_rejects_material_negative(self):
         idx = make_variable_index(2)
         x = np.zeros(idx.n_vars)
