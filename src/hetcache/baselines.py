@@ -8,7 +8,9 @@ first to last until the cache runs out).  The per-layer delivery is not
 approximated: each layer's restricted program is solved to optimality,
 so the loads reported here lower-bound anything a real separation-based
 scheme could do, and the measured gap to the joint optimum is therefore
-conservative.
+conservative.  A split is a tuple with one entry per layer: entry l - 1
+holds the shares of layer l of users l..K, in user order, which is all
+that layer's program reads.
 
 One exact rule keeps those programs small.  A user whose share of layer l
 is empty can be served only by signals that carry nothing for any other
@@ -24,63 +26,43 @@ and full needs no program at all.
 from __future__ import annotations
 
 from .lp_core import SolverError, solve_lp
-from .model import (
-    InstanceError,
-    MemoryAllocation,
-    ProblemInstance,
-    RateProfile,
-    check_memories,
-)
+from .model import InstanceError, ProblemInstance, RateProfile, check_memories
 from .scheme_lp import build_layer_program
 
 
-def pca_split(m, rates: RateProfile) -> MemoryAllocation:
+def pca_split(m, rates: RateProfile) -> tuple[tuple[float, ...], ...]:
     """Proportional split: layer l of user k gets f_l * m_k / r_k.
 
     A user with zero rate gets zeros; such a user cannot hold cache in
     the first place (m_k ≤ r_k = 0), which the range check enforces.
     """
     m = check_memories(m, rates)
-    rows = []
-    for k in range(1, rates.K + 1):
-        mk = m[k - 1]
-        rk = rates.r[k - 1]
-        if rk <= 0.0:
-            rows.append([0.0] * rates.K)
-            continue
-        row = [0.0] * rates.K
-        for l in range(1, k + 1):
-            row[l - 1] = rates.f[l - 1] * mk / rk
-        rows.append(row)
-    return MemoryAllocation.from_matrix(rows)
+    r, f = rates.r, rates.f
+    return tuple(
+        tuple(f[l - 1] * m[k - 1] / r[k - 1] if r[k - 1] > 0.0 else 0.0
+              for k in range(l, rates.K + 1))
+        for l in range(1, rates.K + 1)
+    )
 
 
-def oca_split(m, rates: RateProfile) -> MemoryAllocation:
+def oca_split(m, rates: RateProfile) -> tuple[tuple[float, ...], ...]:
     """Ordered split: fill layer 1, then 2, ... until the cache is spent."""
     m = check_memories(m, rates)
-    rows = []
-    for k in range(1, rates.K + 1):
-        remaining = m[k - 1]
-        row = [0.0] * rates.K
-        for l in range(1, k + 1):
-            if remaining <= 0.0:
-                break
-            take = min(rates.f[l - 1], remaining)
-            row[l - 1] = take
+    rows = []  # user k's shares of layers 1..k
+    for k, remaining in enumerate(m, 1):
+        row = []
+        for fl in rates.f[:k]:
+            take = min(fl, remaining) if remaining > 0.0 else 0.0
+            row.append(take)
             remaining -= take
         rows.append(row)
-    return MemoryAllocation.from_matrix(rows)
+    return tuple(tuple(row[l - 1] for row in rows[l - 1:]) for l in range(1, rates.K + 1))
 
 
 _SPLITS = {"pca": pca_split, "oca": oca_split}
 
 
-def _layer_shares(split: MemoryAllocation, l: int):
-    """The shares of layer l held by users l..K, in user order."""
-    return [row[l - 1] for row in split.per_layer[l - 1:]]
-
-
-def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
+def build_intra_layer(inst: ProblemInstance, split):
     """One single-layer program per layer that some user caches in part.
 
     Layer l's program holds only the users whose share of it lies strictly
@@ -90,12 +72,11 @@ def build_intra_layer(inst: ProblemInstance, split: MemoryAllocation):
     of it by the module's reduction rule; :func:`baseline_loads` adds
     f_l for each empty one.
     """
-    f = inst.rates.f
     programs = []
-    for l in range(1, inst.K + 1):
-        partial = [share for share in _layer_shares(split, l) if 0.0 < share < f[l - 1]]
+    for fl, shares in zip(inst.rates.f, split):
+        partial = [share for share in shares if 0.0 < share < fl]
         if partial:
-            programs.append(build_layer_program(f[l - 1], partial))
+            programs.append(build_layer_program(fl, partial))
     return programs
 
 
@@ -124,8 +105,8 @@ def baseline_loads(inst: ProblemInstance, memories, methods=("oca", "pca")) -> d
     for method in methods:
         for i in order:
             split = _SPLITS[method.lower()](memories[i], inst.rates)
-            total = sum((f[l - 1] for l in range(1, inst.K + 1)
-                         for share in _layer_shares(split, l) if share <= 0.0), 0.0)
+            total = sum((fl for fl, shares in zip(f, split)
+                         for share in shares if share <= 0.0), 0.0)
             for lp, index in build_intra_layer(inst, split):
                 sol = solve_lp(lp, start=starts.get(index.K))
                 if not sol.is_optimal:

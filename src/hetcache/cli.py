@@ -26,7 +26,7 @@ from .baselines import baseline_load, baseline_loads  # noqa: F401
 from .bounds import cutset_budget, cutset_fixed, cutset_k3
 from .closed_form import corner_points, theorem1_load, threshold_allocation
 from .lp_core import SolverError, solve_lp
-from .model import Budget, FixedMemories, InstanceError, load_instance, read_json
+from .model import Budget, FixedMemories, InstanceError, _json_integer, load_instance, read_json
 from .scheme_lp import (
     SchemeSolution,
     build_intra_restricted,
@@ -173,15 +173,14 @@ def cmd_sweep(args) -> int:
 
     def one(i: int) -> dict:
         m_tot = subs[i].constraint.m_tot
-        alloc = threshold_allocation(m_tot, rates)
         row = {
             "m_tot": m_tot,
             "lp_load": schemes[i].load(),
             "theorem1_load": theorem1_load(m_tot, rates),
             "cutset": cutsets[i],
         }
-        for k in range(1, inst.K + 1):
-            row[f"m_{k}"] = alloc.per_user[k - 1]
+        for k, mk in enumerate(threshold_allocation(m_tot, rates), 1):
+            row[f"m_{k}"] = mk
         return row
 
     rows = [one(i) for i in range(len(subs))]
@@ -260,7 +259,12 @@ def cmd_verify(args) -> int:
     # refuse the library options before a scheme is read or solved
     library_layout(inst, args.file_size, args.seed)
     if args.scheme:
-        scheme = SchemeSolution.from_json_dict(read_json(args.scheme, "scheme file"))
+        data = read_json(args.scheme, "scheme file")
+        # a scheme for another user count is refused before its index is built
+        K = _json_integer(data, "K", None, []) if isinstance(data, dict) else None
+        if K is not None and K != inst.K:
+            raise InstanceError([f"scheme is for {K} users, instance for {inst.K}"])
+        scheme = SchemeSolution.from_json_dict(data)
         problems = scheme_problems(scheme, inst)
         if problems:
             print("FAIL: scheme is inconsistent with the instance")

@@ -18,28 +18,16 @@ load, a marginal return that decreases in both t_l and l.  Greedy
 allocation by best marginal return is therefore optimal, keeps the t
 vector non-increasing in l automatically, and visits every corner of the
 memory/load trade-off on its way.  This module implements that greedy,
-the resulting load, its corner points and the per-user memory shares.
+the resulting load, its corner points and the per-user cache sizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import MemoryAllocation, RateProfile, check_budget
+from .model import RateProfile, check_budget
 
 _TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TDecomposition:
-    """The per-layer caching levels t_l that spend a given budget.
-
-    ``t`` is non-increasing with t_l in [0, K - l + 1] and at most one
-    fractional entry.
-    """
-
-    t: tuple[float, ...]
 
 
 def _unit_steps(rates: RateProfile) -> list[tuple[float, int, int, float]]:
@@ -65,8 +53,12 @@ def _unit_steps(rates: RateProfile) -> list[tuple[float, int, int, float]]:
     return steps
 
 
-def t_decomposition(m_tot: float, rates: RateProfile) -> TDecomposition:
-    """Spend ``m_tot`` greedily across layers; the unique best-first split."""
+def t_decomposition(m_tot: float, rates: RateProfile) -> tuple[float, ...]:
+    """Spend ``m_tot`` greedily across layers; the unique best-first split.
+
+    Returns the caching levels (t_1..t_K): non-increasing, t_l in
+    [0, K - l + 1], and at most one of them fractional.
+    """
     K = rates.K
     remaining = check_budget(m_tot, rates)
 
@@ -88,7 +80,7 @@ def t_decomposition(m_tot: float, rates: RateProfile) -> TDecomposition:
         if rates.f[l - 1] <= 0.0:
             t[l - 1] = float(math.ceil(t[l] if l < K else 0.0))
 
-    return TDecomposition(t=tuple(t))
+    return tuple(t)
 
 
 def _g(K: int, l: int, level: int) -> float:
@@ -106,11 +98,11 @@ def _g_interp(K: int, l: int, tl: float) -> float:
 
 def theorem1_load(m_tot: float, rates: RateProfile) -> float:
     """Optimal worst-case delivery load at total budget ``m_tot``."""
-    dec = t_decomposition(m_tot, rates)
+    t = t_decomposition(m_tot, rates)
     K = rates.K
     # a float even when every layer is empty
     return sum(
-        (_g_interp(K, l, dec.t[l - 1]) * rates.f[l - 1]
+        (_g_interp(K, l, t[l - 1]) * rates.f[l - 1]
          for l in range(1, K + 1)
          if rates.f[l - 1] > 0.0),
         0.0,
@@ -137,20 +129,15 @@ def corner_points(rates: RateProfile) -> list[tuple[float, float]]:
     return points
 
 
-def threshold_allocation(m_tot: float, rates: RateProfile) -> MemoryAllocation:
-    """The per-user memory split realizing the budget optimum.
+def threshold_allocation(m_tot: float, rates: RateProfile) -> tuple[float, ...]:
+    """The cache sizes (m_1..m_K) realizing the budget optimum.
 
     Layer l's memory t_l * f_l is shared equally by the K - l + 1 users
     that want the layer, which is exactly what uniform caching inside the
-    layer subsystem prescribes, fractional t_l included.
+    layer subsystem prescribes, fractional t_l included; user k holds its
+    shares of layers 1..k.
     """
-    dec = t_decomposition(m_tot, rates)
+    t = t_decomposition(m_tot, rates)
     K = rates.K
-    rows = []
-    for k in range(1, K + 1):
-        row = [
-            dec.t[l - 1] * rates.f[l - 1] / (K - l + 1) if l <= k else 0.0
-            for l in range(1, K + 1)
-        ]
-        rows.append(row)
-    return MemoryAllocation.from_matrix(rows)
+    shares = [t[l - 1] * rates.f[l - 1] / (K - l + 1) for l in range(1, K + 1)]
+    return tuple(sum(shares[:k]) for k in range(1, K + 1))

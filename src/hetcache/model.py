@@ -15,9 +15,9 @@ users l, l+1, ..., K.
 
 This module holds the instance model shared by every other module: rate
 profiles, memory constraints (a total budget to be split, or one fixed
-cache size per user), and the JSON interchange format.  Instances and cache
-splits are validated once, when they are constructed, and each memory range
-is defined once, by :func:`check_budget` and :func:`check_memories`.
+cache size per user), and the JSON interchange format.  Instances are
+validated once, when they are constructed, and each memory range is
+defined once, by :func:`check_budget` and :func:`check_memories`.
 All rates and memories are normalized per source symbol; logs are base 2.
 """
 
@@ -234,47 +234,6 @@ def check_memories(m, rates: RateProfile) -> tuple[float, ...]:
     if problems:
         raise InstanceError(problems)
     return m
-
-
-@dataclass(frozen=True)
-class MemoryAllocation:
-    """A split of each user's cache across layers.
-
-    ``per_layer[k-1][l-1]`` is the memory user k devotes to layer l, zero
-    for l > k since those layers are useless to k.  ``per_user`` holds the
-    row sums m_k.  Construction raises :class:`InstanceError` unless the
-    matrix is K x K, with no share below -1e-9 and none beyond 1e-9 above
-    the diagonal.
-    """
-
-    per_layer: tuple[tuple[float, ...], ...]
-    per_user: tuple[float, ...]
-
-    @classmethod
-    def from_matrix(cls, rows: Sequence[Sequence[float]]) -> "MemoryAllocation":
-        per_layer = tuple(tuple(float(x) for x in row) for row in rows)
-        per_user = tuple(sum(row) for row in per_layer)
-        return cls(per_layer=per_layer, per_user=per_user)
-
-    @property
-    def K(self) -> int:
-        return len(self.per_layer)
-
-    def __post_init__(self):
-        problems = []
-        for k, row in enumerate(self.per_layer, start=1):
-            if len(row) != self.K:
-                problems.append(f"allocation row {k} has {len(row)} entries")
-                continue
-            for l, v in enumerate(row, start=1):
-                if v < -1e-9:
-                    problems.append(f"allocation m[{k}][{l}]={v} is negative")
-                if l > k and abs(v) > 1e-9:
-                    problems.append(
-                        f"allocation m[{k}][{l}]={v} nonzero for layer above user index"
-                    )
-        if problems:
-            raise InstanceError(problems)
 
 
 # ---------------------------------------------------------------------------

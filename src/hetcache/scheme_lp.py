@@ -16,7 +16,7 @@ decision variables, all indexed by user subsets:
   per-user, per-layer cache shares.
 
 One generator, built once per variable index, gives the rows tying these
-together (:func:`constraint_rows` pairs them with an instance's right-hand
+together (:meth:`_Rows.rows` pairs them with an instance's right-hand
 sides): placement partitions each layer and charges caches, structure
 rows make signal sizes consistent for every addressee, completion rows
 guarantee each user can finish every layer it needs, and redundancy rows
@@ -28,7 +28,9 @@ with one cacher, its own cap.  Programs come in two flavors: a
 total-budget version where the optimizer also chooses the cache split,
 and a fixed-memory version where per-user totals are pinned.  A third,
 restricted variant forbids signals from mixing layers; it exists to
-measure how much the mixing buys.
+measure how much the mixing buys.  The separation baselines solve one
+layer at a time, with the cache split given as data
+(:func:`build_layer_program`).
 
 A solved scheme is nothing but the joint program's variable index and a
 value for each of its columns (:class:`SchemeSolution`).  Its JSON form
@@ -49,13 +51,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .lp_core import LinearProgram, LpSolution, SolverError, SparseRow, check_basis_size
-from .model import (
-    InstanceError,
-    MemoryAllocation,
-    ProblemInstance,
-    _json_integer,
-    _json_number,
-)
+from .model import InstanceError, ProblemInstance, _json_integer, _json_number
 
 # column counts grow like 3^K; past eight users the builders refuse the
 # program from its row count (lp_core.MAX_BASIS_MIB) before building it,
@@ -114,8 +110,8 @@ class VariableIndex:
 
     User sets in the keys are int bitmasks: ``alloc[(l, S)]``,
     ``assign[(l, T, S)]`` and ``multicast[T]``.  ``layers`` lists which
-    layers the program carries (all of them for the joint programs, a
-    single one for per-layer subproblems).  With ``per_layer_signals``
+    layers the program carries (all of them, or layer 1 alone in the
+    program of :func:`build_layer_program`).  With ``per_layer_signals``
     set, signal sizes are keyed by (layer, T) and each signal may carry
     pieces of its own layer only; otherwise a single v[T] spans layers
     1..min(T).  ``layer_mem`` is empty when the cache split is data
@@ -172,31 +168,24 @@ def program_columns(K: int) -> tuple[int, int]:
     return joint, restricted
 
 
-def make_variable_index(
-    K: int,
-    *,
-    layers: tuple[int, ...] | None = None,
-    per_layer_signals: bool = False,
-    with_layer_memories: bool = True,
-) -> VariableIndex:
-    """The column numbering of one program, shared by every caller.
+def make_variable_index(K: int, *, per_layer_signals: bool = False) -> VariableIndex:
+    """The column numbering of the joint K-user program, or with
+    ``per_layer_signals`` of the intra-restricted one, shared by every caller.
 
     An index is built once per distinct argument set and kept in a
-    least-recently-used cache of INDEX_CACHE_SIZE entries; ``layers`` may
-    be any iterable.  A user count outside 1..MAX_USERS is refused before
-    anything is built or cached.
+    least-recently-used cache of INDEX_CACHE_SIZE entries.  A user count
+    outside 1..MAX_USERS is refused before anything is built or cached.
     """
     _check_user_count(K)
-    layers = tuple(range(1, K + 1)) if layers is None else tuple(layers)
-    if not per_layer_signals and layers != tuple(range(1, K + 1)):
-        raise InstanceError(["layer-spanning signals need every layer present"])
-    return _build_index(K, layers, per_layer_signals, with_layer_memories)
+    return _build_index(K, per_layer_signals, False)
 
 
 @functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
-def _build_index(
-    K: int, layers: tuple[int, ...], per_layer_signals: bool, with_layer_memories: bool
-) -> VariableIndex:
+def _build_index(K: int, per_layer_signals: bool, one_layer: bool) -> VariableIndex:
+    """The index of :func:`make_variable_index` or, with ``one_layer``, of
+    :func:`build_layer_program`: layer 1 alone, wanted by all K users, with
+    per-layer signals and no memory columns."""
+    layers = (1,) if one_layer else tuple(range(1, K + 1))
     # every user set is spelled once here, not once per variable name
     label = [mask_label(mask) for mask in range(1 << K)]
     names: list[str] = []
@@ -238,7 +227,7 @@ def _build_index(
                 unicast[(k, l)] = len(names)
                 names.append(f"unicast[{k}][{l}]")
 
-    if with_layer_memories:
+    if not one_layer:
         for k in range(1, K + 1):
             for l in layers:
                 if l <= k:
@@ -354,9 +343,23 @@ class _Rows:
         self._kept: dict = {}
 
     def rows(self, f, shares=None):
-        """(equalities, upper bounds) at layer widths ``f`` = (f_1, f_2, ...)
-        and, when the split is data, the cache ``shares`` of the (layer,
-        user) pairs of ``pairs``, in that order: see :func:`constraint_rows`."""
+        """(equalities, upper bounds): every row but the memory equalities,
+        as (row, rhs) at layer widths ``f`` = (f_1, f_2, ...) and, when the
+        index has no memory variables and so the split is data, at the
+        cache ``shares`` of the (layer, user) pairs of ``pairs``.
+
+        Equalities: a placement partition per layer, then a structure row
+        per (signal, addressee j): the signal size equals the pieces
+        assigned to j across the layers the signal may carry.  Upper
+        bounds: a cache row per (layer, user),  sum a - mem <= 0  or, with
+        the split given,  sum a <= share; a completion row per (layer,
+        user), cached + decoded + unicast >= f_l with the signs flipped;
+        then the redundancy caps.  The pieces serving j out of a class S,
+        over every signal that could carry them, cannot exceed the class:
+        a class of two or more cachers gets one shared row per j, and a
+        class of one cacher the per-piece caps u <= a instead, which the
+        shared row would imply.
+        """
         eq_rhs = [f[l - 1] for l in self.index.layers]
         eq_rhs += [0.0] * (len(self.eq) - len(eq_rhs))
         ub_rhs = [0.0] * len(self.pairs) if shares is None else list(shares)
@@ -389,40 +392,6 @@ class _Rows:
         else:
             eqs.extend(zip(self.user_rows, map(float, inst.constraint.m)))
         return self._program(inst.is_budget, eqs, ubs, np.array([*r.f, *r.r])[self.box])
-
-    def layer_program(self, f_l: float, shares) -> LinearProgram:
-        """The single-layer program of a layer of width ``f_l``, each user's
-        cache share given: every box is [0, f_l]."""
-        eqs, ubs = self.rows((f_l,), shares)
-        return self._program(None, eqs, ubs, np.full(self.index.n_vars, f_l))
-
-
-def constraint_rows(
-    inst: ProblemInstance,
-    index: VariableIndex,
-    fixed_layer_memories: MemoryAllocation | None = None,
-):
-    """Every row of the program except the memory equalities.
-
-    Returns (equalities, upper bounds).  Equalities: one placement
-    partition per layer, then one structure row per (signal, addressee j)
-    saying the signal size equals the pieces assigned to j across the
-    layers the signal may carry.  Upper bounds: one cache row per (layer,
-    user), reading  sum a - mem <= 0  with memory variables in the program
-    and  sum a <= share  with a fixed split; then one completion row per
-    (layer, user), cached + decoded + unicast >= f_l with the signs
-    flipped; then the redundancy caps.  The pieces serving j out of a class
-    S, summed over all signals that could carry them, cannot exceed the
-    class size: a class with two or more cachers gets one shared row per j,
-    and a class with a single cacher gets the per-piece cap u <= a instead,
-    since the shared row would already imply every per-piece cap.  The
-    split is given exactly when the index has no memory variables.
-    """
-    rows = index._rows
-    shares = None
-    if fixed_layer_memories is not None:
-        shares = [float(fixed_layer_memories.per_layer[k - 1][l - 1]) for l, k in rows.pairs]
-    return rows.rows(inst.rates.f, shares)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +460,14 @@ def build_layer_program(f_l: float, shares):
 
     Its own placement classes and its own signals, over the index of that
     user count: every call with as many users shares one index, one set of
-    coefficient arrays, and so a warm start.
+    coefficient arrays, and so a warm start.  Layer l of a K-user program,
+    its split given, is this program of users l..K renumbered from 1.
+    Every box is [0, f_l].
     """
-    index = make_variable_index(
-        len(shares), layers=(1,), per_layer_signals=True, with_layer_memories=False
-    )
-    return index._rows.layer_program(float(f_l), map(float, shares)), index
+    _check_user_count(len(shares))
+    rows = _build_index(len(shares), True, True)._rows
+    eqs, ubs = rows.rows((float(f_l),), map(float, shares))
+    return rows._program(None, eqs, ubs, np.full(rows.index.n_vars, float(f_l))), rows.index
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,15 @@ def example_one():
     )
 
 
+def split_rows(split):
+    """A split of the baselines' form (entry l - 1 holds the shares of layer
+    l of users l..K) as a K x K matrix: row k - 1 holds user k's shares of
+    layers 1..K, zero above k."""
+    K = len(split)
+    return [tuple(split[l - 1][k - l] if l <= k else 0.0 for l in range(1, K + 1))
+            for k in range(1, K + 1)]
+
+
 def users_mask(*users):
     """Bitmask of the given users, bit k-1 for user k, as the package keys sets."""
     return sum(1 << (u - 1) for u in users)

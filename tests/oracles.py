@@ -15,14 +15,8 @@ import numpy as np
 from hetcache.bounds import BoundReport
 from hetcache.closed_form import t_decomposition
 from hetcache.lp_core import LinearProgram, SolverError, _row_head, solve_lp
-from hetcache.model import (
-    Budget,
-    FixedMemories,
-    InstanceError,
-    MemoryAllocation,
-    ProblemInstance,
-)
-from hetcache.scheme_lp import constraint_rows, make_variable_index, mask_label, members
+from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance
+from hetcache.scheme_lp import build_layer_program, mask_label, members
 from hetcache.simulator import (
     Piece,
     Signal,
@@ -176,23 +170,13 @@ def check_point_loop(lp: LinearProgram, x, tol: float) -> list[str]:
     return problems
 
 
-def intra_layer_programs(inst: ProblemInstance, split: MemoryAllocation) -> list:
+def intra_layer_programs(inst: ProblemInstance, split) -> list:
     """The K per-layer programs of ``split`` with no user taken out: layer
-    l over every one of users l..K, whatever their shares, on the K-user
-    index of that layer alone."""
-    programs = []
-    for l in range(1, inst.K + 1):
-        index = make_variable_index(
-            inst.K, layers=(l,), per_layer_signals=True, with_layer_memories=False
-        )
-        eqs, ubs = constraint_rows(inst, index, split)
-        lp = LinearProgram(c=index._rows.c, eq_rows=eqs, ub_rows=ubs,
-                           hi=np.full(index.n_vars, inst.rates.f[l - 1]), names=index.names)
-        programs.append((lp, index))
-    return programs
+    l over every one of users l..K, whatever their shares."""
+    return [build_layer_program(fl, shares) for fl, shares in zip(inst.rates.f, split)]
 
 
-def intra_layer_load(inst: ProblemInstance, split: MemoryAllocation) -> float:
+def intra_layer_load(inst: ProblemInstance, split) -> float:
     """The summed optima of :func:`intra_layer_programs`, each solved cold."""
     total = 0.0
     for lp, _index in intra_layer_programs(inst, split):
@@ -276,16 +260,16 @@ def simplified_budget_solve(m_tot, rates):
 
     Same greedy split, but each layer's contribution is evaluated as
     chi(K - l + 1, t_l) * f_l instead of by interpolating g, as an
-    independent cross-check of ``theorem1_load``.  Returns (split, load).
+    independent cross-check of ``theorem1_load``.  Returns (t, load).
     """
-    dec = t_decomposition(m_tot, rates)
+    t = t_decomposition(m_tot, rates)
     K = rates.K
     load = sum(
-        _chi(K - l + 1, dec.t[l - 1]) * rates.f[l - 1]
+        _chi(K - l + 1, t[l - 1]) * rates.f[l - 1]
         for l in range(1, K + 1)
         if rates.f[l - 1] > 0.0
     )
-    return dec, load
+    return t, load
 
 
 def library_per_bit(inst: ProblemInstance, F: int, seed: int) -> tuple:

@@ -168,7 +168,7 @@ def test_4_threshold_allocation_formulas():
     for stage, (budget_of, split_of) in enumerate(stages, start=1):
         for alpha in (0.0, 0.25, 0.5, 1.0):
             m_tot = budget_of(alpha)
-            got = threshold_allocation(m_tot, profile).per_user
+            got = threshold_allocation(m_tot, profile)
             want = split_of(alpha)
             err = max(abs(g - w) for g, w in zip(got, want))
             if err > 1e-9:

@@ -14,6 +14,7 @@ from hetcache.model import InstanceError, make_rate_profile
 from hetcache.lp_core import solve_lp
 from hetcache.scheme_lp import build_o2, extract_scheme
 
+from conftest import split_rows
 from oracles import intra_layer_load
 from test_scheme_lp import fixed_instance
 
@@ -31,30 +32,33 @@ def random_split_inputs(rng, K):
 class TestProportionalSplit:
     def test_worked_example(self):
         split = pca_split([0.25, 0.35, 0.5], make_rate_profile(FIG))
+        # layer l holds the shares of users l..K
+        assert [len(shares) for shares in split] == [3, 2, 1]
+        assert sum(split, ()) == pytest.approx((0.25, 0.25, 0.25, 0.1, 0.1, 0.15), abs=1e-12)
         expect = [
             [0.25, 0.0, 0.0],
             [0.25, 0.1, 0.0],
             [0.25, 0.1, 0.15],
         ]
         for k in range(3):
-            assert split.per_layer[k] == pytest.approx(expect[k], abs=1e-12)
+            assert split_rows(split)[k] == pytest.approx(expect[k], abs=1e-12)
 
     def test_zero_memory(self):
         split = pca_split([0.0, 0.0, 0.0], make_rate_profile(FIG))
-        assert all(v == 0.0 for row in split.per_layer for v in row)
+        assert all(v == 0.0 for row in split_rows(split) for v in row)
 
     def test_single_layer_profile_puts_all_mass_first(self):
         rates = make_rate_profile([0.6, 0.6, 0.6])
         split = pca_split([0.2, 0.3, 0.6], rates)
-        assert [row[0] for row in split.per_layer] == pytest.approx([0.2, 0.3, 0.6])
-        assert all(row[1] == row[2] == 0.0 for row in split.per_layer)
+        assert [row[0] for row in split_rows(split)] == pytest.approx([0.2, 0.3, 0.6])
+        assert all(row[1] == row[2] == 0.0 for row in split_rows(split))
 
     def test_zero_rate_user_gets_zero_row(self):
         rates = make_rate_profile([0.0, 0.5, 1.0])
         split = pca_split([0.0, 0.25, 0.5], rates)
-        assert split.per_layer[0] == (0.0, 0.0, 0.0)
+        assert split_rows(split)[0] == (0.0, 0.0, 0.0)
         # remaining users split over the two real layers
-        assert split.per_user[1] == pytest.approx(0.25)
+        assert sum(split_rows(split)[1]) == pytest.approx(0.25)
 
     def test_zero_rate_user_with_cache_rejected(self):
         # no rate means no room for cache, so no proportion to take
@@ -74,22 +78,23 @@ class TestProportionalSplit:
 class TestOrderedSplit:
     def test_worked_example(self):
         split = oca_split([0.5, 0.6, 0.6], make_rate_profile(FIG))
-        assert split.per_layer[1] == pytest.approx([0.5, 0.1, 0.0], abs=1e-12)
-        assert split.per_layer[2] == pytest.approx([0.5, 0.1, 0.0], abs=1e-12)
+        assert sum(split, ()) == pytest.approx((0.5, 0.5, 0.5, 0.1, 0.1, 0.0), abs=1e-12)
+        assert split_rows(split)[1] == pytest.approx([0.5, 0.1, 0.0], abs=1e-12)
+        assert split_rows(split)[2] == pytest.approx([0.5, 0.1, 0.0], abs=1e-12)
 
     def test_full_memory_fills_every_layer(self):
         rates = make_rate_profile(FIG)
         split = oca_split(list(rates.r), rates)
-        assert split.per_layer[2] == pytest.approx(list(rates.f), abs=1e-12)
+        assert split_rows(split)[2] == pytest.approx(list(rates.f), abs=1e-12)
 
     def test_zero_memory(self):
         split = oca_split([0.0, 0.0, 0.0], make_rate_profile(FIG))
-        assert all(v == 0.0 for row in split.per_layer for v in row)
+        assert all(v == 0.0 for row in split_rows(split) for v in row)
 
     def test_boundary_budget_fills_layer_exactly(self):
         # budget equal to a prefix of layer widths stops cleanly
         split = oca_split([0.5, 0.7, 0.7], make_rate_profile(FIG))
-        assert split.per_layer[2] == pytest.approx([0.5, 0.2, 0.0], abs=1e-12)
+        assert split_rows(split)[2] == pytest.approx([0.5, 0.2, 0.0], abs=1e-12)
 
     def test_earlier_layers_full_before_later_nonzero(self):
         rng = np.random.default_rng(7)
@@ -98,7 +103,7 @@ class TestOrderedSplit:
             m, rates = random_split_inputs(rng, K)
             split = oca_split(m, rates)
             for k in range(1, K + 1):
-                row = split.per_layer[k - 1]
+                row = split_rows(split)[k - 1]
                 for l in range(1, k):
                     if row[l] > 0.0:
                         # mass in layer l+1 forces layer l to be full
@@ -113,8 +118,9 @@ class TestConservation:
             K = int(rng.integers(1, 7))
             m, rates = random_split_inputs(rng, K)
             split = split_fn(m, rates)
+            assert [len(shares) for shares in split] == list(range(K, 0, -1))
             for k in range(K):
-                assert abs(split.per_user[k] - m[k]) <= 1e-12
+                assert abs(sum(split_rows(split)[k]) - m[k]) <= 1e-12
 
 
 class TestBaselineLoad:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hetcache.closed_form import (
-    TDecomposition,
     corner_points,
     t_decomposition,
     theorem1_load,
@@ -36,21 +35,20 @@ def random_profile(rng, K=None, allow_flat=False):
 
 class TestGreedySplit:
     def test_worked_example(self, figure_profile):
-        dec = t_decomposition(1.25, figure_profile)
-        assert dec.t == (1.5, 1.0, 1.0)
-        x, y, alpha = threshold_form(dec.t, figure_profile)
+        t = t_decomposition(1.25, figure_profile)
+        assert t == (1.5, 1.0, 1.0)
+        x, y, alpha = threshold_form(t, figure_profile)
         assert (x, y) == (2, 1)
         assert alpha == pytest.approx(0.5)
-        assert sum(t * f for t, f in zip(dec.t, figure_profile.f)) == pytest.approx(1.25)
+        assert sum(tl * f for tl, f in zip(t, figure_profile.f)) == pytest.approx(1.25)
 
     def test_zero_budget(self, figure_profile):
-        dec = t_decomposition(0.0, figure_profile)
-        assert dec.t == (0.0, 0.0, 0.0)
-        assert threshold_form(dec.t, figure_profile) == (1, 1, 0.0)
+        t = t_decomposition(0.0, figure_profile)
+        assert t == (0.0, 0.0, 0.0)
+        assert threshold_form(t, figure_profile) == (1, 1, 0.0)
 
     def test_full_budget(self, figure_profile):
-        dec = t_decomposition(2.2, figure_profile)
-        assert dec.t == (3.0, 2.0, 1.0)
+        assert t_decomposition(2.2, figure_profile) == (3.0, 2.0, 1.0)
 
     def test_budget_out_of_range(self, figure_profile):
         with pytest.raises(InstanceError):
@@ -66,8 +64,7 @@ class TestGreedySplit:
             p = random_profile(rng, allow_flat=True)
             K = p.K
             m_tot = float(rng.uniform(0.0, p.sum_rates))
-            dec = t_decomposition(m_tot, p)
-            t = dec.t
+            t = t_decomposition(m_tot, p)
             assert all(t[i] >= t[i + 1] - 1e-12 for i in range(K - 1))
             assert all(-1e-12 <= t[l - 1] <= K - l + 1 + 1e-12 for l in range(1, K + 1))
             assert sum(tl * fl for tl, fl in zip(t, p.f)) == pytest.approx(m_tot, abs=1e-9)
@@ -87,8 +84,7 @@ class TestGreedySplit:
             p = random_profile(rng, K=int(rng.integers(1, 6)))
             K, f = p.K, p.f
             m = float(rng.uniform(1e-6, p.sum_rates - 1e-6))
-            dec = t_decomposition(m, p)
-            x, y, alpha = threshold_form(dec.t, p)
+            x, y, alpha = threshold_form(t_decomposition(m, p), p)
             tail = sum((K - i) * f[i] for i in range(K - x + 1, K))
             lower_x = (x - 1) * sum(f[: K - x + 1]) + tail
             upper_x = x * sum(f[: K - x]) + sum((K - i) * f[i] for i in range(K - x, K))
@@ -182,30 +178,33 @@ class TestThresholdAllocation:
     }
 
     def test_corner_allocations(self, figure_profile):
+        f = figure_profile.f
         for m_tot, shares in self.CORNER_SHARES.items():
-            alloc = threshold_allocation(m_tot, figure_profile)
+            t = t_decomposition(m_tot, figure_profile)
+            for l in range(1, 4):
+                assert t[l - 1] * f[l - 1] / (4 - l) == pytest.approx(
+                    shares[l - 1], abs=1e-12
+                ), (m_tot, l)
+            # user k holds its shares of layers 1..k
+            m = threshold_allocation(m_tot, figure_profile)
             for k in range(1, 4):
-                for l in range(1, 4):
-                    expected = shares[l - 1] if l <= k else 0.0
-                    assert alloc.per_layer[k - 1][l - 1] == pytest.approx(
-                        expected, abs=1e-12
-                    ), (m_tot, k, l)
+                assert m[k - 1] == pytest.approx(sum(shares[:k]), abs=1e-12), (m_tot, k)
 
     def test_totals_and_caps(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             p = random_profile(rng, allow_flat=True)
             m_tot = float(rng.uniform(0.0, p.sum_rates))
-            alloc = threshold_allocation(m_tot, p)
-            assert sum(alloc.per_user) == pytest.approx(m_tot, abs=1e-10)
+            m = threshold_allocation(m_tot, p)
+            assert sum(m) == pytest.approx(m_tot, abs=1e-10)
             for k in range(1, p.K + 1):
-                assert alloc.per_user[k - 1] <= p.r[k - 1] + 1e-10
+                assert m[k - 1] <= p.r[k - 1] + 1e-10
 
     def test_fractional_level_allocation(self, figure_profile):
         # t = (1.5, 1, 1): layer 1 holds 0.75 split three ways.
-        alloc = threshold_allocation(1.25, figure_profile)
-        assert alloc.per_layer[0][0] == pytest.approx(0.25)
-        assert alloc.per_user == (
+        t1 = t_decomposition(1.25, figure_profile)[0]
+        assert t1 * figure_profile.f[0] / 3 == pytest.approx(0.25)
+        assert threshold_allocation(1.25, figure_profile) == (
             pytest.approx(0.25),
             pytest.approx(0.35),
             pytest.approx(0.65),
@@ -241,6 +240,6 @@ class TestIndependentRoute:
         for _ in range(100):
             p = random_profile(rng, allow_flat=True)
             m_tot = float(rng.uniform(0.0, p.sum_rates))
-            dec, load = simplified_budget_solve(m_tot, p)
+            t, load = simplified_budget_solve(m_tot, p)
             assert load == pytest.approx(theorem1_load(m_tot, p), abs=1e-10)
-            assert dec == t_decomposition(m_tot, p)
+            assert t == t_decomposition(m_tot, p)

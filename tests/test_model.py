@@ -6,7 +6,6 @@ from hetcache.model import (
     Budget,
     FixedMemories,
     InstanceError,
-    MemoryAllocation,
     ProblemInstance,
     binary_entropy,
     instance_from_dict,
@@ -141,21 +140,6 @@ class TestValidation:
             "N >= K violated (N=2 < K=3)",
             "budget 5.0 outside [0, 2.2]",
         ]
-
-
-class TestMemoryAllocation:
-    def test_row_sums(self):
-        alloc = MemoryAllocation.from_matrix(
-            [[0.1, 0.0, 0.0], [0.1, 0.1, 0.0], [0.1, 0.0, 0.5]]
-        )
-        assert alloc.per_user == (pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.6))
-        assert sum(alloc.per_user) == pytest.approx(0.9)
-
-    def test_check_flags_upper_triangle(self):
-        with pytest.raises(InstanceError, match=r"m\[1\]\[2\]=0\.2 nonzero for layer above"):
-            MemoryAllocation.from_matrix(
-                [[0.1, 0.2, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-            )
 
 
 class TestJson:

@@ -15,7 +15,6 @@ from hetcache.model import (
     make_rate_profile,
 )
 from hetcache.baselines import build_intra_layer
-from hetcache.model import MemoryAllocation
 from hetcache.scheme_lp import (
     INDEX_CACHE_SIZE,
     SchemeSolution,
@@ -23,7 +22,6 @@ from hetcache.scheme_lp import (
     build_layer_program,
     build_o1,
     build_o2,
-    constraint_rows,
     extract_scheme,
     make_variable_index,
     mask_label,
@@ -111,14 +109,13 @@ class TestVariableIndex:
         assert len(keys) == 5  # four sets in layer 1, one in layer 2
 
     def test_single_layer_index(self):
-        idx = make_variable_index(
-            3, layers=(2,), per_layer_signals=True, with_layer_memories=False
-        )
-        assert set(idx.layers) == {2}
-        assert all(l == 2 for (l, _S) in idx.alloc)
+        # layer 2 of three users: users 2 and 3, renumbered 1 and 2
+        _lp, idx = build_layer_program(0.2, [0.1, 0.1])
+        assert set(idx.layers) == {1}
+        assert all(l == 1 for (l, _S) in idx.alloc)
         assert len(idx.alloc) == 4
         assert not idx.layer_mem
-        assert set(idx.unicast) == {(2, 2), (3, 2)}
+        assert set(idx.unicast) == {(1, 1), (2, 1)}
 
     def test_rejects_oversized(self):
         with pytest.raises(InstanceError):
@@ -141,15 +138,6 @@ class TestVariableIndex:
             with pytest.raises(TypeError):
                 del mapping[key]
         assert make_variable_index(3).n_vars == 47
-
-    def test_layers_may_be_a_list(self):
-        idx = make_variable_index(
-            3, layers=[2], per_layer_signals=True, with_layer_memories=False
-        )
-        assert idx.layers == (2,)
-        assert idx is make_variable_index(
-            3, layers=(2,), per_layer_signals=True, with_layer_memories=False
-        )
 
     def test_oversized_is_refused_every_call_and_never_cached(self):
         before = scheme_lp._build_index.cache_info()
@@ -190,10 +178,6 @@ class TestVariableIndex:
             assert scheme_lp._build_index.cache_info().currsize <= INDEX_CACHE_SIZE
         assert scheme_lp._build_index.cache_info().currsize == INDEX_CACHE_SIZE
 
-    def test_joint_needs_all_layers(self):
-        with pytest.raises(InstanceError):
-            make_variable_index(3, layers=(1, 2))
-
 
 def row_names(row, names):
     return {names[col]: coef for col, coef in row.items()}
@@ -205,7 +189,7 @@ class TestConstraintRows:
     @pytest.fixture
     def setup(self, example_one):
         idx = make_variable_index(3)
-        eqs, ubs = constraint_rows(example_one, idx)
+        eqs, ubs = idx._rows.rows(example_one.rates.f)
 
         def named(rows):
             return [(row_names(r, idx.names), rhs) for r, rhs in rows]
@@ -417,10 +401,8 @@ class TestBudgetProgram:
         cases += [(prof4, 0.35 * prof4.sum_rates), (prof4, 0.8 * prof4.sum_rates)]
         for prof, m_tot in cases:
             o1 = solve_objective(build_o1(budget_instance(list(prof.r), m_tot, q=8)))
-            split = threshold_allocation(m_tot, prof)
-            o2 = solve_objective(
-                build_o2(fixed_instance(list(prof.r), split.per_user, q=8))
-            )
+            m = threshold_allocation(m_tot, prof)
+            o2 = solve_objective(build_o2(fixed_instance(list(prof.r), m, q=8)))
             assert o2 == pytest.approx(o1, abs=1e-7)
 
 
@@ -454,16 +436,11 @@ class TestIntraRestriction:
         sol = solve_lp(lp)
         scheme = extract_scheme(sol, idx)
         mem = scheme.index.layer_mem
-        rows = [
-            [scheme.x[mem[(k, l)]] if l <= k else 0.0 for l in range(1, 4)]
-            for k in range(1, 4)
-        ]
-        split = MemoryAllocation.from_matrix(rows)
+        split = [[scheme.x[mem[(k, l)]] for k in range(l, 4)] for l in range(1, 4)]
         # a user with an empty share of a layer is out of its program and
         # costs that layer by unicast
         f = example_one.rates.f
-        empty = sum(f[l - 1] for k, row in enumerate(rows, 1) for l in range(1, k + 1)
-                    if row[l - 1] <= 0.0)
+        empty = sum(fl for fl, shares in zip(f, split) for share in shares if share <= 0.0)
         total = empty + sum(
             solve_objective(prog) for prog in build_intra_layer(example_one, split)
         )
