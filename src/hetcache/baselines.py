@@ -59,7 +59,8 @@ def oca_split(m, rates: RateProfile) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(row[l - 1] for row in rows[l - 1:]) for l in range(1, rates.K + 1))
 
 
-_SPLITS = {"pca": pca_split, "oca": oca_split}
+# the split rules, in the order baseline_loads runs them
+_SPLITS = {"oca": oca_split, "pca": pca_split}
 
 
 def build_intra_layer(inst: ProblemInstance, split):
@@ -80,10 +81,10 @@ def build_intra_layer(inst: ProblemInstance, split):
     return programs
 
 
-def baseline_loads(inst: ProblemInstance, memories, methods=("oca", "pca")) -> dict:
-    """Load of each named split, followed by optimal per-layer delivery,
-    at each cache vector of ``memories``: a list of loads per method, in
-    the order of ``memories``.
+def baseline_loads(instances) -> dict:
+    """Load of each split, "oca" and "pca", followed by optimal per-layer
+    delivery, at the cache sizes of each of ``instances``: a list of loads
+    per split, in the order of ``instances``.
 
     At each split the load is f_l for every user with an empty share of
     layer l, plus the optimum of each program of :func:`build_intra_layer`
@@ -91,21 +92,20 @@ def baseline_loads(inst: ProblemInstance, memories, methods=("oca", "pca")) -> d
     cache-share rows of a program move, and a start fits every program
     built over the same index, so the programs of each user count run as
     one warm chain, whatever their layer, and the chains snake: every
-    split of the first method from the largest vector to the smallest,
-    where the cold solve is cheapest at the top, then every split of the
-    next method back up, and so on.
+    "oca" split from the most memory to the least, where the cold solve is
+    cheapest at the top, then every "pca" split back up.
     """
-    for method in methods:
-        if method.lower() not in _SPLITS:
-            raise ValueError(f"unknown baseline {method!r}; use 'pca' or 'oca'")
-    f = inst.rates.f
-    order = sorted(range(len(memories)), key=lambda i: sum(memories[i]), reverse=True)
-    loads = {method: [None] * len(memories) for method in methods}
+    if any(inst.is_budget for inst in instances):
+        raise InstanceError(["baselines need per-user cache sizes"])
+    order = sorted(range(len(instances)), key=lambda i: sum(instances[i].constraint.m),
+                   reverse=True)
+    loads = {method: [None] * len(instances) for method in _SPLITS}
     starts = {}  # the last optimal basis of each user count
-    for method in methods:
+    for method, split_rule in _SPLITS.items():
         for i in order:
-            split = _SPLITS[method.lower()](memories[i], inst.rates)
-            total = sum((fl for fl, shares in zip(f, split)
+            inst = instances[i]
+            split = split_rule(inst.constraint.m, inst.rates)
+            total = sum((fl for fl, shares in zip(inst.rates.f, split)
                          for share in shares if share <= 0.0), 0.0)
             for lp, index in build_intra_layer(inst, split):
                 sol = solve_lp(lp, start=starts.get(index.K))
@@ -118,11 +118,11 @@ def baseline_loads(inst: ProblemInstance, memories, methods=("oca", "pca")) -> d
     return loads
 
 
-def baseline_load(method: str, inst: ProblemInstance, m=None) -> float:
-    """Load of the named split followed by optimal per-layer delivery."""
-    if m is None:
-        if inst.is_budget:
-            raise InstanceError(["baselines need per-user cache sizes"])
-        m = inst.constraint.m
-    (load,) = baseline_loads(inst, [m], (method,))[method]
+def baseline_load(method: str, inst: ProblemInstance) -> float:
+    """Load of the named split, "pca" or "oca", at the cache sizes of
+    ``inst``, followed by optimal per-layer delivery: one entry of
+    :func:`baseline_loads`, which solves both splits."""
+    if method.lower() not in _SPLITS:
+        raise ValueError(f"unknown baseline {method!r}; use 'pca' or 'oca'")
+    (load,) = baseline_loads([inst])[method.lower()]
     return load

@@ -14,7 +14,9 @@ additionally gets to pick the least favorable split of the budget, which
 is a linear program in the m_k.  The sum of the s largest entries of a
 vector y is min over t of s t + sum_k max(0, y_k - t) (Ogryczak & Tamir
 2003), so each size costs one threshold column, K excess columns and
-K + 1 rows, and the program has about K^2 rows instead of 2^K.
+K + 1 rows, and the program has about K^2 rows instead of 2^K.  Each
+bound reads the memory of the instance it is given, and refuses the other
+kind: :func:`cutset_fixed` needs cache sizes, the others a budget.
 
 These bounds hold for every caching scheme, coded placement included,
 so they sit below the achievable curves computed elsewhere in the
@@ -29,19 +31,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .lp_core import Basis, LinearProgram, SolverError, solve_lp
-from .model import (
-    Budget,
-    FixedMemories,
-    InstanceError,
-    ProblemInstance,
-    check_budget,
-    check_memories,
-)
+from .model import InstanceError, ProblemInstance
 
 # the budget program has about K^2 rows and columns and the solver keeps a
 # dense inverse of its basis; nothing measured needs more users than this
 MAX_BOUND_USERS = 20
-# cuts, and the terms they add up, closer than this count as equal
+# cuts, and their terms, within this times the sum of rates count as equal
 TIE_TOL = 1e-15
 
 
@@ -51,10 +46,11 @@ class BoundReport:
 
     ``value`` is clamped to zero since load cannot be negative;
     ``raw_value`` keeps the unclamped number for diagnostics.  The
-    attaining witness is the maximizing user subset for fixed caches, as
-    a bitmask with bit k-1 for user k, or the minimizing memory split for
-    a budget.  ``basis`` is the optimal basis of the budget program: a
-    start for the budget bound of any instance with the same K and N.
+    attaining witness is the maximizing user subset of a fixed-memory
+    instance, as a bitmask with bit k-1 for user k, or a minimizing split
+    of a budget instance's budget, one of many in general.  ``basis`` is
+    the optimal basis of the budget program: a start for the budget bound
+    of any instance with the same K and N.
     """
 
     value: float
@@ -71,36 +67,28 @@ def _check_program_size(K: int) -> None:
         )
 
 
-def _cut_value(inst: ProblemInstance, mask: int, m) -> float:
-    r = inst.rates.r
-    size = mask.bit_count()
-    rate_sum = 0.0
-    mem_sum = 0.0
-    for k in range(inst.K):
-        if mask >> k & 1:
-            rate_sum += r[k]
-            mem_sum += m[k]
-    return rate_sum - inst.N * mem_sum / (inst.N // size)
+def _budget(inst: ProblemInstance) -> float:
+    if not inst.is_budget:
+        raise InstanceError(["the budget cut-set bound needs a budget, not per-user cache sizes"])
+    return inst.constraint.m_tot
 
 
-def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
-    """Best cut over all nonempty user subsets, cache sizes given.
+def cutset_fixed(inst: ProblemInstance) -> BoundReport:
+    """Best cut over all nonempty user subsets, at the cache sizes of ``inst``.
 
-    With no ``m`` the instance's own fixed memories are used.  For each
-    size the best cut takes the largest terms, terms equal up to TIE_TOL
-    going to the lower user number, which gives the smallest bitmask of
-    that size.  The sizes are then compared in bitmask order, a later one
-    winning only by more than TIE_TOL, so ties go to the smallest bitmask
-    and the witness is deterministic.
+    For each size the best cut takes the largest terms, terms equal up to
+    TIE_TOL times the sum of rates going to the lower user number, which
+    gives the smallest bitmask of that size.  The sizes are then compared
+    in bitmask order, a later one winning only by more than that
+    tolerance, so ties go to the smallest bitmask and the witness is
+    deterministic at any scale of the rates.
     """
     _check_program_size(inst.K)
-    if m is None:
-        if not isinstance(inst.constraint, FixedMemories):
-            raise InstanceError(["no memory vector given and none on the instance"])
-        m = inst.constraint.m
-    m = check_memories(m, inst.rates)
+    if inst.is_budget:
+        raise InstanceError(["the fixed cut-set bound needs per-user cache sizes, not a budget"])
 
-    K, r = inst.K, inst.rates.r
+    K, r, m = inst.K, inst.rates.r, inst.constraint.m
+    tol = TIE_TOL * inst.rates.sum_rates
     masks = []
     for size in range(1, K + 1):
         coef = inst.N / (inst.N // size)
@@ -108,38 +96,35 @@ def cutset_fixed(inst: ProblemInstance, m=None) -> BoundReport:
         threshold = sorted(terms, reverse=True)[size - 1]
         # every term above the size-th largest, then the lowest users among
         # those equal to it up to rounding
-        above = [k for k in range(K) if terms[k] > threshold + TIE_TOL]
-        tied = [k for k in range(K) if abs(terms[k] - threshold) <= TIE_TOL]
+        above = [k for k in range(K) if terms[k] > threshold + tol]
+        tied = [k for k in range(K) if abs(terms[k] - threshold) <= tol]
         masks.append(sum(1 << k for k in above + tied[: size - len(above)]))
 
     best_mask = 0
     best = -float("inf")
     for mask in sorted(masks):
-        val = _cut_value(inst, mask, m)
-        if val > best + TIE_TOL:
+        rate_sum = mem_sum = 0.0
+        for k in range(K):
+            if mask >> k & 1:
+                rate_sum += r[k]
+                mem_sum += m[k]
+        val = rate_sum - inst.N * mem_sum / (inst.N // mask.bit_count())
+        if val > best + tol:
             best = val
             best_mask = mask
     return BoundReport(value=max(best, 0.0), raw_value=best, binding_set=best_mask)
 
 
-def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
-                  start: Basis | None = None) -> BoundReport:
-    """Budget version: minimize the best cut over admissible splits.
+def cutset_budget(inst: ProblemInstance, start: Basis | None = None) -> BoundReport:
+    """Budget version: minimize the best cut over admissible splits of the
+    budget of ``inst``, by solving :func:`budget_program`.
 
-    The program is :func:`budget_program`'s, moved to the budget
-    ``m_tot`` (the instance's own when None).  Every program with the same
-    K and N shares one set of coefficient arrays, so the ``basis`` of any
-    such report, at any rates and budget, is a warm ``start`` here.
+    Every program with the same K and N shares one set of coefficient
+    arrays, so the ``basis`` of any such report, at any rates and budget,
+    is a warm ``start`` here.
     """
     _check_program_size(inst.K)
-    if m_tot is None:
-        if not isinstance(inst.constraint, Budget):
-            raise InstanceError(["no budget given and none on the instance"])
-        m_tot = inst.constraint.m_tot
-    m_tot = check_budget(float(m_tot), inst.rates)
-
-    lp = budget_program(inst)
-    sol = solve_lp(replace(lp, eq_rows=[(lp.eq_rows[0][0], m_tot)]), start=start)
+    sol = solve_lp(budget_program(inst), start=start)
     if not sol.is_optimal:
         raise SolverError(f"cut-set program ended {sol.status.value}")
     raw = float(sol.objective)
@@ -149,7 +134,7 @@ def cutset_budget(inst: ProblemInstance, m_tot: float | None = None,
 
 
 def budget_program(inst: ProblemInstance) -> LinearProgram:
-    """The budget bound's program for the users of ``inst``, at zero budget.
+    """The budget bound's program for the users and the budget of ``inst``.
 
     Epigraph formulation over the columns m_1..m_K and the bound value z.
     A size s row pushes z above the sum of the s largest terms
@@ -164,9 +149,11 @@ def budget_program(inst: ProblemInstance) -> LinearProgram:
     one row per subset.
 
     No coefficient depends on the rates: every program is a copy of one
-    kept per K and N, with the instance's right-hand sides (minus the rates
-    each row sums) and boxes, so all of them share their coefficient arrays.
+    kept per K and N, with the instance's right-hand sides (its budget, and
+    minus the rates each row sums) and boxes, so all of them share their
+    coefficient arrays.
     """
+    m_tot = _budget(inst)
     K, r = inst.K, inst.rates.r
     kept, coefs = _budget_rows(K, inst.N)
     r_max = max(r)
@@ -180,7 +167,8 @@ def budget_program(inst: ProblemInstance) -> LinearProgram:
         lo += [t_lo] + [0.0] * K
         hi += [r_max] + [rk - t_lo for rk in r]
     ubs = [(row, -sum(r[k] for k in row if k < K)) for row, _ in kept.ub_rows]
-    return replace(kept, eq_rows=list(kept.eq_rows), ub_rows=ubs, lo=lo, hi=hi)
+    eq = [(kept.eq_rows[0][0], m_tot)]
+    return replace(kept, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi)
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,8 +203,9 @@ def _budget_rows(K: int, N: int) -> tuple[LinearProgram, tuple[float, ...]]:
     return kept, tuple(coefs)
 
 
-def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:
-    """Three-user closed form of the budget bound: max of three lines.
+def cutset_k3(inst: ProblemInstance) -> float:
+    """Three-user closed form of the budget bound at the budget of ``inst``:
+    max of three lines.
 
     The lines are the all-users cut, a weighted mix of the {1,2} pair cut
     with user 3's own, and the average of the single-user cuts; for three
@@ -224,11 +213,7 @@ def cutset_k3(inst: ProblemInstance, m_tot: float | None = None) -> float:
     """
     if inst.K != 3:
         raise InstanceError([f"closed form applies to 3 users, not {inst.K}"])
-    if m_tot is None:
-        if not isinstance(inst.constraint, Budget):
-            raise InstanceError(["no budget given and none on the instance"])
-        m_tot = inst.constraint.m_tot
-    m_tot = check_budget(float(m_tot), inst.rates)
+    m_tot = _budget(inst)
     r1, r2, r3 = inst.rates.r
     N = inst.N
     total = r1 + r2 + r3

@@ -220,7 +220,7 @@ def cmd_compare(args) -> int:
     joint = [next(schemes).load() if p
              else sum((rk for mk, rk in zip(sub.constraint.m, rates.r) if mk <= 0.0), 0.0)
              for sub, p in zip(subs, partial)]
-    baselines = baseline_loads(inst, [sub.constraint.m for sub in subs])
+    baselines = baseline_loads(subs)
 
     def one(i: int) -> dict:
         sub = subs[i]

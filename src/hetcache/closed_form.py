@@ -27,6 +27,8 @@ import math
 
 from .model import RateProfile, check_budget
 
+# a level fraction, or a budget left over relative to the sum of rates,
+# that counts as zero
 _TOL = 1e-12
 
 
@@ -64,7 +66,7 @@ def t_decomposition(m_tot: float, rates: RateProfile) -> tuple[float, ...]:
 
     t = [0.0] * K
     for slope, l, level, cost in _unit_steps(rates):
-        if remaining <= _TOL:
+        if remaining <= _TOL * rates.sum_rates:
             break
         if remaining >= cost:
             t[l - 1] = float(level + 1)

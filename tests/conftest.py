@@ -57,6 +57,26 @@ def budget_instance_factory():
 
 
 @pytest.fixture
+def own_examples(monkeypatch):
+    """Derandomized Hypothesis draws that follow from the test's own code.
+
+    Hypothesis also draws literals that it reads from every loaded module
+    outside site-packages (its local-constant pool), so an edit of a
+    literal in the package, or another test module loaded first, would
+    move the examples.  The pool is emptied for the test, and the cache of
+    constants filtered from it is cleared on both sides.  The pool is
+    private to Hypothesis: a release without it fails here.
+    """
+    from hypothesis.internal.conjecture import providers
+    from hypothesis.internal.constants_ast import Constants
+
+    monkeypatch.setattr(providers, "_get_local_constants", Constants)
+    providers.CONSTANTS_CACHE.cache.clear()
+    yield
+    providers.CONSTANTS_CACHE.cache.clear()
+
+
+@pytest.fixture
 def starts(monkeypatch):
     """A list that records, for every start the solver is handed, whether
     it was taken (True) or dropped for a cold solve (False)."""

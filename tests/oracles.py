@@ -15,7 +15,7 @@ import numpy as np
 from hetcache.bounds import BoundReport
 from hetcache.closed_form import t_decomposition
 from hetcache.lp_core import LinearProgram, SolverError, _row_head, solve_lp
-from hetcache.model import Budget, FixedMemories, InstanceError, ProblemInstance
+from hetcache.model import InstanceError, ProblemInstance
 from hetcache.scheme_lp import build_layer_program, mask_label, members
 from hetcache.simulator import (
     Piece,
@@ -473,66 +473,38 @@ def audit_delivery(cache, log) -> list:
     return problems
 
 
-def _cut_value(inst: ProblemInstance, mask: int, m) -> float:
-    r = inst.rates.r
-    size = mask.bit_count()
-    rate_sum = 0.0
-    mem_sum = 0.0
-    for k in range(inst.K):
-        if mask >> k & 1:
-            rate_sum += r[k]
-            mem_sum += m[k]
-    return rate_sum - inst.N * mem_sum / (inst.N // size)
+def cutset_fixed_enum(inst: ProblemInstance) -> BoundReport:
+    """Best cut over all nonempty user subsets, at the cache sizes of ``inst``.
 
-
-def cutset_fixed_enum(inst: ProblemInstance, m=None) -> BoundReport:
-    """Best cut over all nonempty user subsets, cache sizes given.
-
-    With no ``m`` the instance's own fixed memories are used.  Ties go to
-    the smallest bitmask so the witness is deterministic.  Visits all
-    2^K - 1 subsets.
+    Ties, up to 1e-15 times the sum of rates, go to the smallest bitmask
+    so the witness is deterministic.  Visits all 2^K - 1 subsets.
     """
-    if m is None:
-        if not isinstance(inst.constraint, FixedMemories):
-            raise InstanceError(["no memory vector given and none on the instance"])
-        m = inst.constraint.m
-    m = tuple(float(v) for v in m)
-    # each range test is written so that NaN, which compares false, fails it
-    problems = [
-        f"memory m[{k}]={mk} outside [0, {rk}]"
-        for k, (mk, rk) in enumerate(zip(m, inst.rates.r), start=1)
-        if not -1e-12 <= mk <= rk + 1e-9
-    ]
-    if len(m) != inst.K:
-        problems.append(f"memory vector has {len(m)} entries for {inst.K} users")
-    if problems:
-        raise InstanceError(problems)
-
+    r, m = inst.rates.r, inst.constraint.m
     best_mask = 0
     best = -float("inf")
     for mask in range(1, 1 << inst.K):
-        val = _cut_value(inst, mask, m)
-        if val > best + 1e-15:
+        rate_sum = mem_sum = 0.0
+        for k in range(inst.K):
+            if mask >> k & 1:
+                rate_sum += r[k]
+                mem_sum += m[k]
+        val = rate_sum - inst.N * mem_sum / (inst.N // mask.bit_count())
+        if val > best + 1e-15 * inst.rates.sum_rates:
             best = val
             best_mask = mask
     return BoundReport(value=max(best, 0.0), raw_value=best, binding_set=best_mask)
 
 
-def cutset_budget_enum(inst: ProblemInstance, m_tot: float | None = None) -> BoundReport:
-    """Budget version: minimize the best cut over admissible splits.
+def cutset_budget_enum(inst: ProblemInstance) -> BoundReport:
+    """Budget version: minimize the best cut over admissible splits of the
+    budget of ``inst``.
 
     Epigraph formulation: one variable per user plus the bound value z,
     one row per nonempty subset pushing z above that cut, the budget row,
     and per-user boxes [0, r_k].  The program has 2^K rows.
     """
-    if m_tot is None:
-        if not isinstance(inst.constraint, Budget):
-            raise InstanceError(["no budget given and none on the instance"])
-        m_tot = inst.constraint.m_tot
-    m_tot = float(m_tot)
+    m_tot = inst.constraint.m_tot
     total = inst.rates.sum_rates
-    if not -1e-9 <= m_tot <= total + 1e-9:  # NaN fails this test
-        raise InstanceError([f"budget {m_tot} outside [0, {total}]"])
 
     K, N = inst.K, inst.N
     r = inst.rates.r

@@ -7,6 +7,7 @@ asserted, not just reported; a slow or drifting build fails loudly.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from hetcache.baselines import baseline_load
 from hetcache.bounds import cutset_budget, cutset_k3
 from hetcache.closed_form import corner_points, theorem1_load, threshold_allocation
 from hetcache.lp_core import solve_lp
-from hetcache.model import make_rate_profile
+from hetcache.model import Budget, make_rate_profile
 from hetcache.scheme_lp import (
     build_intra_restricted,
     build_o1,
@@ -193,8 +194,9 @@ def test_5_cutset_below_achievable():
         tight_from = profile.r[-2] + profile.r[-1]
         for m_tot in grid:
             achievable = theorem1_load(m_tot, profile)
-            lower = cutset_budget(inst, m_tot).value
-            closed = cutset_k3(inst, m_tot)
+            sub = replace(inst, constraint=Budget(m_tot))
+            lower = cutset_budget(sub).value
+            closed = cutset_k3(sub)
             if lower > achievable + 1e-8:
                 failures.append(
                     f"r={rates} m_tot={m_tot:.4f}: bound {lower} above {achievable}"

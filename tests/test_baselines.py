@@ -1,5 +1,7 @@
 """Cache-splitting heuristics and the loads they achieve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from hetcache.baselines import (
     oca_split,
     pca_split,
 )
-from hetcache.model import InstanceError, make_rate_profile
+from hetcache.model import FixedMemories, InstanceError, make_rate_profile
 from hetcache.lp_core import solve_lp
 from hetcache.scheme_lp import build_o2, extract_scheme
 
@@ -139,8 +141,8 @@ class TestBaselineLoad:
         inst = budget_instance(FIG, 1.0)
         with pytest.raises(InstanceError, match="per-user"):
             baseline_load("pca", inst)
-        # but an explicit vector works
-        value = baseline_load("pca", inst, m=[0.1, 0.2, 0.6])
+        # but the same instance with cache sizes works
+        value = baseline_load("pca", replace(inst, constraint=FixedMemories((0.1, 0.2, 0.6))))
         assert value >= 0.0
 
     def test_full_memory_is_free(self):
@@ -216,7 +218,8 @@ class TestReductionRule:
     def test_loads_equal_the_unreduced_programs(self):
         splits = 0
         for inst, memories in reduction_cases():
-            loads = baseline_loads(inst, memories)
+            loads = baseline_loads([replace(inst, constraint=FixedMemories(m))
+                                    for m in memories])
             for method, split_fn in (("pca", pca_split), ("oca", oca_split)):
                 for m, load in zip(memories, loads[method]):
                     expected = intra_layer_load(inst, split_fn(m, inst.rates))

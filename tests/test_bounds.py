@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hetcache import bounds
-from hetcache.baselines import baseline_load, oca_split, pca_split
+from hetcache.baselines import oca_split, pca_split
 from hetcache.bounds import BoundReport, budget_program, cutset_budget, cutset_fixed, cutset_k3
 from hetcache.closed_form import t_decomposition, theorem1_load, threshold_allocation
 from hetcache.lp_core import solve_lp
@@ -38,7 +39,7 @@ class TestFixedCutset:
 
     def test_explicit_vector_overrides_instance(self):
         inst = budget_instance(FIG, 1.0)
-        rep = cutset_fixed(inst, m=[0.1, 0.2, 0.3])
+        rep = cutset_fixed(replace(inst, constraint=FixedMemories((0.1, 0.2, 0.3))))
         # every subset evaluated by hand for this instance
         best = -np.inf
         r = [0.5, 0.7, 1.0]
@@ -50,10 +51,19 @@ class TestFixedCutset:
             best = max(best, val)
         assert rep.value == pytest.approx(best, abs=1e-12)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-13, 1e-300])
+    def test_ties_are_relative_to_the_rates(self, s):
+        # users 2 and 3 tie on their single cuts, and the pair of them ties
+        # with both: at any scale the tie goes to the smallest bitmask
+        inst = fixed_instance([0.1 * s, 0.2 * s, 0.3 * s], [0.1 * s, 0.0, 0.1 * s])
+        rep = cutset_fixed(inst)
+        assert rep.value == pytest.approx(0.2 * s, rel=1e-12)
+        assert rep.binding_set == users_mask(2)
+
     def test_rejects_memory_above_rate(self):
         inst = budget_instance(FIG, 1.0)
         with pytest.raises(InstanceError):
-            cutset_fixed(inst, m=[0.6, 0.2, 0.2])
+            replace(inst, constraint=FixedMemories((0.6, 0.2, 0.2)))
 
     def test_rejects_missing_vector(self):
         inst = budget_instance(FIG, 1.0)
@@ -86,7 +96,7 @@ class TestBudgetCutset:
         for m_tot in (0.2, 0.8, 1.3, 1.9):
             inst = budget_instance(FIG, m_tot)
             rep = cutset_budget(inst)
-            again = cutset_fixed(inst, m=rep.binding_set)
+            again = cutset_fixed(replace(inst, constraint=FixedMemories(rep.binding_set)))
             assert again.value == pytest.approx(rep.value, abs=1e-8)
 
 
@@ -130,13 +140,11 @@ class TestThreeUserClosedForm:
     def test_never_negative_past_the_sum_of_rates(self):
         # 1.3 + 5e-10 is inside the budget band, which reads as the sum of
         # rates, where no line of the closed form is positive
-        inst = budget_instance([0.2, 0.3, 0.8], 1.0)
-        value = cutset_k3(inst, m_tot=1.3 + 5e-10)
+        inst = budget_instance([0.2, 0.3, 0.8], 1.3 + 5e-10)
+        value = cutset_k3(inst)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
-        assert value == cutset_budget(inst, m_tot=1.3 + 5e-10).value
-        # an instance file can carry that budget too
-        assert cutset_k3(budget_instance([0.2, 0.3, 0.8], 1.3 + 5e-10)) == 0.0
-        assert math.copysign(1.0, cutset_k3(inst, m_tot=1.3)) == 1.0
+        assert value == cutset_budget(inst).value
+        assert math.copysign(1.0, cutset_k3(replace(inst, constraint=Budget(1.3)))) == 1.0
 
 
 class TestAgainstAchievability:
@@ -175,12 +183,17 @@ class TestGuards:
         with pytest.raises(InstanceError):
             cutset_budget(inst)
 
+    def test_budget_routes_refuse_cache_sizes(self, example_one):
+        for route in (cutset_budget, cutset_k3, budget_program):
+            with pytest.raises(InstanceError, match="needs a budget"):
+                route(example_one)
+
     def test_budget_range_checked(self):
         inst = budget_instance(FIG, 1.0)
         with pytest.raises(InstanceError):
-            cutset_budget(inst, m_tot=5.0)
+            replace(inst, constraint=Budget(5.0))
         with pytest.raises(InstanceError):
-            cutset_k3(inst, m_tot=-0.5)
+            replace(inst, constraint=Budget(-0.5))
 
     def test_warm_chain_matches_cold(self, monkeypatch, starts):
         # the sweep chains the bound program over budgets: every start is
@@ -233,17 +246,12 @@ NAN = float("nan")
 @pytest.mark.parametrize(
     "call",
     [
-        lambda inst: cutset_fixed(inst, m=(NAN, 0.2, 0.3)),
-        lambda inst: cutset_budget(inst, m_tot=NAN),
-        lambda inst: cutset_k3(inst, m_tot=NAN),
-        lambda inst: baseline_load("pca", inst, m=(NAN, 0.2, 0.3)),
         lambda inst: pca_split((NAN, 0.2, 0.3), inst.rates),
         lambda inst: oca_split((0.1, NAN, 0.3), inst.rates),
         lambda inst: theorem1_load(NAN, inst.rates),
         lambda inst: threshold_allocation(NAN, inst.rates),
     ],
-    ids=["cutset_fixed", "cutset_budget", "cutset_k3", "baseline_load", "pca_split",
-         "oca_split", "theorem1_load", "threshold_allocation"],
+    ids=["pca_split", "oca_split", "theorem1_load", "threshold_allocation"],
 )
 def test_nan_fails_range_checks(call):
     # NaN compares false, so a range check written as "x < lo or x > hi" lets it through
@@ -269,10 +277,8 @@ def _accepts(call) -> bool:
 )
 def test_instances_take_the_memory_band_of_the_range_check(m3, ok):
     m = (0.1, 0.2, m3)
-    fixed = ProblemInstance(K=3, N=3, rates=RATES, constraint=FixedMemories((0.1, 0.2, 0.6)))
     assert _accepts(lambda: ProblemInstance(K=3, N=3, rates=RATES,
                                             constraint=FixedMemories(m))) is ok
-    assert _accepts(lambda: cutset_fixed(fixed, m=m)) is ok
     assert _accepts(lambda: pca_split(m, RATES)) is ok
 
 
@@ -282,11 +288,8 @@ def test_instances_take_the_memory_band_of_the_range_check(m3, ok):
      (1.3 + 2e-9, False), (-2e-9, False), (NAN, False), (-math.inf, False)],
 )
 def test_instances_take_the_budget_band_of_the_range_check(m_tot, ok):
-    inst = budget_instance([0.2, 0.3, 0.8], 1.0)
     assert _accepts(lambda: ProblemInstance(K=3, N=3, rates=RATES,
                                             constraint=Budget(m_tot))) is ok
-    assert _accepts(lambda: cutset_budget(inst, m_tot=m_tot)) is ok
-    assert _accepts(lambda: cutset_k3(inst, m_tot=m_tot)) is ok
     assert _accepts(lambda: t_decomposition(m_tot, RATES)) is ok
 
 
@@ -295,16 +298,12 @@ def test_budget_band_reads_as_the_end_of_the_range(m_tot, end):
     # a budget in the rounding band is clamped once, where it is checked:
     # the LP, both cut-set routes and the closed form give their values at
     # the end of the range, and no bound exceeds the achieved load
-    other = budget_instance([0.2, 0.3, 0.8], 1.0)
-
     def routes(b):
         inst = ProblemInstance(K=3, N=3, rates=RATES, constraint=Budget(b))
         return {
             "lp": solve_lp(build_o1(inst)[0]).objective,
             "cutset_budget": cutset_budget(inst).value,
-            "cutset_budget(m_tot)": cutset_budget(other, m_tot=b).value,
             "cutset_k3": cutset_k3(inst),
-            "cutset_k3(m_tot)": cutset_k3(other, m_tot=b),
             "theorem1_load": theorem1_load(b, RATES),
         }
 

@@ -18,6 +18,7 @@ from oracles import cutset_budget_enum, cutset_fixed_enum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+pytestmark = pytest.mark.usefixtures("own_examples")
 
 # strings, booleans, nulls, non-finite and out-of-range numbers
 HOSTILE = st.one_of(

@@ -96,6 +96,22 @@ class TestGreedySplit:
             assert m == pytest.approx(lower_y + alpha * f[y - 1], abs=1e-9)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-12, 1e-13, 1e-300])
+def test_scaled_rates_scale_every_value(s):
+    # the greedy stops at a budget left over relative to the sum of rates,
+    # so the levels keep and the load and cache sizes scale at any scale
+    base = make_rate_profile([0.2, 0.3, 0.8])
+    scaled = make_rate_profile([s * x for x in base.r])
+    for share in (0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0):
+        m, m_s = share * base.sum_rates, share * scaled.sum_rates
+        assert t_decomposition(m_s, scaled) == pytest.approx(
+            t_decomposition(m, base), rel=1e-9, abs=1e-9)
+        assert theorem1_load(m_s, scaled) == pytest.approx(
+            s * theorem1_load(m, base), rel=1e-9, abs=1e-12 * s)
+        assert threshold_allocation(m_s, scaled) == pytest.approx(
+            tuple(s * x for x in threshold_allocation(m, base)), rel=1e-9, abs=1e-12 * s)
+
+
 class TestCornerPoints:
     def test_three_user_curve(self, figure_profile):
         pts = corner_points(figure_profile)

@@ -6,6 +6,8 @@ the 2^K-subset versions, which must agree on the value and, for fixed
 caches, on the witness subset, ties included.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,8 @@ def test_budget_matches_enumeration(K):
             # program returns must attain the bound
             split = got.binding_set
             assert sum(split) == pytest.approx(m_tot, abs=1e-8)
-            assert cutset_fixed(inst, m=split).value == pytest.approx(got.value, abs=1e-9)
+            at_split = replace(inst, constraint=FixedMemories(split))
+            assert cutset_fixed(at_split).value == pytest.approx(got.value, abs=1e-9)
 
 
 def test_budget_program_is_polynomial():
@@ -91,9 +94,9 @@ def test_budget_program_is_polynomial():
     rng = np.random.default_rng(16)
     r = sorted(float(x) for x in rng.uniform(0.05, 1.0, 16))
     m_tot = 0.3 * sum(r)
-    rep = cutset_budget(budget_instance(r, m_tot))
+    inst = budget_instance(r, m_tot)
+    rep = cutset_budget(inst)
     assert rep.value >= sum(r) - 16 * m_tot - 1e-9
     assert rep.value >= (sum(r) - m_tot) / 16 - 1e-9
-    assert cutset_fixed(budget_instance(r, m_tot), m=rep.binding_set).value == pytest.approx(
-        rep.value, abs=1e-9
-    )
+    at_split = replace(inst, constraint=FixedMemories(rep.binding_set))
+    assert cutset_fixed(at_split).value == pytest.approx(rep.value, abs=1e-9)

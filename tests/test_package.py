@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import hetcache
@@ -16,3 +17,28 @@ def test_all_is_sorted_and_lists_every_import():
     assert sorted(imported) == hetcache.__all__
     for name in hetcache.__all__:
         assert hasattr(hetcache, name), name
+
+
+# every parameter with a default, of every function the package exports: a
+# new option shows up here as a diff
+DEFAULTS = {
+    "cutset_budget": {"start": None},
+    "make_library": {"seed": 0, "demand": None},
+    "make_variable_index": {"per_layer_signals": False},
+    "rho": {"q": 2},
+    "scheme_problems": {"tol": 1e-7},
+    "solve_lp": {"start": None, "max_iterations": None},
+    "verify": {"seed": 0},
+}
+
+
+def test_defaulted_parameters_are_pinned():
+    found = {}
+    for name in hetcache.__all__:
+        fn = getattr(hetcache, name)
+        if inspect.isfunction(fn):
+            params = inspect.signature(fn).parameters.values()
+            defaults = {p.name: p.default for p in params if p.default is not p.empty}
+            if defaults:
+                found[name] = defaults
+    assert found == DEFAULTS

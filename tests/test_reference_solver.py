@@ -105,15 +105,17 @@ def test_six_users_match_highs():
 def test_warm_baseline_chains_match_highs(K, seed):
     # the programs at the PCA and then the OCA split of five cache vectors
     # in fixed ratio, every solve warm-started from the one before of its
-    # user count, as compare-baselines runs them; and each split's load
-    # against HiGHS on the K unreduced layer programs
+    # user count; and each split's load from baseline_loads, which chains
+    # its solves as compare-baselines does, against HiGHS on the K
+    # unreduced layer programs
     rng = np.random.default_rng(seed)
     rates = make_rate_profile(sorted(rng.uniform(0.05, 1.0, K)))
     shape = [0.8 ** (K - k) for k in range(1, K + 1)]
     s_max = min(r / w for r, w in zip(rates.r, shape))
     memories = [tuple(s * w for w in shape) for s in np.linspace(0.0, s_max, 5)]
     inst = ProblemInstance(K, K, rates, FixedMemories(memories[0]))
-    loads = baseline_loads(inst, memories, ("pca", "oca"))
+    loads = baseline_loads([dataclasses.replace(inst, constraint=FixedMemories(m))
+                            for m in memories])
     starts = {}
     for method, fn in (("pca", pca_split), ("oca", oca_split)):
         for m, load in zip(memories, loads[method]):
