@@ -89,8 +89,8 @@ def baseline_loads(instances) -> dict:
     At each split the load is f_l for every user with an empty share of
     layer l, plus the optimum of each program of :func:`build_intra_layer`
     (the module's reduction rule).  From one split to the next only the
-    cache-share rows of a program move, and a start fits every program
-    built over the same index, so the programs of each user count run as
+    cache-share rows of a program move, and a start is taken on every
+    program built over the same index, so the programs of each user count run as
     one warm chain, whatever their layer, and the chains snake: every
     "oca" split from the most memory to the least, where the cold solve is
     cheapest at the top, then every "pca" split back up.

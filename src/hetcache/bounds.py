@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .lp_core import Basis, LinearProgram, SolverError, solve_lp
 from .model import InstanceError, ProblemInstance
@@ -148,10 +148,10 @@ def budget_program(inst: ProblemInstance) -> LinearProgram:
     K^2 - 1 rows and K^2 - K - 2 columns for K >= 3, against 2^K rows for
     one row per subset.
 
-    No coefficient depends on the rates: every program is a copy of one
-    kept per K and N, with the instance's right-hand sides (its budget, and
-    minus the rates each row sums) and boxes, so all of them share their
-    coefficient arrays.
+    No coefficient depends on the rates: every program is the
+    :meth:`LinearProgram.at` of one kept per K and N, at the instance's
+    right-hand sides (its budget, and minus the rates each row sums) and
+    boxes, so all of them share their coefficient arrays.
     """
     m_tot = _budget(inst)
     K, r = inst.K, inst.rates.r
@@ -166,15 +166,15 @@ def budget_program(inst: ProblemInstance) -> LinearProgram:
         t_lo = (1.0 - coef) * r_max
         lo += [t_lo] + [0.0] * K
         hi += [r_max] + [rk - t_lo for rk in r]
-    ubs = [(row, -sum(r[k] for k in row if k < K)) for row, _ in kept.ub_rows]
-    eq = [(kept.eq_rows[0][0], m_tot)]
-    return replace(kept, eq_rows=eq, ub_rows=ubs, lo=lo, hi=hi)
+    ub_rhs = [-sum(r[k] for k in row if k < K) for row, _ in kept.ub_rows]
+    return kept.at([m_tot], ub_rhs, lo, hi)
 
 
 @functools.lru_cache(maxsize=8)
 def _budget_rows(K: int, N: int) -> tuple[LinearProgram, tuple[float, ...]]:
     """The budget program for K users and N files at zero right-hand sides,
-    kept and never handed out, and c_s of each size with a threshold."""
+    which every :func:`budget_program` moves, and c_s of each size with a
+    threshold."""
     zcol = K
     names = [f"m[{k}]" for k in range(1, K + 1)] + ["z"]
     coefs, ubs = [], []
@@ -198,9 +198,7 @@ def _budget_rows(K: int, N: int) -> tuple[LinearProgram, tuple[float, ...]]:
     c = [0.0] * len(names)
     c[zcol] = 1.0
     eq = [({k: 1.0 for k in range(K)}, 0.0)]
-    kept = LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, names=tuple(names))
-    kept.c.flags.writeable = False
-    return kept, tuple(coefs)
+    return LinearProgram(c=c, eq_rows=eq, ub_rows=ubs, names=tuple(names)), tuple(coefs)
 
 
 def cutset_k3(inst: ProblemInstance) -> float:

@@ -64,9 +64,9 @@ def _solve_chain(subs, mode: str = "joint") -> list[SchemeSolution]:
     order; the schemes come back in that order.
 
     The instances differ only in their budget or cache sizes, and a start
-    fits every program built over the same index and constraint type, so
-    each point is built and solved from the optimal basis of the point
-    above it, which leaves only a few dual pivots per point.  The chain
+    is taken on every program built over the same index and constraint
+    type, so each point is built and solved from the optimal basis of the
+    point above it, which leaves only a few dual pivots per point.  The chain
     walks down from the most memory, where the cold solve is cheapest.
     Once the first build has passed the size check, a program of
     LONG_SOLVE_USERS users or more warns that its solves will be long.

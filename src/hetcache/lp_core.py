@@ -42,7 +42,8 @@ Design notes, fixed deliberately so results are reproducible run to run:
 * A is stored column-wise and sparse; the pivot row e_r^T B^-1 A, the
   reduced costs and A x_N are sums over its nonzeros, and the entering
   column is B^-1 times a column's few nonzeros.  These arrays are derived
-  once per program and shared by its copies (see :class:`LinearProgram`).
+  once per program, on first use, and shared by every program it is moved
+  to (see :meth:`LinearProgram.at`).
 * The basis inverse is kept in product form (Dantzig & Orchard-Hays
   1954): B0^-1, a dense m x m inverse, computed afresh or folded (below),
   and an outer-product eta file of the k pivots made since, so that
@@ -78,29 +79,35 @@ Design notes, fixed deliberately so results are reproducible run to run:
   not traced).  A program whose four arrays exceed MAX_BASIS_MIB is
   refused with SolverError before anything is allocated.
 * Tolerances: feasibility 1e-8, optimality 1e-8, pivot acceptance 1e-11.
+* A solve runs numpy's BLAS at one thread and then gives the caller's
+  thread count back: the thread count moves the last bits of a product,
+  and so the pivot path.  Where no control of that BLAS is found
+  (:func:`_blas_pin`), a solve runs at the count the BLAS has.
 
 Warm starts.  Every optimal solution carries its final :class:`Basis`,
 which is also its factor: B0^-1, the eta rows and the steepest-edge
-weights it ended with, and the column arrays of the A they belong to.
-A start is taken only on a program that holds those very arrays; one
-identity test decides.  ``scheme_lp`` builds each program as a
-``dataclasses.replace`` of one kept per variable index and constraint
-type, so a start fits every program built over the same index and
-constraint type.  Moved to another right-hand side, as in a budget
-sweep, the basis is still dual feasible, and since B^-1 depends only on
-A and the basic columns, the start's factor is taken over: the solve
-shares B0^-1, copies the k eta rows and goes on pivoting, so the
-re-solve costs only its pivots.  A start is only read, so one basis can
-start many solves.  Along a right-hand side that moves monotonically, as
-a sweep's memory does, a chain is cheapest started where the cold solve
-is; for the scheme programs that is at full memory, so their chains walk
-down.  A start that does not fit (one from a program with other arrays,
-even of equal A, a repeated column, an unbounded slack that prices the
-wrong way) or that ends in numerical trouble is dropped, and the solve
-reruns from the all-logical basis.  A warm solve that ends in a dual ray
-stands: the ray proves the program infeasible from any basis, so a rerun
-would only repeat the verdict.  So a start never changes a status and
-never raises where a solve without one would not.
+weights it ended with, and the column arrays of the A they belong to.  A
+start is taken only on a program that holds those very arrays; one
+identity test decides.  :meth:`LinearProgram.at` moves a program to
+other right-hand sides and boxes over those arrays, and ``scheme_lp``
+and ``bounds`` build each program as an ``at()`` of one kept per
+variable index and constraint type, or per user and file count, so a
+start is taken on every program moved from the same kept one.  Moved to
+another right-hand side, as in a budget sweep, the basis is still dual
+feasible, and since B^-1 depends only on A and the basic columns, the
+start's factor is taken over: the solve shares B0^-1, copies the k eta
+rows and goes on pivoting, so the re-solve costs only its pivots.  A
+start is only read, so one basis can start many solves.  Along a
+right-hand side that moves monotonically, as a sweep's memory does, a
+chain is cheapest started where the cold solve is; for the scheme
+programs that is at full memory, so their chains walk down.  A start
+that does not fit (one from a program with other arrays, even of equal
+A, a repeated column, an unbounded slack that prices the wrong way) or
+that ends in numerical trouble is dropped, and the solve reruns from the
+all-logical basis.  A warm solve that ends in a dual ray stands: the ray
+proves the program infeasible from any basis, so a rerun would only
+repeat the verdict.  So a start never changes a status and never raises
+where a solve without one would not.
 
 Infeasible is a status, not an exception; SolverError is reserved for
 numerical trouble, iteration limits and programs too large to hold.
@@ -108,9 +115,13 @@ numerical trouble, iteration limits and programs too large to hold.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
 import itertools
 import operator
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -179,38 +190,40 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """A box-constrained LP in the sparse row form the builders emit.
+    """A box-constrained LP in the sparse row form the builders emit; an
+    immutable value.
 
-    ``eq_rows`` and ``ub_rows`` hold (coefficients, rhs) pairs where the
-    coefficients map column index to value.  Bounds must be finite for
-    every structural variable; unbounded slack handling is internal.
-    ``names`` is optional and only used in error text.
+    ``eq_rows`` and ``ub_rows`` are tuples of (coefficients, rhs) pairs
+    where the coefficients map column index to value, and no dict is ever
+    changed in place.  ``c``, ``lo`` and ``hi`` are read-only arrays (a
+    writeable one passed in is copied).  Bounds must be finite for every
+    structural variable; unbounded slack handling is internal.  ``names``
+    is optional and only used in error text.
 
     The coefficient arrays that the audit and the solver read are derived
-    from the row dicts once, on first use.  ``dataclasses.replace`` hands
-    them on, so a copy whose rows hold the same coefficient dicts with
-    other right-hand sides, as every ``scheme_lp`` build is, shares them;
-    rows replaced by rows with other coefficient dicts derive them again.
-    A coefficient dict is never changed in place.
+    from the row dicts once, on first use, and :meth:`at` hands them on.
+    A ``dataclasses.replace`` copy derives arrays of its own, so a start
+    from the original is dropped there for a cold solve.
     """
 
     c: np.ndarray
-    eq_rows: list[tuple[SparseRow, float]] = field(default_factory=list)
-    ub_rows: list[tuple[SparseRow, float]] = field(default_factory=list)
+    eq_rows: tuple[tuple[SparseRow, float], ...] = ()
+    ub_rows: tuple[tuple[SparseRow, float], ...] = ()
     lo: np.ndarray = None
     hi: np.ndarray = None
     names: tuple[str, ...] | None = None
-    _arrays: _Coefficients | None = field(default=None, repr=False, compare=False)
+    _arrays: _Coefficients | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        n = self.c.shape[0]
-        self.lo = np.zeros(n) if self.lo is None else np.asarray(self.lo, dtype=float)
-        self.hi = np.ones(n) if self.hi is None else np.asarray(self.hi, dtype=float)
-        if self._arrays is None:
-            self._arrays = _Coefficients(self)
+        c = _read_only(self.c)
+        n = c.shape[0]
+        fields = {"c": c, "eq_rows": tuple(self.eq_rows), "ub_rows": tuple(self.ub_rows),
+                  "lo": _read_only(np.zeros(n) if self.lo is None else self.lo),
+                  "hi": _read_only(np.ones(n) if self.hi is None else self.hi)}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -226,11 +239,20 @@ class LinearProgram:
         return f"x{j}"
 
     def coefficients(self) -> _Coefficients:
-        """The coefficient arrays of the current rows, derived again only
-        when the rows hold other coefficient dicts than they were made of."""
-        if not self._arrays.fits(self):
-            self._arrays = _Coefficients(self)
+        """The coefficient arrays of the rows, each derived on first use."""
+        if self._arrays is None:
+            object.__setattr__(self, "_arrays", _Coefficients(self))
         return self._arrays
+
+    def at(self, eq_rhs, ub_rhs, lo, hi) -> LinearProgram:
+        """This program at the right-hand sides ``eq_rhs`` and ``ub_rhs``,
+        one per row, and the boxes [lo, hi], over the same costs, names and
+        coefficient arrays, so a start is taken on both programs alike."""
+        moved = LinearProgram(self.c, tuple(zip(map(_COEFS, self.eq_rows), eq_rhs, strict=True)),
+                              tuple(zip(map(_COEFS, self.ub_rows), ub_rhs, strict=True)),
+                              lo, hi, self.names)
+        object.__setattr__(moved, "_arrays", self.coefficients())
+        return moved
 
     def validate(self) -> list[str]:
         problems = []
@@ -295,18 +317,9 @@ class _Coefficients:
 
     def __init__(self, lp: LinearProgram):
         self.n = lp.n_vars
-        self.m_eq = len(lp.eq_rows)
         self.dicts = list(map(_COEFS, itertools.chain(lp.eq_rows, lp.ub_rows)))
         self._rows = None
         self._columns = None
-
-    def fits(self, lp: LinearProgram) -> bool:
-        """Whether ``lp``'s rows hold the very coefficient dicts these
-        arrays were made of."""
-        return (self.n == lp.n_vars and self.m_eq == len(lp.eq_rows)
-                and len(self.dicts) == lp.n_rows
-                and all(map(operator.is_, self.dicts,
-                            map(_COEFS, itertools.chain(lp.eq_rows, lp.ub_rows)))))
 
     def rows(self):
         if self._rows is None:
@@ -352,11 +365,18 @@ def _frozen(*arrays) -> tuple:
     return arrays
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a float array nothing writes: itself when it already
+    is one, else a frozen copy, so a caller's own array stays writeable."""
+    a = np.asarray(values, dtype=float)
+    return _frozen(a.copy())[0] if a.flags.writeable else a
+
+
 _COEFS = operator.itemgetter(0)
 _RHS = operator.itemgetter(1)
 
 
-def _rhs(rows: list[tuple[SparseRow, float]]) -> np.ndarray:
+def _rhs(rows: tuple[tuple[SparseRow, float], ...]) -> np.ndarray:
     return np.fromiter(map(_RHS, rows), dtype=float, count=len(rows))
 
 
@@ -697,19 +717,74 @@ def check_basis_size(m: int) -> None:
         )
 
 
+class _OneBlasThread:
+    """Holds numpy's BLAS at one thread while any solve runs, in any
+    thread: the first solve in saves the caller's count and the last one
+    out gives it back."""
+
+    def __init__(self, get, put):
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        self.get, self.put = get, put
+        self.lock = threading.Lock()
+        self.running = 0
+        self.before = None
+
+    def __enter__(self):
+        with self.lock:
+            if not self.running:
+                self.before = self.get()
+                self.put(1)
+            self.running += 1
+
+    def __exit__(self, *_exc):
+        with self.lock:
+            self.running -= 1
+            if not self.running:
+                self.put(self.before)
+
+
+@functools.cache
+def _blas_pin():
+    """The :class:`_OneBlasThread` of the BLAS that numpy's linear algebra
+    calls, or a context that does nothing where no known control is found.
+
+    The names are looked up through numpy's LAPACK module, whose handle
+    also searches the libraries it links, so no path is needed: numpy's
+    wheels bundle OpenBLAS with a ``scipy_`` prefix, other builds link
+    plain OpenBLAS or MKL.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return contextlib.nullcontext()
+    for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads"),
+                     ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads")):
+        if hasattr(lib, get) and hasattr(lib, put):
+            return _OneBlasThread(getattr(lib, get), getattr(lib, put))
+    return contextlib.nullcontext()
+
+
 def solve_lp(lp: LinearProgram, start: Basis | None = None,
              max_iterations: int | None = None) -> LpSolution:
     """Solve ``lp`` to proven optimality or infeasibility.
 
     ``start``, the ``basis`` of an earlier optimal solution of a program
-    with the same coefficient arrays, warm-starts the solve when it fits
+    with the same coefficient arrays, warm-starts the solve where it can
     (see the module notes); a warm solve's verdict, optimal or
     infeasible, stands.  A start that does not fit or ends in numerical
     trouble is dropped, and ``iterations`` then also counts the pivots of
     the abandoned attempt.  ``max_iterations`` caps the pivots of each attempt.
     Deterministic: the same program and the same start yield the same
-    vertex every time.  Raises SolverError on numerical breakdown,
-    iteration exhaustion, or a program too large for MAX_BASIS_MIB.
+    vertex every time, whatever the caller's BLAS thread count, where
+    numpy's BLAS has a known control (see the module notes).  Raises
+    SolverError on numerical breakdown, iteration exhaustion, or a
+    program too large for MAX_BASIS_MIB.
     """
     check_basis_size(lp.n_rows)
     problems = lp.validate()
@@ -718,11 +793,12 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
 
     t = _Tableau(lp)
     limit = 50 * (t.m + t.ncols) + 2000 if max_iterations is None else max_iterations
-    if start is not None:
-        try:
-            t.start_from(start)
-            return _optimize(t, lp, limit)
-        except SolverError:
-            pass  # the all-logical solve below decides, and raises if it must
-    t.start_from(None)
-    return _optimize(t, lp, limit)
+    with _blas_pin():
+        if start is not None:
+            try:
+                t.start_from(start)
+                return _optimize(t, lp, limit)
+            except SolverError:
+                pass  # the all-logical solve below decides, and raises if it must
+        t.start_from(None)
+        return _optimize(t, lp, limit)

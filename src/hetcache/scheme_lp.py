@@ -16,8 +16,8 @@ decision variables, all indexed by user subsets:
   per-user, per-layer cache shares.
 
 One generator, built once per variable index, gives the rows tying these
-together (:meth:`_Rows.rows` pairs them with an instance's right-hand
-sides): placement partitions each layer and charges caches, structure
+together (:meth:`_Rows.rows` gives an instance's right-hand sides):
+placement partitions each layer and charges caches, structure
 rows make signal sizes consistent for every addressee, completion rows
 guarantee each user can finish every layer it needs, and redundancy rows
 stop a signal from carrying more of a subfile class than was placed.  The
@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -253,17 +253,18 @@ def _build_index(K: int, per_layer_signals: bool, one_layer: bool) -> VariableIn
 
 
 class _Rows:
-    """The rows of the program over one index, apart from their right-hand sides.
+    """The programs over one index, kept at zero right-hand sides.
 
     The coefficient dicts, the costs and the map from each column to its
-    box depend only on the index, so they are built once per index and
-    shared by every program over it; the right-hand sides and the boxes
-    are set per instance.  No dict is ever changed in place.  ``pairs``
-    lists the (layer, user) of each cache row and, in the same order, of
-    each completion row.  One program is kept per constraint type (a
-    budget, cache sizes, or a split given as data), so a start fits every
-    program built over the same index and constraint type, and the arrays
-    of its rows are derived once.
+    box depend only on the index, so they are built once per index; the
+    right-hand sides and the boxes are set per instance.  ``pairs`` lists
+    the (layer, user) of each cache row and, in the same order, of each
+    completion row.  ``kept`` holds one program per constraint type, its
+    memory rows last: a budget (True), cache sizes (False) or, over an
+    index without memory columns, a split given as data (None).  Every
+    build is its :meth:`LinearProgram.at`, so all builds of one index and
+    type share one set of coefficient arrays, and a start is taken on
+    each of them.
     """
 
     def __init__(self, index: VariableIndex):
@@ -313,18 +314,20 @@ class _Rows:
         for (l, smask, _j), row in shared.items():
             row[alloc[(l, smask)]] = -1.0
 
-        self.eq = placement + list(structure.values())
-        self.ub = cache + list(completion.values()) + list(shared.values()) + caps
-        mem = index.layer_mem
-        self.budget_row = {col: 1.0 for col in mem.values()}
-        self.user_rows = [{mem[(k, l)]: 1.0 for l in range(1, k + 1)}
-                          for k in range(1, K + 1)] if mem else []
-
+        eq = placement + list(structure.values())
+        ub = cache + list(completion.values()) + list(shared.values()) + caps
+        self.n_eq, self.n_ub = len(eq), len(ub)
         c = np.zeros(index.n_vars)
         c[list(index.multicast.values())] = 1.0
         c[list(index.unicast.values())] = 1.0
-        c.flags.writeable = False
-        self.c = c
+        mem = index.layer_mem
+        memory_rows = {
+            True: [{col: 1.0 for col in mem.values()}],
+            False: [{mem[(k, l)]: 1.0 for l in range(1, k + 1)} for k in range(1, K + 1)],
+        } if mem else {None: []}
+        self.kept = {kind: LinearProgram(c, [(row, 0.0) for row in eq + rows],
+                                         [(row, 0.0) for row in ub], names=index.names)
+                     for kind, rows in memory_rows.items()}
         # every box is [0, f_l] or, for a signal spanning layers 1..t, [0, r_t]:
         # column j's upper bound is entry box[j] of (f_1..f_K, r_1..r_K)
         box = np.zeros(index.n_vars, dtype=np.intp)
@@ -340,13 +343,12 @@ class _Rows:
             else:
                 box[col] = K + (key & -key).bit_length() - 1
         self.box = box
-        self._kept: dict = {}
 
     def rows(self, f, shares=None):
-        """(equalities, upper bounds): every row but the memory equalities,
-        as (row, rhs) at layer widths ``f`` = (f_1, f_2, ...) and, when the
-        index has no memory variables and so the split is data, at the
-        cache ``shares`` of the (layer, user) pairs of ``pairs``.
+        """(equalities, upper bounds): the right-hand sides of every row but
+        the memory equalities, at layer widths ``f`` = (f_1, f_2, ...) and,
+        when the index has no memory variables and so the split is data,
+        at the cache ``shares`` of the (layer, user) pairs of ``pairs``.
 
         Equalities: a placement partition per layer, then a structure row
         per (signal, addressee j): the signal size equals the pieces
@@ -361,37 +363,22 @@ class _Rows:
         shared row would imply.
         """
         eq_rhs = [f[l - 1] for l in self.index.layers]
-        eq_rhs += [0.0] * (len(self.eq) - len(eq_rhs))
+        eq_rhs += [0.0] * (self.n_eq - len(eq_rhs))
         ub_rhs = [0.0] * len(self.pairs) if shares is None else list(shares)
         ub_rhs += [-f[l - 1] for l, _k in self.pairs]
-        ub_rhs += [0.0] * (len(self.ub) - len(ub_rhs))
-        return list(zip(self.eq, eq_rhs)), list(zip(self.ub, ub_rhs))
-
-    def _program(self, kind, eqs, ubs, hi) -> LinearProgram:
-        """A build of the program kept for constraint type ``kind``.
-
-        One program is kept per constraint type, and every build is a
-        ``dataclasses.replace`` of it with fresh row lists and boxes, so
-        all builds of one index and type share one set of coefficient
-        arrays, and a start fits every one of them.  The kept program
-        itself is never handed out, so a caller that edits its own cannot
-        unshare the next build.
-        """
-        if kind not in self._kept:
-            self._kept[kind] = LinearProgram(
-                c=self.c, eq_rows=list(eqs), ub_rows=list(ubs), names=self.index.names)
-        return replace(self._kept[kind], eq_rows=eqs, ub_rows=ubs,
-                       lo=np.zeros(self.index.n_vars), hi=hi)
+        ub_rhs += [0.0] * (self.n_ub - len(ub_rhs))
+        return eq_rhs, ub_rhs
 
     def program(self, inst: ProblemInstance) -> LinearProgram:
         """The program of ``inst``, its memory rows last."""
         r = inst.rates
-        eqs, ubs = self.rows(r.f)
+        eq_rhs, ub_rhs = self.rows(r.f)
         if inst.is_budget:
-            eqs.append((self.budget_row, float(inst.constraint.m_tot)))
+            eq_rhs.append(float(inst.constraint.m_tot))
         else:
-            eqs.extend(zip(self.user_rows, map(float, inst.constraint.m)))
-        return self._program(inst.is_budget, eqs, ubs, np.array([*r.f, *r.r])[self.box])
+            eq_rhs.extend(map(float, inst.constraint.m))
+        kept = self.kept[inst.is_budget]
+        return kept.at(eq_rhs, ub_rhs, kept.lo, np.array([*r.f, *r.r])[self.box])
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +453,9 @@ def build_layer_program(f_l: float, shares):
     """
     _check_user_count(len(shares))
     rows = _build_index(len(shares), True, True)._rows
-    eqs, ubs = rows.rows((float(f_l),), map(float, shares))
-    return rows._program(None, eqs, ubs, np.full(rows.index.n_vars, float(f_l))), rows.index
+    kept = rows.kept[None]
+    eq_rhs, ub_rhs = rows.rows((float(f_l),), map(float, shares))
+    return kept.at(eq_rhs, ub_rhs, kept.lo, np.full(kept.n_vars, float(f_l))), rows.index
 
 
 # ---------------------------------------------------------------------------

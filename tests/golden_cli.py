@@ -223,8 +223,13 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:  # before numpy loads: the thread count can move the vertex
         os.environ[var] = str(args.threads)
     out = Path(args.out).resolve()
-    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
-        results = record()
+    with tempfile.TemporaryDirectory() as work:
+        here = os.getcwd()
+        os.chdir(work)
+        try:
+            results = record()
+        finally:
+            os.chdir(here)
     text = (json.dumps(results, indent=1, sort_keys=True) + "\n").encode()
     # no timestamp in the gzip header, so an unchanged record keeps its bytes
     out.write_bytes(gzip.compress(text, mtime=0) if out.suffix == ".gz" else text)

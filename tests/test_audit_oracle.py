@@ -81,15 +81,19 @@ def test_validate_matches_the_loop():
     for _ in range(200):
         lp = random_program(rng)
         n = lp.n_vars
+        spoiled = []
         for rows in (lp.eq_rows, lp.ub_rows):
-            for i, (coefs, b) in enumerate(rows):
+            spoiled.append([])
+            for coefs, b in rows:
                 if rng.random() < 0.1:
                     coefs = {**coefs, int(rng.choice([-1, n, n + 3])): 1.0}
                 if rng.random() < 0.1:
                     b = float(rng.choice([math.nan, math.inf, -math.inf]))
-                rows[i] = (coefs, b)
+                spoiled[-1].append((coefs, b))
+        hi = lp.hi
         if rng.random() < 0.1:
-            lp.hi[0] = lp.lo[0] - 1.0
+            hi = np.concatenate([[lp.lo[0] - 1.0], lp.hi[1:]])
+        lp = LinearProgram(lp.c, *spoiled, lp.lo, hi, lp.names)
         want = validate_loop(lp)
         assert lp.validate() == want
         bad += bool(want)

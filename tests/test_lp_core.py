@@ -1,6 +1,8 @@
 import dataclasses
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -328,6 +330,66 @@ def test_too_large_program_refused_before_allocating(monkeypatch):
         solve_lp(lp_from_parts([1.0], [], rows, [0], [1]))
 
 
+def blas_pin_or_skip():
+    pin = lp_core._blas_pin()
+    if not isinstance(pin, lp_core._OneBlasThread):
+        pytest.skip("numpy's BLAS has no known thread control: solves run unpinned")
+    return pin
+
+
+def recording_blas_threads(monkeypatch, pin):
+    """The BLAS thread count at the start of every dual loop."""
+    seen = []
+    run_dual = lp_core._run_dual
+    monkeypatch.setattr(lp_core, "_run_dual", lambda *args: seen.append(pin.get()) or run_dual(*args))
+    return seen
+
+
+def test_a_solve_runs_one_blas_thread_and_gives_the_count_back(monkeypatch):
+    # the pool is at one thread while the dual loop runs, and the caller's
+    # count comes back after an optimal solve and after a failed one
+    pin = blas_pin_or_skip()
+    seen = recording_blas_threads(monkeypatch, pin)
+    rates = random_rates(np.random.default_rng(9), 4)
+    lp = build(ProblemInstance(4, 4, rates, Budget(0.4 * rates.sum_rates)))
+    before = pin.get()
+    try:
+        pin.put(2)
+        assert pin.get() == 2
+        assert solve_lp(lp).is_optimal
+        assert pin.get() == 2
+        with pytest.raises(SolverError, match="iteration limit"):
+            solve_lp(lp, max_iterations=1)
+        assert pin.get() == 2
+    finally:
+        pin.put(before)
+    assert seen and set(seen) == {1}
+
+
+def test_concurrent_solves_keep_one_blas_thread(monkeypatch):
+    # solves in four threads overlap: each runs at one BLAS thread, and
+    # the count from before the first comes back after the last
+    pin = blas_pin_or_skip()
+    seen = recording_blas_threads(monkeypatch, pin)
+    rng = np.random.default_rng(10)
+    programs = [lp_from_parts(*random_box_lp(rng)) for _ in range(40)]
+    before = pin.get()
+    interval = sys.getswitchinterval()
+    try:
+        pin.put(2)
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(4) as pool:
+            results = [pool.submit(lambda: [solve_lp(lp).status for lp in programs])
+                       for _ in range(4)]
+            statuses = [future.result(timeout=60) for future in results]
+        assert pin.get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        pin.put(before)
+    assert statuses[1:] == statuses[:-1]
+    assert len(seen) >= 160 and set(seen) == {1}
+
+
 def test_basis_limit_admits_eight_users_and_refuses_nine(monkeypatch):
     # the check reads only the row count: the intra program has 3595 rows
     # for eight users and 6447 for nine; nothing large is allocated
@@ -422,10 +484,10 @@ class TestWarmStart:
             programs = [lp_from_parts(*random_box_lp(rng))]
             for _ in range(3):
                 last = programs[-1]
-                programs.append(dataclasses.replace(
-                    last,
-                    eq_rows=[(row, b + float(rng.normal(0.0, 1.0))) for row, b in last.eq_rows],
-                    ub_rows=[(row, b + float(rng.normal(0.0, 1.0))) for row, b in last.ub_rows]))
+                programs.append(last.at(
+                    [b + float(rng.normal(0.0, 1.0)) for _row, b in last.eq_rows],
+                    [b + float(rng.normal(0.0, 1.0)) for _row, b in last.ub_rows],
+                    last.lo, last.hi))
             chain_warm, chain_cold = chain_against_cold(programs)
             warm.update(chain_warm)
             cold.update(chain_cold)
@@ -451,18 +513,20 @@ class TestWarmStart:
             assert warm.iterations == cold.iterations
         assert calls == []
 
-    def test_unusable_starts_fall_back_to_cold(self):
+    def test_unusable_starts_fall_back_to_cold(self, starts):
         # a start on the same A that names a repeated column must give
-        # exactly the all-logical solve; a basis that is optimal for other
-        # costs is a usable start, priced into dual feasibility by its bounds
+        # exactly the all-logical solve.  A basis that is optimal for other
+        # costs comes from a program with arrays of its own, so it is
+        # handed over with this program's arrays: it is then a usable
+        # start, priced into dual feasibility by its bounds
         rows = [({0: 1.0, 1: 1.0}, 1.0), ({0: 1.0, 1: 1.0, 2: 1.0}, 1.5)]
         lp = lp_from_parts([1.0, 2.0, 3.0], rows, [], [0, 0, 0], [1, 1, 1])
         cold = solve_lp(lp)
         warm = solve_lp(lp, start=cold.basis._replace(cols=np.array([0, 0])))
         assert warm.x.tobytes() == cold.x.tobytes()
         assert warm.iterations == cold.iterations
-        other_costs = dataclasses.replace(lp, c=np.array([3.0, 2.0, -1.0]))
-        warm = solve_lp(lp, start=solve_lp(other_costs).basis)
+        other_costs = solve_lp(dataclasses.replace(lp, c=np.array([3.0, 2.0, -1.0]))).basis
+        warm = solve_lp(lp, start=other_costs._replace(columns=lp.coefficients().columns()))
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert lp.check_point(warm.x) == []
         # with x0 basic, the slack of x0 <= 0.5 prices below zero and
@@ -471,19 +535,20 @@ class TestWarmStart:
         cold = solve_lp(lp)
         start = solve_lp(dataclasses.replace(lp, c=np.array([-1.0]))).basis
         assert start.cols.tolist() == [0]
-        warm = solve_lp(lp, start=start)
+        warm = solve_lp(lp, start=start._replace(columns=lp.coefficients().columns()))
         assert np.array_equal(warm.basis.cols, cold.basis.cols)
         assert warm.x.tobytes() == cold.x.tobytes()
+        assert starts == [False, True, False]
 
     def test_infeasible_rhs_reported(self):
         # a budget above the summed rates cannot be placed
         rates = make_rate_profile([0.3, 0.5, 0.9])
         lp, _ = build_o1(ProblemInstance(3, 3, rates, Budget(1.0)))
         start = solve_lp(lp).basis
-        *rows, (budget_row, _) = lp.eq_rows
-        lp.eq_rows = rows + [(budget_row, rates.sum_rates + 0.5)]
-        assert solve_lp(lp, start=start).status is LpStatus.INFEASIBLE
-        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        eq_rhs = [b for _row, b in lp.eq_rows[:-1]] + [rates.sum_rates + 0.5]
+        overfull = lp.at(eq_rhs, [b for _row, b in lp.ub_rows], lp.lo, lp.hi)
+        assert solve_lp(overfull, start=start).status is LpStatus.INFEASIBLE
+        assert solve_lp(overfull).status is LpStatus.INFEASIBLE
 
 
 def counting_inverse(monkeypatch):
@@ -785,71 +850,43 @@ class TestSharedArrays:
         assert sorted(built["rows"]) == sorted(lp.n_rows for lp, _ in first)
         assert built["rows"] == built["columns"]
 
-    def test_edited_builds_leave_the_next_build_shared(self):
-        # each build has its eq_rows rebound and then a row of its ub_rows
-        # list replaced in place: it derives arrays of its own, and the
-        # next build still shares those of the builds before the edits,
-        # which it could not if a build were the kept program itself
-        _build_index.cache_clear()
-        rates = random_rates(np.random.default_rng(16), 4)
-
-        def at(share):
-            return build(ProblemInstance(4, 4, rates, Budget(share * rates.sum_rates)))
-
-        builds = [at(0.9), at(0.5)]
-        shared = builds[0].coefficients()
-        for lp in builds:
-            lp.eq_rows = [(dict(coefs), b) for coefs, b in lp.eq_rows]
-            coefs, b = lp.ub_rows[0]
-            lp.ub_rows[0] = (dict(coefs), b + 1.0)
-            assert lp.coefficients() is not shared
-        after = at(0.1)
-        assert after.coefficients() is shared
-        assert solve_lp(after).is_optimal
-
-    def test_replaced_rows_derive_afresh(self):
-        # one coefficient of the budget row changed after a solve: the
-        # program must solve as a fresh program with that row, warm and cold
-        lp, _ = self.budget_program(4, 13)
-        start = solve_lp(lp).basis
-        shared = lp.coefficients()
-        *rows, (budget_row, b) = lp.eq_rows
-        changed = dict(budget_row)
-        changed[next(iter(changed))] *= 1.5
-        lp.eq_rows = rows + [(changed, b)]
-        assert lp.coefficients() is not shared
-        fresh = lp_from_parts(lp.c, lp.eq_rows, lp.ub_rows, lp.lo, lp.hi)
-        want = solve_lp(fresh).objective
-        warm, cold = solve_lp(lp, start=start), solve_lp(lp)
-        assert warm.is_optimal and cold.is_optimal
-        assert warm.objective == pytest.approx(want, abs=1e-9)
-        assert cold.objective == pytest.approx(want, abs=1e-9)
-        assert lp.check_point(warm.x) == fresh.check_point(warm.x) == []
-
-    def test_replaced_row_list_is_checked_row_by_row(self):
-        # a row swapped inside the same list is noticed too
-        lp = lp_from_parts([-1.0, 0.0], [({0: 1.0, 1: 1.0}, 1.0)], [({0: 1.0}, 0.25)],
-                           [0, 0], [1, 1])
-        assert solve_lp(lp).x.tolist() == pytest.approx([0.25, 0.75])
-        lp.ub_rows[0] = ({1: 1.0}, 0.25)
-        assert lp.check_point([0.0, 1.0]) == ["ub row 0: 1.0 > 0.25 in +1*x1"]
-        assert solve_lp(lp).x.tolist() == pytest.approx([1.0, 0.0])
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_moved_program_with_bad_rhs_is_refused(self, bad):
         lp, rates = self.budget_program(4, 14)
         start = solve_lp(lp).basis
         moved = build(ProblemInstance(4, 4, rates, Budget(0.7 * rates.sum_rates)))
-        *rows, (budget_row, _) = moved.eq_rows
-        spoiled = dataclasses.replace(moved, eq_rows=rows + [(budget_row, bad)])
+        eq_rhs = [b for _row, b in moved.eq_rows]
+        ub_rhs = [b for _row, b in moved.ub_rows]
+        spoiled = moved.at(eq_rhs[:-1] + [bad], ub_rhs, moved.lo, moved.hi)
         assert spoiled.coefficients() is lp.coefficients()
         for begin in (None, start):
             with pytest.raises(ValueError, match="malformed program: eq row .* non-finite rhs"):
                 solve_lp(spoiled, start=begin)
-        ub_spoiled = dataclasses.replace(
-            moved, ub_rows=[(moved.ub_rows[0][0], bad)] + moved.ub_rows[1:])
+        ub_spoiled = moved.at(eq_rhs, [bad] + ub_rhs[1:], moved.lo, moved.hi)
         with pytest.raises(ValueError, match="malformed program: ub row 0 has non-finite rhs"):
             solve_lp(ub_spoiled, start=start)
+
+    def test_programs_are_values_that_move_by_at(self, starts):
+        lp, rates = self.budget_program(4, 17)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lp.eq_rows = ()
+        assert isinstance(lp.eq_rows, tuple) and isinstance(lp.ub_rows, tuple)
+        for a in (lp.c, lp.lo, lp.hi):
+            assert not a.flags.writeable
+        # every build is an at() of the kept program: one set of arrays,
+        # and each start is taken along the chain
+        start = solve_lp(lp).basis
+        for share in (0.8, 0.2):
+            moved = build(ProblemInstance(4, 4, rates, Budget(share * rates.sum_rates)))
+            assert moved.coefficients() is lp.coefficients()
+            assert moved.c is lp.c and moved.names is lp.names
+            start = solve_lp(moved, start=start).basis
+        assert starts == [True, True]
+        # a replace copy is a program of its own, with arrays of its own
+        copy = dataclasses.replace(lp, hi=lp.hi * 2.0)
+        assert copy.coefficients() is not lp.coefficients()
+        assert solve_lp(copy, start=start).is_optimal
+        assert starts == [True, True, False]
 
     def test_arrays_and_starts_are_read_only(self):
         lp, _ = self.budget_program(3, 15)

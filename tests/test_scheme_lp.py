@@ -188,13 +188,18 @@ class TestConstraintRows:
 
     @pytest.fixture
     def setup(self, example_one):
+        # the rows of the kept fixed-memory program, moved by at() to the
+        # instance's right-hand sides, its three memory rows left out
         idx = make_variable_index(3)
-        eqs, ubs = idx._rows.rows(example_one.rates.f)
+        rows = idx._rows
+        eq_rhs, ub_rhs = rows.rows(example_one.rates.f)
+        kept = rows.kept[False]
+        lp = kept.at(eq_rhs + [0.0] * 3, ub_rhs, kept.lo, kept.hi)
 
         def named(rows):
             return [(row_names(r, idx.names), rhs) for r, rhs in rows]
 
-        return named(eqs), named(ubs)
+        return named(lp.eq_rows[:-3]), named(lp.ub_rows)
 
     def test_family_sizes(self, setup):
         eqs, ubs = setup
