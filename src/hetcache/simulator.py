@@ -14,9 +14,10 @@ length, so delivery and decoding XOR whole words.
 Rounding policy: allocation fractions round to the nearest bit with the
 uncached chunk absorbing the slack, signal pieces are capped greedily
 so no subfile chunk is over-used for one receiver, and whatever a user
-still lacks afterwards goes out as plain unicast.  Rounding therefore
-never breaks decodability; it only nudges the measured load, and each
-scheme variable accounts for at most one bit of nudge.
+still lacks afterwards goes out as a unicast: a signal whose only
+addressee is that user.  Rounding therefore never breaks decodability;
+it only nudges the measured load, and each scheme variable accounts for
+at most one bit of nudge.
 """
 
 from __future__ import annotations
@@ -186,9 +187,11 @@ class QuantizedScheme:
     Each layer string is laid out as consecutive chunks, one per cacher
     class in ascending bitmask order with the uncached class first, so
     every bit position has a well-defined owner set.  ``signal_pieces``
-    maps an addressee mask to, per served user, the chunk-relative
-    ranges that ride in that signal; ``missing`` holds the absolute
-    ranges each user still needs by unicast.
+    maps an addressee mask to, per served user, the ``(layer, chunk mask,
+    chunk-relative start, size)`` pieces that ride in that signal.  What
+    user k still lacks after the coded signals rides under the mask of k
+    alone: the rest of each chunk k does not cache, layers 1..k, chunks
+    in ascending mask.
     """
 
     K: int
@@ -197,7 +200,6 @@ class QuantizedScheme:
     alloc: dict
     offsets: dict
     signal_pieces: dict
-    missing: dict
     cache_targets: tuple[float, ...]
 
 
@@ -245,25 +247,23 @@ def quantize(scheme: SchemeSolution, F: int, layer_lengths: tuple[int, ...]) -> 
             signal_pieces.setdefault(tmask, {}).setdefault(j, []).append((l, smask, start, take))
             used[(l, smask, j)] = start + take
 
+    # whatever is not cached and not in any signal goes to its user alone
+    for k in range(1, K + 1):
+        for (l, smask), n in alloc.items():  # layer, then chunk in ascending mask
+            start = used.get((l, smask, k), 0)
+            if l <= k and not smask >> (k - 1) & 1 and start < n:
+                signal_pieces.setdefault(1 << (k - 1), {}).setdefault(k, []).append(
+                    (l, smask, start, n - start))
+
     signal_pieces = {t: {j: tuple(v) for j, v in per_user.items()}
                      for t, per_user in signal_pieces.items()}
-
-    # whatever is not cached and not in any signal goes out as unicast
-    held = {l: [s for s in _submasks(_span_mask(l, K)) if alloc[(l, s)]] for l in range(1, K + 1)}
-    missing = {
-        (k, l): tuple((offsets[(l, s)] + used.get((l, s, k), 0), offsets[(l, s)] + alloc[(l, s)])
-                      for s in held[l]
-                      if not s >> (k - 1) & 1 and used.get((l, s, k), 0) < alloc[(l, s)])
-        for k in range(1, K + 1) for l in range(1, k + 1)
-    }
 
     targets = tuple(
         sum(x[col] * F for (_l, smask), col in index.alloc.items() if smask >> (k - 1) & 1)
         for k in range(1, K + 1)
     )
     return QuantizedScheme(K=K, F=F, layer_lengths=tuple(layer_lengths), alloc=alloc,
-                           offsets=offsets, signal_pieces=signal_pieces, missing=missing,
-                           cache_targets=targets)
+                           offsets=offsets, signal_pieces=signal_pieces, cache_targets=targets)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +338,10 @@ class Piece(NamedTuple):
 
 @dataclass(frozen=True)
 class Signal:
-    """A coded multicast of ``length`` bits, packed into ``payload`` with the
-    first bit highest: each addressee's pieces, one after the other at
-    the head of the payload, XORed together."""
+    """A message of ``length`` bits to the users in ``addressees``, packed
+    into ``payload`` with the first bit highest: each served user's
+    pieces, one after the other at the head of the payload, XORed
+    together.  A unicast is a signal with one addressee."""
 
     addressees: int
     pieces: tuple
@@ -349,29 +350,22 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class Unicast:
-    """The ``(file, layer, start, stop)`` ranges one user still lacks, one
-    after the other in ``payload``, ``length`` bits packed as in Signal."""
-
-    user: int
-    ranges: tuple
-    payload: int
-    length: int
-
-
-@dataclass(frozen=True)
 class TransmissionLog:
     signals: tuple
-    unicasts: tuple
 
     @property
     def total_bits(self) -> int:
-        return sum(message.length for message in self.signals + self.unicasts)
+        return sum(signal.length for signal in self.signals)
 
 
 def _check_demand(demand, K: int, N: int) -> tuple:
+    demand = tuple(demand)
+    problems = [f"demand entry {i} is {d!r}, not an integer file number"
+                for i, d in enumerate(demand, 1)
+                if isinstance(d, bool) or not isinstance(d, (int, np.integer))]
+    if problems:
+        raise InstanceError(problems)
     demand = tuple(int(d) for d in demand)
-    problems = []
     if len(demand) != K:
         problems.append(f"demand names {len(demand)} files for {K} users")
     if any(d < 1 or d > N for d in demand):
@@ -384,7 +378,8 @@ def _check_demand(demand, K: int, N: int) -> tuple:
 
 
 def deliver(placement: CacheContents, q: QuantizedScheme, demand) -> TransmissionLog:
-    """Form every coded signal and unicast bundle for the given demand."""
+    """Form every signal for the given demand, unicasts included, in
+    ascending addressee mask."""
     library = placement.library
     demand = _check_demand(demand, q.K, library.N)
 
@@ -405,19 +400,7 @@ def deliver(placement: CacheContents, q: QuantizedScheme, demand) -> Transmissio
                 size += n
             payload ^= head << (length - size)
         signals.append(Signal(tmask, tuple(pieces), payload, length))
-
-    unicasts = []
-    for k in range(1, q.K + 1):
-        own = demand[k - 1]
-        refs = tuple((own, l, start, stop)
-                     for l in range(1, k + 1) for start, stop in q.missing.get((k, l), ()))
-        if refs:
-            payload = 0
-            for _f, l, a, b in refs:
-                payload = (payload << (b - a)) | library.bits(own, l, a, b)
-            unicasts.append(Unicast(k, refs, payload, sum(b - a for _f, _l, a, b in refs)))
-
-    return TransmissionLog(signals=tuple(signals), unicasts=tuple(unicasts))
+    return TransmissionLog(signals=tuple(signals))
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +423,15 @@ def decode(cache: CacheContents, log: TransmissionLog, demand) -> list[list[str]
     its cache and the log alone; none for a user every bit reaches.
 
     One pass over the log reads each signal piece that some addressee
-    strips once, and XORs it out of the payload: what is left is zero
-    wherever the signal decodes right.  Each addressee must cache the
-    pieces of others it strips, and reads its own layers from the
-    residue at its pieces' places; each unicast range is compared with
-    the library in place.  The layers are checked covered by interval
-    arithmetic over the cached, signal and unicast ranges.  Pieces a
-    user cannot cancel, unicast ranges of another file and uncovered
-    bits are problems; when a user has none, so is each layer that a
-    range got wrong.
+    strips once, from the file its user demands, and XORs it out of the
+    payload: what is left is zero wherever the signal decodes right.
+    Each addressee must cache the pieces of others it strips, and reads
+    its own layers from the residue at its pieces' places; an own piece
+    that names another file covers none of its bits.  The layers are
+    checked covered by interval arithmetic over the cached and signal
+    ranges.  Pieces a user cannot cancel, own pieces of another file and
+    uncovered bits are problems; when a user has none, so is each layer
+    that a piece got wrong.
     """
     library = cache.library
     K = library.K
@@ -465,11 +448,18 @@ def decode(cache: CacheContents, log: TransmissionLog, demand) -> list[list[str]
         addressees, length = sig.addressees, sig.length
         # each user's pieces fill the payload head, one after the other
         residue, windows, offset = sig.payload, [], {}
-        for user, _file, layer, smask, start, stop in sig.pieces:
+        for user, file_id, layer, smask, start, stop in sig.pieces:
             n = stop - start
             pos = offset.get(user, 0)
             offset[user] = pos + n
             ubit = 1 << (user - 1)
+            mine = addressees & ubit
+            if mine and file_id != demand[user - 1]:
+                problems[user - 1].append(
+                    f"signal to {mask_label(addressees)} carries a piece of "
+                    f"file {file_id}, not {demand[user - 1]}"
+                )
+                mine = 0
             stuck = addressees & ~smask & ~ubit
             for k in members(stuck) if stuck else ():
                 problems[k - 1].append(
@@ -481,7 +471,7 @@ def decode(cache: CacheContents, log: TransmissionLog, demand) -> list[list[str]
             while rest:
                 cache.require((rest & -rest).bit_length(), layer, start, stop)
                 rest &= rest - 1
-            own = addressees & ubit and layer <= user
+            own = mine and layer <= user
             if own:
                 covered[user - 1][layer].append((start, stop))
                 windows.append((user, layer, length - pos - n, n))
@@ -492,22 +482,6 @@ def decode(cache: CacheContents, log: TransmissionLog, demand) -> list[list[str]
             for k, l, shift, n in windows:
                 if (residue >> shift) & ((1 << n) - 1):
                     wrong[k - 1].add(l)
-
-    for uni in log.unicasts:
-        k = uni.user
-        own_file = demand[k - 1]
-        pos = 0
-        for file_id, l, start, stop in uni.ranges:
-            n = stop - start
-            if file_id != own_file:
-                problems[k - 1].append(f"unicast range names file {file_id}, not {own_file}")
-            elif l <= k:
-                covered[k - 1][l].append((start, stop))
-                # the range as sent, against the library
-                if ((uni.payload >> (uni.length - pos - n)) & ((1 << n) - 1)
-                        != library.bits(own_file, l, start, stop)):
-                    wrong[k - 1].add(l)
-            pos += n
 
     for k in range(1, K + 1):
         for l in range(1, k + 1):

@@ -22,7 +22,6 @@ from hetcache.simulator import (
     Signal,
     SimulationError,
     TransmissionLog,
-    Unicast,
     VerificationReport,
     make_library,
     place,
@@ -337,15 +336,7 @@ def deliver_per_bit(cache, q, demand, files) -> TransmissionLog:
             pieces.extend(refs)
         signals.append(Signal(addressees=tmask, pieces=tuple(pieces), payload=packed(payload),
                               length=length))
-    unicasts = []
-    for k in range(1, q.K + 1):
-        refs = [(demand[k - 1], l, start, stop)
-                for l in range(1, k + 1) for start, stop in q.missing.get((k, l), ())]
-        if refs:
-            payload = np.concatenate([files[f - 1][l - 1][a:b] for f, l, a, b in refs])
-            unicasts.append(Unicast(user=k, ranges=tuple(refs), payload=packed(payload),
-                                    length=len(payload)))
-    return TransmissionLog(signals=tuple(signals), unicasts=tuple(unicasts))
+    return TransmissionLog(signals=tuple(signals))
 
 
 def decode_per_bit(k, cache, log, demand, files) -> list:
@@ -353,10 +344,11 @@ def decode_per_bit(k, cache, log, demand, files) -> list:
 
     Layers 1..k are rebuilt in byte-per-bit arrays that start at the
     sentinel 255: cached ranges are copied in, then each signal's payload
-    with the other pieces cancelled, then unicast slices, later writes
-    winning.  Sentinels left are missing bits; with no other problem, a
-    rebuilt layer unequal to the file is a content mismatch.  Payloads are
-    unpacked to one byte per bit first.
+    with the other pieces cancelled, each from the file its user demands,
+    later writes winning.  A piece of user k that names another file is a
+    problem and writes nothing.  Sentinels left are missing bits; with no
+    other problem, a rebuilt layer unequal to the file is a content
+    mismatch.  Payloads are unpacked to one byte per bit first.
     """
     own_file = demand[k - 1]
     kbit = 1 << (k - 1)
@@ -375,7 +367,10 @@ def decode_per_bit(k, cache, log, demand, files) -> list:
             n = p.stop - p.start
             pos = offset.get(p.user, 0)
             offset[p.user] = pos + n
-            if p.user == k:
+            if p.user == k and p.file != own_file:
+                problems.append(f"signal to {mask_label(sig.addressees)} carries a piece of "
+                                f"file {p.file}, not {own_file}")
+            elif p.user == k:
                 own.append((p, pos))
             elif not p.subfile_mask & kbit:
                 problems.append(
@@ -388,17 +383,6 @@ def decode_per_bit(k, cache, log, demand, files) -> list:
         for p, pos in own:
             if p.layer <= k:
                 out[p.layer][p.start : p.stop] = acc[pos : pos + p.stop - p.start]
-    for uni in log.unicasts:
-        if uni.user != k:
-            continue
-        payload = unpacked(uni.payload, uni.length)
-        pos = 0
-        for file_id, l, start, stop in uni.ranges:
-            if file_id != own_file:
-                problems.append(f"unicast range names file {file_id}, not {own_file}")
-            elif l <= k:
-                out[l][start:stop] = payload[pos : pos + stop - start]
-            pos += stop - start
     for l in range(1, k + 1):
         gaps = int(np.count_nonzero(out[l] == 255))
         if gaps:
@@ -436,12 +420,12 @@ def verify_per_bit(inst: ProblemInstance, scheme, F: int, seed: int = 0) -> Veri
     )
 
 
-def audit_delivery(cache, log) -> list:
+def audit_delivery(cache, log, demand) -> list:
     """Check that no user is handed a bit twice.
 
     Every bit of a demanded file must reach its user through exactly one
-    channel: the cache, one signal piece, or one unicast range.  Returns
-    a description of each collision found.
+    channel: the cache or one signal piece of that file.  Returns a
+    description of each collision found.
     """
     problems = []
     for k in range(1, cache.library.K + 1):
@@ -464,12 +448,8 @@ def audit_delivery(cache, log) -> list:
         for sig in log.signals:
             if sig.addressees & kbit:
                 for p in sig.pieces:
-                    if p.user == k:
+                    if p.user == k and p.file == demand[k - 1]:
                         claim(p.layer, p.start, p.stop, f"signal {mask_label(sig.addressees)}")
-        for uni in log.unicasts:
-            if uni.user == k:
-                for _file, l, start, stop in uni.ranges:
-                    claim(l, start, stop, "unicast")
     return problems
 
 

@@ -42,3 +42,13 @@ def test_defaulted_parameters_are_pinned():
             if defaults:
                 found[name] = defaults
     assert found == DEFAULTS
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; this catches syntax
+    # newer than that (ast's feature_version), not newer stdlib APIs
+    root = Path(__file__).resolve().parents[1]
+    files = [path for top in ("src", "tests", "perfbench") for path in (root / top).rglob("*.py")]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -17,9 +17,9 @@ from hetcache.scheme_lp import (
     extract_scheme,
 )
 from hetcache.simulator import (
+    Signal,
     SimulationError,
     TransmissionLog,
-    Unicast,
     decode,
     deliver,
     make_library,
@@ -385,7 +385,6 @@ class TestDeliver:
             users_mask(2, 3),
         ]
         assert all(s.length == 1000 for s in log.signals)
-        assert log.unicasts == ()
         assert log.total_bits == 2000
 
     def test_first_signal_payload_is_the_xor(self):
@@ -409,6 +408,12 @@ class TestDeliver:
             deliver(cache, q, (0, 1, 2))
         with pytest.raises(InstanceError, match="names"):
             deliver(cache, q, (1, 2))
+        # an entry is refused, not truncated, unless it is an integer
+        for bad in (1.9, True, np.True_, "1", float("nan"), np.float64(1.0)):
+            with pytest.raises(InstanceError, match="demand entry 2 is .*not an integer"):
+                deliver(cache, q, (3, bad, 2))
+        # numpy integers are integers
+        assert deliver(cache, q, (np.int64(1), np.uint8(2), 3)) == deliver(cache, q, (1, 2, 3))
 
     def test_zero_memory_goes_all_unicast(self):
         inst = fixed_instance(EX1_RATES, [0.0, 0.0, 0.0])
@@ -416,8 +421,11 @@ class TestDeliver:
         lib = make_library(inst, 10_000, seed=0)
         q = quantize(scheme, 10_000, layer_lengths=lib.layer_lengths)
         log = deliver(place(lib, q), q, (1, 2, 3))
-        assert log.signals == ()
-        assert [u.user for u in log.unicasts] == [1, 2, 3]
+        # one signal to each user alone, carrying every bit of its layers
+        assert [s.addressees for s in log.signals] == [users_mask(k) for k in (1, 2, 3)]
+        for k, sig in enumerate(log.signals, 1):
+            assert {p.user for p in sig.pieces} == {k}
+            assert sig.length == sum(lib.layer_lengths[:k])
         assert log.total_bits == round(sum(EX1_RATES) * 10_000)
 
     def test_full_memory_sends_nothing(self):
@@ -426,7 +434,7 @@ class TestDeliver:
         lib = make_library(inst, 1000, seed=0)
         q = quantize(scheme, 1000, layer_lengths=lib.layer_lengths)
         log = deliver(place(lib, q), q, (1, 2, 3))
-        assert log.signals == () and log.unicasts == ()
+        assert log.signals == ()
 
     def test_bit_identical_across_runs(self):
         inst = random_fixed(np.random.default_rng(3), 4)
@@ -456,7 +464,7 @@ class TestDecode:
         scheme = solved_scheme(inst)
         lib = make_library(inst, 1000, seed=0)
         cache = place(lib, quantize(scheme, 1000, layer_lengths=lib.layer_lengths))
-        empty = TransmissionLog(signals=(), unicasts=())
+        empty = TransmissionLog(signals=())
         assert decode(cache, empty, (1, 2, 3)) == [[], [], []]
 
     def test_corrupted_signal_payload_is_detected(self):
@@ -464,9 +472,7 @@ class TestDecode:
         sig = log.signals[0]
         payload = sig.payload ^ 1 << sig.length - 1  # the first bit
         bad_log = TransmissionLog(
-            signals=(dataclasses.replace(sig, payload=payload),) + log.signals[1:],
-            unicasts=log.unicasts,
-        )
+            signals=(dataclasses.replace(sig, payload=payload),) + log.signals[1:])
         assert decode(cache, bad_log, (1, 2, 3))[0] == ["layer 1 content mismatch"]
 
     def test_corrupted_unicast_is_detected(self):
@@ -476,12 +482,11 @@ class TestDecode:
         q = quantize(scheme, 1000, layer_lengths=lib.layer_lengths)
         cache = place(lib, q)
         log = deliver(cache, q, (1, 2, 3))
-        uni = log.unicasts[0]
+        uni = log.signals[0]
+        assert uni.addressees == users_mask(1)
         payload = uni.payload ^ 1 << uni.length - 4  # the fourth bit
         bad = TransmissionLog(
-            signals=(),
-            unicasts=(dataclasses.replace(uni, payload=payload),) + log.unicasts[1:],
-        )
+            signals=(dataclasses.replace(uni, payload=payload),) + log.signals[1:])
         assert decode(cache, bad, (1, 2, 3))[0] == ["layer 1 content mismatch"]
 
     def test_uncancelable_piece_is_reported(self):
@@ -494,17 +499,29 @@ class TestDecode:
             for p in sig.pieces
         )
         bad = TransmissionLog(
-            signals=(dataclasses.replace(sig, pieces=twisted),) + log.signals[1:],
-            unicasts=log.unicasts,
-        )
+            signals=(dataclasses.replace(sig, pieces=twisted),) + log.signals[1:])
         problems = decode(cache, bad, (1, 2, 3))[0]
         assert any("cannot cancel" in p for p in problems)
 
     def test_missing_bits_are_reported(self):
         lib, cache, log, _ = self.decoded(3)
         # drop the second signal; user 3 loses its layer-2 piece
-        bad = TransmissionLog(signals=log.signals[:1], unicasts=log.unicasts)
+        bad = TransmissionLog(signals=log.signals[:1])
         assert decode(cache, bad, (1, 2, 3))[2] == ["layer 2 is missing 1000 bits"]
+
+    def test_piece_of_another_file_is_missing(self):
+        lib, cache, log, _ = self.decoded(1)
+        sig = log.signals[0]
+        assert sig.addressees == users_mask(1, 3)
+        # user 1's piece names file 2; the payload still holds file 1's bits
+        renamed = tuple(p._replace(file=2) if p.user == 1 else p for p in sig.pieces)
+        bad = TransmissionLog(
+            signals=(dataclasses.replace(sig, pieces=renamed),) + log.signals[1:])
+        assert decode(cache, bad, (1, 2, 3)) == [
+            ["signal to {1,3} carries a piece of file 2, not 1", "layer 1 is missing 1000 bits"],
+            [],
+            [],
+        ]
 
 
 def piece_positions(sig):
@@ -577,39 +594,34 @@ class TestAgainstByteOracle:
         assert self.problems(cache, bad, files, p.user) == [
             f"layer {p.layer} content mismatch"]
 
-    def unaligned_unicast(self, log):
-        for i, uni in enumerate(log.unicasts):
-            pos = 0
-            for j, (_file, l, start, stop) in enumerate(uni.ranges):
-                if start % 8 and stop - start > 2:
-                    return i, j, pos
-                pos += stop - start
-        raise AssertionError("no unicast range starts off a byte boundary")
+    @staticmethod
+    def unaligned_unicast(log):
+        """(message index, piece index, payload position) of the first piece
+        of a single-addressee signal that starts off a byte boundary."""
+        for i, sig in enumerate(log.signals):
+            if sig.addressees.bit_count() == 1:
+                for j, (p, pos) in enumerate(piece_positions(sig)):
+                    if p.start % 8 and p.stop - p.start > 2:
+                        return i, j, pos
+        raise AssertionError("no unicast piece starts off a byte boundary")
 
     def test_flipped_unicast_bit(self, run):
         cache, log, files = run
         i, j, pos = self.unaligned_unicast(log)
-        uni = log.unicasts[i]
-        payload = uni.payload ^ 1 << uni.length - pos - 2  # bit pos + 1
-        unicasts = list(log.unicasts)
-        unicasts[i] = dataclasses.replace(uni, payload=payload)
-        bad = dataclasses.replace(log, unicasts=tuple(unicasts))
-        assert self.problems(cache, bad, files, uni.user) == [
-            f"layer {uni.ranges[j][1]} content mismatch"]
+        uni = log.signals[i]
+        p = uni.pieces[j]
+        bad = with_signal(log, i, payload=uni.payload ^ 1 << uni.length - pos - 2)  # bit pos + 1
+        assert self.problems(cache, bad, files, p.user) == [f"layer {p.layer} content mismatch"]
 
     def test_dropped_unicast_range(self, run):
         cache, log, files = run
         i, j, pos = self.unaligned_unicast(log)
-        uni = log.unicasts[i]
-        _file, l, start, stop = uni.ranges[j]
-        bits = unpacked(uni.payload, uni.length)
-        payload = np.concatenate([bits[:pos], bits[pos + stop - start:]])
-        unicasts = list(log.unicasts)
-        unicasts[i] = Unicast(uni.user, uni.ranges[:j] + uni.ranges[j + 1:], packed(payload),
-                              len(payload))
-        bad = dataclasses.replace(log, unicasts=tuple(unicasts))
-        assert self.problems(cache, bad, files, uni.user) == [
-            f"layer {l} is missing {stop - start} bits"]
+        uni = log.signals[i]
+        p = uni.pieces[j]
+        n = p.stop - p.start
+        bad = with_signal(log, i, pieces=uni.pieces[:j] + uni.pieces[j + 1:],
+                          payload=cut_bits(uni.payload, uni.length, pos, n), length=uni.length - n)
+        assert self.problems(cache, bad, files, p.user) == [f"layer {p.layer} is missing {n} bits"]
 
     def test_removed_cached_range(self, run):
         cache, log, files = run
@@ -633,11 +645,11 @@ class TestAgainstByteOracle:
         assert failed
 
 
-def with_message(log, kind, i, **changes):
-    """``log`` with message i of ``kind`` ("signals" or "unicasts") changed."""
-    messages = list(getattr(log, kind))
-    messages[i] = dataclasses.replace(messages[i], **changes)
-    return dataclasses.replace(log, **{kind: tuple(messages)})
+def with_signal(log, i, **changes):
+    """``log`` with signal i changed."""
+    signals = list(log.signals)
+    signals[i] = dataclasses.replace(signals[i], **changes)
+    return TransmissionLog(signals=tuple(signals))
 
 
 def cut_bits(value, length, pos, n):
@@ -652,37 +664,36 @@ class TestCorruptionParity:
 
     @staticmethod
     def corrupted(log, N, rng):
-        """One log per kind of corruption the log admits, at a random place:
-        a flipped signal or unicast bit, a dropped signal piece or unicast
-        range, a unicast range renamed to another file."""
+        """One log per kind of corruption the log admits, at a random place,
+        in any signal and again in a single-addressee one: a flipped bit, a
+        dropped piece (cut out of the payload if the signal has one
+        addressee) and a piece renamed to another file."""
         def pick(n):
             return int(rng.integers(n))
 
         out = []
-        if log.signals:
-            i = pick(len(log.signals))
+        unicasts = [i for i, sig in enumerate(log.signals) if sig.addressees.bit_count() == 1]
+        for pool in (range(len(log.signals)), unicasts):
+            if not pool:
+                continue
+            i = pool[pick(len(pool))]
             sig = log.signals[i]
-            out.append(with_message(log, "signals", i,
-                                    payload=sig.payload ^ 1 << pick(sig.length)))
-            i = pick(len(log.signals))
+            out.append(with_signal(log, i, payload=sig.payload ^ 1 << pick(sig.length)))
+            i = pool[pick(len(pool))]
             sig = log.signals[i]
             m = pick(len(sig.pieces))
-            out.append(with_message(log, "signals", i, pieces=sig.pieces[:m] + sig.pieces[m + 1:]))
-        if log.unicasts:
-            i = pick(len(log.unicasts))
-            uni = log.unicasts[i]
-            out.append(with_message(log, "unicasts", i,
-                                    payload=uni.payload ^ 1 << pick(uni.length)))
-            m = pick(len(uni.ranges))
-            pos = sum(stop - start for _f, _l, start, stop in uni.ranges[:m])
-            file_id, l, start, stop = uni.ranges[m]
-            out.append(with_message(log, "unicasts", i,
-                                    ranges=uni.ranges[:m] + uni.ranges[m + 1:],
-                                    payload=cut_bits(uni.payload, uni.length, pos, stop - start),
-                                    length=uni.length - (stop - start)))
-            renamed = (file_id % N + 1, l, start, stop)
-            out.append(with_message(log, "unicasts", i,
-                                    ranges=uni.ranges[:m] + (renamed,) + uni.ranges[m + 1:]))
+            dropped = {"pieces": sig.pieces[:m] + sig.pieces[m + 1:]}
+            if sig.addressees.bit_count() == 1:
+                pos = sum(p.stop - p.start for p in sig.pieces[:m])
+                n = sig.pieces[m].stop - sig.pieces[m].start
+                dropped.update(payload=cut_bits(sig.payload, sig.length, pos, n),
+                               length=sig.length - n)
+            out.append(with_signal(log, i, **dropped))
+            i = pool[pick(len(pool))]
+            sig = log.signals[i]
+            m = pick(len(sig.pieces))
+            renamed = sig.pieces[m]._replace(file=sig.pieces[m].file % N + 1)
+            out.append(with_signal(log, i, pieces=sig.pieces[:m] + (renamed,) + sig.pieces[m + 1:]))
         return out
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
@@ -722,24 +733,28 @@ class TestAudit:
             cache = place(lib, q)
             demand = tuple(range(1, inst.K + 1))
             log = deliver(cache, q, demand)
-            assert audit_delivery(cache, log) == []
+            assert audit_delivery(cache, log, demand) == []
 
     def test_duplicate_range_is_flagged(self):
         lib = make_library(ex1_instance(), 10_000, seed=2)
         q = quantize(EX1_SCHEME, 10_000, layer_lengths=lib.layer_lengths)
         cache = place(lib, q)
         log = deliver(cache, q, (1, 2, 3))
-        # hand user 1 a unicast of bits it already gets from the signal
+        # hand user 1 a signal to it alone of bits it already gets from the
+        # signal to {1,3}
         piece = next(p for p in log.signals[0].pieces if p.user == 1)
-        dupe = Unicast(
-            user=1,
-            ranges=((1, piece.layer, piece.start, piece.stop),),
+        dupe = Signal(
+            addressees=users_mask(1),
+            pieces=(piece,),
             payload=lib.bits(1, piece.layer, piece.start, piece.stop),
             length=piece.stop - piece.start,
         )
-        noisy = TransmissionLog(signals=log.signals, unicasts=(dupe,))
-        problems = audit_delivery(cache, noisy)
+        noisy = TransmissionLog(signals=log.signals + (dupe,))
+        problems = audit_delivery(cache, noisy, (1, 2, 3))
         assert any("overlaps" in p for p in problems)
+        # a piece of another file reaches no bit of user 1's own
+        other = dataclasses.replace(dupe, pieces=(piece._replace(file=2),))
+        assert audit_delivery(cache, TransmissionLog(log.signals + (other,)), (1, 2, 3)) == []
 
 
 class TestVerify:
