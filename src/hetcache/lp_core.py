@@ -65,19 +65,16 @@ Design notes, fixed deliberately so results are reproducible run to run:
   the end the reduced costs are recomputed once more; a column that moves
   to its other bound (basic values recomputed) or a failed audit (basis
   inverted) sends the dual loop round again, at most three times in all.
-* Memory: the solver holds B0^-1 and one work array of m rows by
-  max(m, 2 * REFACTOR_EVERY), which holds the eta file, and B while it is
-  inverted; while it inverts, B0^-1 is dropped for LAPACK's output.  A
-  fold writes a B0^-1 of the solve's own in place, a block of rows at a
-  time; one still shared with a start goes to one fresh array, since a
-  start is never written.  An optimal basis keeps both arrays, so a start
-  held by the caller adds two more: four in all.  (Copying out only the k
-  eta rows instead would hold less, but at K=5 it left the allocator's
-  heap 0.4-0.8 MB larger over a sweep.)  The tracemalloc peak of a warm
-  K=6 solve (535 rows), its start excluded, is 2.21 m x m arrays, the
-  rest being vectors (numpy's arrays only; LAPACK's own work space is
-  not traced).  A program whose four arrays exceed MAX_BASIS_MIB is
-  refused with SolverError before anything is allocated.
+* Memory: a solve holds B0^-1, m x m, and an eta file of 2 *
+  REFACTOR_EVERY rows of m, and an optimal basis keeps both.  A fold
+  writes a B0^-1 of the solve's own in place; one shared with a start
+  goes to a fresh array.  An inversion drops B0^-1 and holds four m x m
+  arrays: B, and numpy's copy of B, the identity it solves into (LAPACK's
+  gesv) and the inverse.  With the caller's start, the most a solve
+  holds is 5 m^2 + 4 REFACTOR_EVERY m numbers, and a program whose count
+  passes MAX_BASIS_MIB is refused with SolverError before anything is
+  allocated.  The vectors, O(m + nnz), are not counted: on warm K=6 and
+  K=7 budget solves tracemalloc read them at 0.21 and 0.11 m x m.
 * Tolerances: feasibility 1e-8, optimality 1e-8, pivot acceptance 1e-11.
 * A solve runs numpy's BLAS at one thread and then gives the caller's
   thread count back: the thread count moves the last bits of a product,
@@ -136,12 +133,14 @@ RATIO_TIE_TOL = 1e-9
 REFACTOR_EVERY = 100
 # a fold's probe: the largest error of B (B^-1 z), relative to |z|
 PROBE_TOL = 1e-9
-# largest memory for the solver's four m x m arrays: admits every
-# program of up to 8 users (3595 rows, 394 MiB) and refuses 9 users
-# (6447 rows, 1268 MiB)
+# most memory check_basis_size admits: every program of up to 8 users
+# (3602 rows, 506 MiB) and none of 9 (6447 rows and more, 1605 MiB)
 MAX_BASIS_MIB = 512
 # pivots per row and column before the smallest-index rule takes over
 SMALLEST_INDEX_AFTER = 10
+# a solve attempt raises past PER * (rows + cols) + BASE pivots
+ITERATION_LIMIT_PER = 50
+ITERATION_LIMIT_BASE = 2000
 
 
 class SolverError(RuntimeError):
@@ -162,7 +161,7 @@ class Basis(NamedTuple):
     tableau's columns: structural variables, then one logical per row,
     equalities first.  ``binv``, the dense B0^-1, and the eta rows
     ``eta_u`` and ``eta_v`` of the k pivots since, views of the solve's
-    work array, give the basis inverse B^-1 = binv - eta_u^T eta_v;
+    eta file, give the basis inverse B^-1 = binv - eta_u^T eta_v;
     ``weights`` are its steepest-edge weights; and ``columns`` is the
     column-array tuple of the A they belong to, the very object that
     ``LinearProgram.coefficients().columns()`` returns.
@@ -412,13 +411,9 @@ class _Tableau:
         self.hi = np.concatenate([lp.hi, np.zeros(m_eq), np.full(m_ub, np.inf)])
         self.movable = self.lo < self.hi
         self.iterations = 0
-        # One work array holds the eta file, B^-1 = binv0 - eta_u[:k]^T eta_v[:k]
-        # with one row pair per pivot, and B while it is inverted, which
-        # empties the eta file.
-        work = np.empty(m * max(m, 2 * REFACTOR_EVERY))
-        self.etas = work[:2 * REFACTOR_EVERY * m].reshape(2, REFACTOR_EVERY, m)
+        # the eta file: B^-1 = binv0 - eta_u[:k]^T eta_v[:k], a row pair a pivot
+        self.etas = np.empty((2, REFACTOR_EVERY, m))
         self.eta_u, self.eta_v = self.etas
-        self.rows_buf = work[:m * m].reshape(m, m)
 
     def start_from(self, start: Basis | None):
         """Install ``start``, or the all-logical basis, made dual feasible.
@@ -497,12 +492,12 @@ class _Tableau:
         """Invert the basis afresh, which empties the eta file and resets
         the steepest-edge weights, then re-price and recompute the basic
         values."""
-        self.binv0 = None  # freed before LAPACK allocates the new inverse
+        self.binv0 = None  # freed before B and LAPACK's arrays are allocated
         rows, at, vals = self.basic_nonzeros()
-        self.rows_buf.fill(0.0)
-        self.rows_buf[rows, at] = vals
+        B = np.zeros((self.m, self.m))
+        B[rows, at] = vals
         try:
-            self.binv0 = np.linalg.inv(self.rows_buf) if self.m else np.zeros((0, 0))
+            self.binv0 = np.linalg.inv(B) if self.m else B
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis during refactorization") from exc
         self.weights = np.einsum("ij,ij->i", self.binv0, self.binv0)
@@ -515,14 +510,20 @@ class _Tableau:
         it, then reset the weights, re-price and recompute the basic values,
         or invert the basis afresh if the folded factor fails the probe.
         A binv0 of this solve's own is written in place, 64 rows at a time;
-        one shared with a start (read-only) is folded into a fresh array."""
+        one shared with a start (read-only) is folded into a fresh array.
+
+        The paths round differently (8 of 32 random factors of m = 24..1246
+        rows and k = 1..100 eta rows differed in their last bits), so
+        merging them would move the bits, and here the vertices, of warm
+        chains."""
         U, V = self.eta_u[:self.k], self.eta_v[:self.k]
         if self.binv0.flags.writeable:
             for i in range(0, self.m, 64):
                 self.binv0[i:i + 64] -= U[:, i:i + 64].T @ V
         else:
-            binv = np.matmul(U.T, V)
-            self.binv0 = np.subtract(self.binv0, binv, out=binv)
+            # no local name keeps the folded array alive through a refactor()
+            shared, self.binv0 = self.binv0, np.matmul(U.T, V)
+            np.subtract(shared, self.binv0, out=self.binv0)
         self.k = 0
         # B (B^-1 z) must give back the fixed dense z; NaN fails as well
         z = 1.0 + np.arange(self.m) / self.m
@@ -620,7 +621,7 @@ class _Tableau:
                      *_frozen(self.binv0, self.weights, *self.etas[:, :self.k]), self.columns)
 
 
-def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
+def _run_dual(t: _Tableau, first: int) -> bool:
     """Dual simplex pivots until every basic value is within its bounds.
 
     ``first`` is the pivot count at which this solve started.  Returns
@@ -630,6 +631,7 @@ def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
     if not m:
         return True
     switch = SMALLEST_INDEX_AFTER * (m + t.ncols)
+    limit = ITERATION_LIMIT_PER * (m + t.ncols) + ITERATION_LIMIT_BASE
     while True:
         pivots = t.iterations - first
         if t.k == REFACTOR_EVERY:
@@ -685,14 +687,14 @@ def _run_dual(t: _Tableau, first: int, limit: int) -> bool:
         t.pivot(r, j, col, rho)
 
 
-def _optimize(t: _Tableau, lp: LinearProgram, limit: int) -> LpSolution:
+def _optimize(t: _Tableau, lp: LinearProgram) -> LpSolution:
     """Dual simplex from the installed basis, then re-pricing and the
     feasibility audit, which send it back to the dual loop at most twice."""
     n = lp.n_vars
     first = t.iterations
     problems = ["re-pricing kept moving columns"]
     for _attempt in range(3):
-        if not _run_dual(t, first, limit):
+        if not _run_dual(t, first):
             return LpSolution(LpStatus.INFEASIBLE, np.full(n, np.nan), np.nan, t.iterations)
         if t.price():
             t.solve_basic()  # a moved column only makes x_B stale
@@ -707,9 +709,9 @@ def _optimize(t: _Tableau, lp: LinearProgram, limit: int) -> LpSolution:
 
 
 def check_basis_size(m: int) -> None:
-    """Raise SolverError when the solver's four arrays for a program of m
-    rows would exceed MAX_BASIS_MIB."""
-    need_mib = 2 * (m + max(m, 2 * REFACTOR_EVERY)) * m * 8 / 2**20
+    """Raise SolverError when the most a solve of a program of m rows
+    holds, counted in the module notes, would exceed MAX_BASIS_MIB."""
+    need_mib = (5 * m + 4 * REFACTOR_EVERY) * m * 8 / 2**20
     if need_mib > MAX_BASIS_MIB:
         raise SolverError(
             f"program has {m} rows: its basis arrays need {need_mib:.0f} MiB, "
@@ -770,8 +772,7 @@ def _blas_pin():
     return contextlib.nullcontext()
 
 
-def solve_lp(lp: LinearProgram, start: Basis | None = None,
-             max_iterations: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """Solve ``lp`` to proven optimality or infeasibility.
 
     ``start``, the ``basis`` of an earlier optimal solution of a program
@@ -779,12 +780,11 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
     (see the module notes); a warm solve's verdict, optimal or
     infeasible, stands.  A start that does not fit or ends in numerical
     trouble is dropped, and ``iterations`` then also counts the pivots of
-    the abandoned attempt.  ``max_iterations`` caps the pivots of each attempt.
-    Deterministic: the same program and the same start yield the same
-    vertex every time, whatever the caller's BLAS thread count, where
-    numpy's BLAS has a known control (see the module notes).  Raises
-    SolverError on numerical breakdown, iteration exhaustion, or a
-    program too large for MAX_BASIS_MIB.
+    the abandoned attempt.  Deterministic: the same program and the same
+    start yield the same vertex every time, whatever the caller's BLAS
+    thread count, where numpy's BLAS has a known control (see the module
+    notes).  Raises SolverError on numerical breakdown, iteration
+    exhaustion, or a program too large for MAX_BASIS_MIB.
     """
     check_basis_size(lp.n_rows)
     problems = lp.validate()
@@ -792,13 +792,12 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None,
         raise ValueError("malformed program: " + "; ".join(problems))
 
     t = _Tableau(lp)
-    limit = 50 * (t.m + t.ncols) + 2000 if max_iterations is None else max_iterations
     with _blas_pin():
         if start is not None:
             try:
                 t.start_from(start)
-                return _optimize(t, lp, limit)
+                return _optimize(t, lp)
             except SolverError:
                 pass  # the all-logical solve below decides, and raises if it must
         t.start_from(None)
-        return _optimize(t, lp, limit)
+        return _optimize(t, lp)

@@ -18,7 +18,8 @@ from hetcache.cli import main
 from hetcache.closed_form import corner_points
 from hetcache.lp_core import SolverError, solve_lp
 from hetcache.scheme_lp import SchemeSolution, build_o1, build_o2, scheme_problems
-from hetcache.model import Budget, FixedMemories, load_instance, make_rate_profile
+from hetcache.model import (Budget, FixedMemories, load_instance, make_rate_profile,
+                            rates_from_distortions)
 
 
 FIG_CORNERS = [0.0, 0.5, 0.7, 1.0, 1.5, 1.7, 2.2]
@@ -792,6 +793,26 @@ class TestChainOrder:
             assert abs(float(row["joint_o2"]) - solve_lp(build_o2(sub)[0]).objective) <= 1e-9
             for method in ("pca", "oca"):
                 assert abs(float(row[method]) - baseline_load(method, sub)) <= 1e-9
+
+
+@pytest.mark.parametrize("q, distortions", [(2, [0.4, 0.2, 0.0]), (4, [0.6, 0.3, 0.1])])
+def test_distortions_instance_prints_what_its_rates_instance_prints(q, distortions, tmp_path,
+                                                                    capsys):
+    # a distortions instance is its rates instance: every command prints
+    # the same bytes for both, the rates written as json.dumps writes them
+    rates = list(rates_from_distortions(distortions, q).r)
+    doc = {"K": 3, "N": 3, "q": q, "budget": 0.4 * sum(rates)}
+    paths = []
+    for key, profile in (("distortions", distortions), ("rates", rates)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({**doc, key: profile}))
+        paths.append(str(path))
+    for command in (["solve"], ["sweep", "--points", "3"], ["bounds"]):
+        outs = []
+        for path in paths:
+            assert main([command[0], path, *command[1:]]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0]
 
 
 def test_one_parser_serves_every_call(ex1_path, capsys):

@@ -326,7 +326,7 @@ def test_too_large_program_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(lp_core, "MAX_BASIS_MIB", 0.5)
     monkeypatch.setattr(lp_core, "_Tableau", None)  # any allocation would fail
     rows = [({0: 1.0}, 0.5)] * 200
-    with pytest.raises(SolverError, match="200 rows: its basis arrays need 1 MiB"):
+    with pytest.raises(SolverError, match="200 rows: its basis arrays need 2 MiB"):
         solve_lp(lp_from_parts([1.0], [], rows, [0], [1]))
 
 
@@ -358,8 +358,10 @@ def test_a_solve_runs_one_blas_thread_and_gives_the_count_back(monkeypatch):
         assert pin.get() == 2
         assert solve_lp(lp).is_optimal
         assert pin.get() == 2
+        monkeypatch.setattr(lp_core, "ITERATION_LIMIT_PER", 0)
+        monkeypatch.setattr(lp_core, "ITERATION_LIMIT_BASE", 1)
         with pytest.raises(SolverError, match="iteration limit"):
-            solve_lp(lp, max_iterations=1)
+            solve_lp(lp)
         assert pin.get() == 2
     finally:
         pin.put(before)
@@ -405,12 +407,11 @@ def test_basis_limit_admits_eight_users_and_refuses_nine(monkeypatch):
             solve_lp(lp_from_parts([1.0], [], [({0: 1.0}, 0.5)] * m, [0], [1]))
 
 
-def test_iteration_limit_raises():
-    rng = np.random.default_rng(3)
-    c, eq, ub, lo, hi = random_box_lp(rng)
+def test_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr(lp_core, "ITERATION_LIMIT_PER", 0)
+    monkeypatch.setattr(lp_core, "ITERATION_LIMIT_BASE", 0)
     with pytest.raises(SolverError, match="iteration limit"):
-        solve_lp(lp_from_parts([-1.0, -1.0], [({0: 1.0, 1: 1.0}, 1.0)], [], [0, 0], [1, 1]),
-                 max_iterations=0)
+        solve_lp(lp_from_parts([-1.0, -1.0], [({0: 1.0, 1: 1.0}, 1.0)], [], [0, 0], [1, 1]))
 
 
 def random_rates(rng, K):
@@ -770,7 +771,8 @@ class TestFoldedFactor:
     def test_warm_folds_stay_within_two_arrays(self, monkeypatch):
         # a warm K=6 solve of hundreds of pivots folds its start's shared
         # B0^-1 into one fresh array, then its own in place: beyond the
-        # start it allocates its two m x m arrays and little more
+        # start it allocates that array, its eta file and vectors (1.59
+        # m x m arrays in all)
         lp, inst = memory_family(6, "budget", 0)
         start = solve_lp(lp).basis
         program = build(inst(0.6))
@@ -782,7 +784,45 @@ class TestFoldedFactor:
         finally:
             tracemalloc.stop()
         assert warm.is_optimal and len(folds) >= 2
-        assert peak <= 2.3 * lp.n_rows ** 2 * 8
+        assert peak <= 1.74 * lp.n_rows ** 2 * 8
+
+    @pytest.mark.parametrize("K", [5, 6])
+    def test_a_basis_holds_one_square_array_and_its_eta_file(self, K):
+        # the arrays behind a warm basis's fields, counted once each: B0^-1,
+        # the solve's eta file and the vectors; the column arrays are the
+        # program's
+        lp, inst = memory_family(K, "budget", 0)
+        basis = solve_lp(build(inst(0.6)), start=solve_lp(lp).basis).basis
+        held = {}
+        for a in basis[:-1]:
+            while a.base is not None:
+                a = a.base
+            held[id(a)] = a.nbytes
+        m = lp.n_rows
+        vectors = basis.cols.nbytes + basis.at_upper.nbytes + basis.weights.nbytes
+        assert sum(held.values()) == (m + 2 * lp_core.REFACTOR_EVERY) * m * 8 + vectors
+
+    def test_size_check_counts_a_forced_inversion(self, monkeypatch):
+        # a warm K=6 solve whose every fold fails its probe inverts afresh
+        # while its start is held: the traced peak, start included, stays
+        # within what check_basis_size counts (which also counts LAPACK's
+        # work arrays, untraced)
+        lp, inst = memory_family(6, "budget", 0)
+        program = build(inst(0.6))
+        tracemalloc.start()
+        try:
+            start = solve_lp(lp).basis
+            monkeypatch.setattr(lp_core, "PROBE_TOL", -1.0)  # no probe passes
+            calls = counting_inverse(monkeypatch)
+            tracemalloc.reset_peak()
+            warm = solve_lp(program, start=start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert warm.is_optimal and calls
+        monkeypatch.setattr(lp_core, "MAX_BASIS_MIB", peak / 2**20)
+        with pytest.raises(SolverError, match="basis arrays need"):
+            lp_core.check_basis_size(lp.n_rows)
 
 
 def counting_derivations(monkeypatch):

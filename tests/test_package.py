@@ -27,7 +27,7 @@ DEFAULTS = {
     "make_variable_index": {"per_layer_signals": False},
     "rho": {"q": 2},
     "scheme_problems": {"tol": 1e-7},
-    "solve_lp": {"start": None, "max_iterations": None},
+    "solve_lp": {"start": None},
     "verify": {"seed": 0},
 }
 
